@@ -7,6 +7,13 @@ the cut's object set survives.  The final prices are the component-wise
 minimum competitive prices.  ``allocate`` then reads a stable,
 market-clearing assignment off a max flow in the allocation network of the
 balanced instance.
+
+The demand network depends on the prices only through the buyers' tier
+reports.  So adapted mode with warm start finds the length of a jump by
+walking from one tier-report breakpoint to the next (``_breakpoint_walk``),
+recomputing only the reports that can change there; its cost does not grow
+with the valuations.  Adapted mode with cold start binary-searches the
+length instead (``_step_length``), building a network per probe.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .model import (
     PriceVector,
     balance_instance,
 )
-from .tiers import TierReport, tier_report
+from .tiers import TierReport, next_breakpoint, tier_report
 
 MODES = ("unit", "adapted")
 
@@ -38,7 +45,10 @@ class SolveOptions:
 
     ``start_prices`` must be component-wise at most the minimum competitive
     prices for the result to be meaningful; this is the caller's
-    responsibility and cannot be checked up front.
+    responsibility and cannot be checked up front.  The one exception is an
+    object without supply: its minimum competitive price is 0, and the
+    auction starts it there whatever ``start_prices`` says, so a previous
+    equilibrium stays a sound start after a supply cut to zero.
     """
 
     mode: str = "unit"
@@ -58,13 +68,15 @@ def _reports(instance: Instance, prices: PriceVector) -> dict[str, TierReport]:
     return {j: tier_report(instance, j, prices) for j in instance.buyers}
 
 
-def _cut_objects_at(instance: Instance, prices: PriceVector) -> frozenset[str]:
-    reports = _reports(instance, prices)
-    network = flownet.build_demand_network(instance, prices, reports)
-    best = flownet.max_flow(network)
+def _cut_objects(network: flownet.FlowNetwork, best: flownet.IntegralFlow) -> frozenset[str]:
     if best.value == network.cap_s:
         return frozenset()
     return flownet.leftmost_min_cut(network, best).objects
+
+
+def _cut_objects_at(instance: Instance, prices: PriceVector) -> frozenset[str]:
+    network = flownet.build_demand_network(instance, prices, _reports(instance, prices))
+    return _cut_objects(network, flownet.max_flow(network))
 
 
 def _step_length(
@@ -99,24 +111,47 @@ def _step_length(
     return low, calls
 
 
-def adapted_step_length(
-    instance: Instance, prices: PriceVector, cut: flownet.CutResult, flow: flownet.IntegralFlow
-) -> int:
-    """Public step-length oracle with precondition checks.
+def _breakpoint_walk(
+    instance: Instance,
+    network: flownet.FlowNetwork,
+    best: flownet.IntegralFlow,
+    reports: dict[str, TierReport],
+    raised: frozenset[str],
+) -> tuple[int, int, flownet.FlowNetwork, flownet.IntegralFlow, int]:
+    """Raise ``raised`` until the left-most cut's object set changes.
 
-    ``cut`` must be the left-most min cut of the demand network at
-    ``prices`` for the given maximum ``flow``, and the network must not be
-    saturated yet.
+    ``network`` and ``best`` are the demand network and its maximum flow at
+    the current prices, and ``reports`` holds every buyer's tier report
+    there; it is updated in place to the reports at the returned prices.
+    The raise advances from one tier-report breakpoint to the next, and
+    only the buyers whose breakpoint it is recompute their report.  The
+    flow is carried over and re-augmented only where the network changed:
+    in between, every unit raise would build the same network and carry
+    the same flow.  So the sequence of distinct networks, flows and
+    handoff gaps is that of a walk in unit steps.
+    Returns the step, the tier-oracle calls made, the network and maximum
+    flow at the raised prices, and the handoff gap of the last update.
     """
-    network = flownet.build_demand_network(instance, prices, _reports(instance, prices))
-    flownet.check_feasible(network, flow)
-    if flow.value >= network.cap_s:
-        raise AuctionError("prices are already competitive; no step to take")
-    leftmost = flownet.leftmost_min_cut(network, flow)
-    if cut.objects != leftmost.objects:
-        raise AuctionError("cut is not the left-most min cut at these prices")
-    step, _ = _step_length(instance, prices, leftmost.objects, instance.max_valuation)
-    return step
+    prices = PriceVector(network.prices)
+    breakpoints = {j: next_breakpoint(instance, j, prices, raised, 0) for j in instance.buyers}
+    calls = 0
+    while True:
+        step = min((t for t in breakpoints.values() if t is not None), default=None)
+        if step is None:
+            raise AuctionError("cut did not change within the valuation bound")
+        step_prices = prices.raised(raised, step)
+        for j in [j for j, t in breakpoints.items() if t == step]:
+            calls += 1
+            reports[j] = tier_report(instance, j, step_prices)
+            breakpoints[j] = next_breakpoint(instance, j, prices, raised, step)
+        step_network = flownet.build_demand_network(instance, step_prices, reports)
+        if step_network.arcs == network.arcs:
+            continue
+        update = flownet.flow_update(network, best, step_prices.as_dict(), step_network)
+        network = step_network
+        best = flownet.max_flow(network, warm_start=update.flow)
+        if _cut_objects(network, best) != raised:
+            return step, calls, network, best, network.cap_s - update.flow.value
 
 
 def price_raising(
@@ -130,13 +165,18 @@ def price_raising(
     opts = options or SolveOptions()
     if opts.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {opts.mode!r}")
-    prices = opts.start_prices or PriceVector.zero(instance)
-    prices = PriceVector.for_instance(instance, prices.as_dict())
+    start = opts.start_prices or PriceVector.zero(instance)
+    start = PriceVector.for_instance(instance, start.as_dict())
+    # No feasible bundle holds an object without supply, so its minimum
+    # competitive price is 0 whatever the start prices say; the auction
+    # never lowers a price, so it has to start there.
+    prices = PriceVector({i: p if instance.supplies[i] else 0 for i, p in start.prices.items()})
     v_max = instance.max_valuation
     price_bound = v_max + 1
 
     calls = len(instance.buyers)
-    network = flownet.build_demand_network(instance, prices, _reports(instance, prices))
+    reports = _reports(instance, prices)
+    network = flownet.build_demand_network(instance, prices, reports)
     best = flownet.max_flow(network)
     records: list[IterationRecord] = []
 
@@ -150,39 +190,36 @@ def price_raising(
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
-        if opts.mode == "adapted":
-            step, probe_calls = _step_length(instance, prices, cut.objects, v_max)
-            calls += probe_calls
+        handoff_gap = None
+        if opts.mode == "adapted" and opts.warm_start:
+            # Carrying the flow across a whole jump at once stays feasible
+            # but can widen the handoff gap, so the walk carries it from
+            # one distinct network to the next, as unit steps would.
+            step, walk_calls, next_network, next_best, handoff_gap = _breakpoint_walk(
+                instance, network, best, reports, cut.objects
+            )
+            calls += walk_calls
         else:
             step = 1
-        next_prices = prices.raised(raised, step)
+            if opts.mode == "adapted":
+                step, probe_calls = _step_length(instance, prices, cut.objects, v_max)
+                calls += probe_calls
+            calls += len(instance.buyers)
+            next_prices = prices.raised(raised, step)
+            reports = _reports(instance, next_prices)
+            next_network = flownet.build_demand_network(instance, next_prices, reports)
+            if opts.warm_start:
+                # A unit raise on the left-most cut's objects keeps the
+                # carried flow feasible, and re-augmenting it keeps the
+                # demand gap non-increasing along the run.
+                update = flownet.flow_update(network, best, next_prices.as_dict(), next_network)
+                handoff_gap = next_network.cap_s - update.flow.value
+                next_best = flownet.max_flow(next_network, warm_start=update.flow)
+            else:
+                next_best = flownet.max_flow(next_network)
+        next_prices = PriceVector(next_network.prices)
         if any(next_prices[i] > price_bound for i in raised):
             raise AuctionError("price raised beyond the maximum valuation")
-        handoff_gap = None
-        if opts.warm_start:
-            # Walk the raise one unit at a time: the cut's object set is
-            # unchanged at every intermediate price, so each unit update is
-            # covered by the update guarantees, and re-augmenting between
-            # steps keeps the demand gap non-increasing along the chain.
-            next_network, next_best = network, best
-            for _ in range(step):
-                step_prices = PriceVector(next_network.prices).raised(raised, 1)
-                calls += len(instance.buyers)
-                step_network = flownet.build_demand_network(
-                    instance, step_prices, _reports(instance, step_prices)
-                )
-                update = flownet.flow_update(
-                    next_network, next_best, step_prices.as_dict(), step_network
-                )
-                handoff_gap = step_network.cap_s - update.flow.value
-                next_best = flownet.max_flow(step_network, warm_start=update.flow)
-                next_network = step_network
-        else:
-            calls += len(instance.buyers)
-            next_network = flownet.build_demand_network(
-                instance, next_prices, _reports(instance, next_prices)
-            )
-            next_best = flownet.max_flow(next_network)
         if opts.trace:
             records.append(
                 IterationRecord(

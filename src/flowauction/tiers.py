@@ -4,13 +4,15 @@ For a buyer at given prices, the objects split into three tiers relative to
 the marginal payoff (the payoff of the last object the greedy bundle
 construction touches): objects strictly above the margin, objects exactly at
 the margin, and objects with payoff exactly zero.  The auction queries one
-report per buyer per iteration; everything here is a pure function of the
-instance and the prices.
+report per buyer per price vector it tries, and ``next_breakpoint`` tells it
+how far a raise can go before a report can change; everything here is a
+pure function of the instance and the prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .model import Instance, PriceVector
 
@@ -108,6 +110,28 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
         d_margin = min(sum(instance.supplies[i] for i in at_margin), demand - d_above)
     d_zero = min(sum(instance.supplies[i] for i in zero), demand - d_above - d_margin)
     return TierReport(above, at_margin, zero, d_above, d_margin, d_zero, last)
+
+
+def next_breakpoint(
+    instance: Instance, buyer: str, prices: PriceVector, raised: Iterable[str], t: int
+) -> int | None:
+    """Smallest raise above ``t`` at which the buyer's tier report can change.
+
+    Raising the objects in ``raised`` by ``t`` from ``prices`` changes the
+    report only through the order of payoffs that are not negative: where a
+    raised object's payoff reaches 0 or the payoff ``g >= 0`` of a
+    non-raised object, and where it falls below it.  For a raised object
+    with payoff ``pi`` at ``prices`` these are the raises ``u = pi - g``
+    and ``u + 1``, with ``g = 0`` included.  The report is the same for
+    every raise in ``[t, result)``; ``None`` means it never changes again.
+    """
+    if instance.demands[buyer] == 0:
+        return None
+    raised = set(raised)
+    payoffs = {i: instance.payoff(i, buyer, prices) for i in instance.objects}
+    levels = {0} | {g for i, g in payoffs.items() if i not in raised and g >= 0}
+    points = (payoffs[i] - g + d for i in raised for g in levels for d in (0, 1))
+    return min((u for u in points if u > t), default=None)
 
 
 def indirect_utility(instance: Instance, buyer: str, prices: PriceVector) -> int:

@@ -5,20 +5,28 @@ import pytest
 from flowauction.auction import (
     AuctionError,
     SolveOptions,
-    adapted_step_length,
     allocate,
     price_raising,
     solve,
 )
-from flowauction.flow import build_demand_network, leftmost_min_cut, max_flow
-from flowauction.model import PriceVector, duplicate_instance, validate_instance
+from flowauction.flow import build_demand_network, flow_update, leftmost_min_cut, max_flow
+from flowauction.model import IterationRecord, PriceVector, duplicate_instance, validate_instance
 from flowauction.tiers import tier_report
-from flowauction.verify import check_equilibrium, random_instance
+from flowauction.verify import (
+    check_equilibrium,
+    min_competitive_bruteforce,
+    perturb_instance,
+    random_instance,
+)
+
+
+def demand_network(instance, prices):
+    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
+    return build_demand_network(instance, prices, reports)
 
 
 def cut_and_flow(instance, prices):
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    network = build_demand_network(instance, prices, reports)
+    network = demand_network(instance, prices)
     best = max_flow(network)
     return leftmost_min_cut(network, best), best
 
@@ -30,6 +38,65 @@ def linear_scan_step(instance, prices, raised):
         if cut.objects != frozenset(raised):
             return amount
     raise AssertionError("cut never changed")
+
+
+def unit_walk_records(instance):
+    """Reference for adapted mode with warm start: walk each jump in unit
+    steps, with every tier report, the network and a warm max flow rebuilt
+    at every step, until the left-most cut's object set changes."""
+    prices = PriceVector.zero(instance)
+    network = demand_network(instance, prices)
+    best = max_flow(network)
+    records = []
+    while best.value < network.cap_s:
+        cut = leftmost_min_cut(network, best)
+        raised = tuple(i for i in instance.objects if i in cut.objects)
+        step_network, step_best, step = network, best, 0
+        while True:
+            step += 1
+            step_prices = prices.raised(raised, step)
+            next_network = demand_network(instance, step_prices)
+            update = flow_update(step_network, step_best, step_prices.as_dict(), next_network)
+            step_network = next_network
+            step_best = max_flow(next_network, warm_start=update.flow)
+            if step_best.value == step_network.cap_s:
+                break
+            if leftmost_min_cut(step_network, step_best).objects != cut.objects:
+                break
+        records.append(
+            IterationRecord(
+                index=len(records),
+                prices=prices.as_dict(),
+                raised=raised,
+                cut_nodes=cut.labels,
+                flow_value=best.value,
+                cap_s=network.cap_s,
+                step=step,
+                handoff_gap=step_network.cap_s - update.flow.value,
+            )
+        )
+        prices, network, best = step_prices, step_network, step_best
+    return prices, tuple(records)
+
+
+def restart_fault_pair():
+    """Supplies a:1, b:1 and three unit-demand buyers valuing (5, 4), (5, 4)
+    and (5, 1); the twin has no supply of a."""
+    values = {"x": {"a": 5, "b": 4}, "y": {"a": 5, "b": 4}, "z": {"a": 5, "b": 1}}
+    base = validate_instance({"a": 1, "b": 1}, {"x": 1, "y": 1, "z": 1}, values)
+    twin = validate_instance({"a": 0, "b": 1}, {"x": 1, "y": 1, "z": 1}, values)
+    return base, twin
+
+
+def scaled(instance, factor):
+    return validate_instance(
+        instance.supplies,
+        instance.demands,
+        {j: {i: instance.valuations[(i, j)] * factor for i in instance.objects} for j in instance.buyers},
+    )
+
+
+CONFIGS = [(mode, warm) for mode in ("unit", "adapted") for warm in (True, False)]
 
 
 class TestPriceRaising:
@@ -86,19 +153,52 @@ class TestPriceRaising:
                 again, _ = price_raising(inst, SolveOptions(start_prices=restart))
                 assert again == final
 
+    def test_restart_after_supply_cut_to_zero(self):
+        base, twin = restart_fault_pair()
+        start, _ = price_raising(base)
+        assert start.as_dict() == {"a": 5, "b": 4}
+        for mode, warm in CONFIGS:
+            options = SolveOptions(mode=mode, warm_start=warm, start_prices=start)
+            prices, _ = price_raising(twin, options)
+            assert prices.as_dict() == {"a": 0, "b": 4}
+
+    def test_restarted_twins_reach_the_grid_minimum(self):
+        rng = random.Random(83)
+        zeroed = 0
+        for _ in range(60):
+            inst = random_instance(rng, max_objects=3, max_buyers=4, max_value=6)
+            start, _ = price_raising(inst)
+            twin, change = perturb_instance(rng, inst)
+            if change.kind == "supply" and twin.supplies[change.target] == 0 and start[change.target] > 0:
+                zeroed += 1
+            expected = min_competitive_bruteforce(twin)
+            for mode, warm in CONFIGS:
+                options = SolveOptions(mode=mode, warm_start=warm, start_prices=start)
+                assert price_raising(twin, options)[0] == expected, (mode, warm, change)
+        assert zeroed > 0
+
     def test_trace_disabled(self, three_buyers):
         prices, trace = price_raising(three_buyers, SolveOptions(trace=False))
         assert prices.as_dict() == {"alpha": 2, "beta": 0}
         assert trace.iterations == ()
 
 
+def adapted_steps(instance):
+    """Adapted steps of the warm and the cold run, each checked against the
+    linear scan at the prices of its record."""
+    steps = {}
+    for warm in (True, False):
+        _, trace = price_raising(instance, SolveOptions(mode="adapted", warm_start=warm))
+        for rec in trace.iterations:
+            assert rec.step == linear_scan_step(instance, PriceVector(rec.prices), rec.raised)
+        steps[warm] = [rec.step for rec in trace.iterations]
+    assert steps[True] == steps[False]
+    return steps[True]
+
+
 class TestAdaptedStepLength:
     def test_contested_object_steps_to_the_change_point(self, contested_single):
-        prices = PriceVector.zero(contested_single)
-        cut, flow = cut_and_flow(contested_single, prices)
-        assert cut.objects == frozenset({"item"})
-        step = adapted_step_length(contested_single, prices, cut, flow)
-        assert step == linear_scan_step(contested_single, prices, ("item",)) == 5
+        assert adapted_steps(contested_single)[0] == 5
 
     def test_immediate_change_gives_one(self):
         inst = validate_instance(
@@ -106,36 +206,25 @@ class TestAdaptedStepLength:
             {"u": 1, "w": 1},
             {"u": {"x": 3, "y": 2}, "w": {"x": 3, "y": 2}},
         )
-        prices = PriceVector.zero(inst)
-        cut, flow = cut_and_flow(inst, prices)
+        cut, _ = cut_and_flow(inst, PriceVector.zero(inst))
         assert cut.objects == frozenset({"x"})
-        step = adapted_step_length(inst, prices, cut, flow)
-        assert step == linear_scan_step(inst, prices, tuple(cut.objects)) == 1
+        assert adapted_steps(inst)[0] == 1
 
     def test_three_buyers_steps_to_terminal(self, three_buyers):
-        prices = PriceVector.zero(three_buyers)
-        cut, flow = cut_and_flow(three_buyers, prices)
-        assert cut.objects == frozenset({"alpha"})
-        step = adapted_step_length(three_buyers, prices, cut, flow)
-        assert step == linear_scan_step(three_buyers, prices, ("alpha",)) == 2
+        assert adapted_steps(three_buyers) == [2]
 
-    def test_rejects_competitive_prices(self, example1):
-        prices = PriceVector.zero(example1)
-        cut, flow = cut_and_flow(example1, prices)
-        with pytest.raises(AuctionError, match="competitive"):
-            adapted_step_length(example1, prices, cut, flow)
+    def test_competitive_market_takes_no_step(self, example1):
+        assert adapted_steps(example1) == []
 
     def test_binary_search_matches_linear_scan(self):
         rng = random.Random(99)
         checked = 0
         while checked < 40:
             inst = random_instance(rng)
-            prices = PriceVector.zero(inst)
-            cut, flow = cut_and_flow(inst, prices)
+            cut, _ = cut_and_flow(inst, PriceVector.zero(inst))
             if not cut.objects:
                 continue
-            step = adapted_step_length(inst, prices, cut, flow)
-            assert step == linear_scan_step(inst, prices, tuple(cut.objects))
+            assert adapted_steps(inst)
             checked += 1
 
 
@@ -220,3 +309,25 @@ class TestModeAndWarmEquivalence:
                 for rec in trace.iterations:
                     assert rec.handoff_gap is not None
                     assert rec.handoff_gap <= rec.cap_s - rec.flow_value
+
+
+class TestBreakpointWalk:
+    def test_records_equal_the_unit_step_walk(self):
+        rng = random.Random(31)
+        for k in range(300):
+            max_value = 1000 if k % 5 == 0 else 6
+            inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=max_value)
+            prices, trace = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
+            assert (prices, trace.iterations) == unit_walk_records(inst)
+
+    def test_cost_does_not_grow_with_values(self):
+        base, _ = restart_fault_pair()
+        calls = set()
+        for factor in (1, 200, 2000, 20000):
+            inst = scaled(base, factor)
+            _, warm = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
+            _, cold = price_raising(inst, SolveOptions(mode="adapted", warm_start=False))
+            assert warm.final_prices == cold.final_prices == {"a": 5 * factor, "b": 4 * factor}
+            assert warm.oracle_calls <= cold.oracle_calls
+            calls.add(warm.oracle_calls)
+        assert len(calls) == 1

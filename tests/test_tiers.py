@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowauction.model import PriceVector, validate_instance
-from flowauction.tiers import indirect_utility, preferred_bundle, tier_report
+from flowauction.tiers import indirect_utility, next_breakpoint, preferred_bundle, tier_report
 from flowauction.verify import best_bundle_payoff
 
 
@@ -157,3 +157,33 @@ def test_tiers_independent_of_tie_breaking(data, seed):
         assert set(report.at_margin) == {
             i for i in inst.objects if inst.payoff(i, j, prices) == margin
         }
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_and_prices(), st.data())
+def test_report_constant_up_to_next_breakpoint(data, draw):
+    inst, prices = data
+    raised = draw.draw(st.sets(st.sampled_from(inst.objects), min_size=1))
+    t0 = draw.draw(st.integers(0, 6))
+    # Beyond v_max + 1 every raised object is priced out, so a report that
+    # never changes again is checked over that whole range.
+    horizon = inst.max_valuation + 2
+    for j in inst.buyers:
+        stop = next_breakpoint(inst, j, prices, raised, t0)
+        assert stop is None or stop > t0
+        expected = tier_report(inst, j, prices.raised(raised, t0))
+        for t in range(t0, horizon if stop is None else stop):
+            assert tier_report(inst, j, prices.raised(raised, t)) == expected
+
+
+def test_breakpoints_are_payoff_crossings():
+    inst = validate_instance({"a": 1, "b": 1}, {"x": 1}, {"x": {"a": 5, "b": 4}})
+    prices = PriceVector.zero(inst)
+    # a ties b at a raise of 1, falls below it at 2, reaches 0 at 5 and
+    # falls below 0 at 6.
+    points = [0]
+    while (t := next_breakpoint(inst, "x", prices, {"a"}, points[-1])) is not None:
+        points.append(t)
+    assert points == [0, 1, 2, 5, 6]
+    zero_demand = validate_instance({"a": 1}, {"x": 0}, {"x": {"a": 5}})
+    assert next_breakpoint(zero_demand, "x", PriceVector.zero(zero_demand), {"a"}, 0) is None

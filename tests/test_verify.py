@@ -268,13 +268,7 @@ class TestMonotonicity:
             p_old = solve(inst).prices
             perturbed, _ = perturb_instance(rng, inst)
             cold = solve(perturbed).prices
-            start = PriceVector(
-                {
-                    i: (p_old[i] if perturbed.supplies[i] > 0 else 0)
-                    for i in perturbed.objects
-                }
-            )
-            warm, _ = price_raising(perturbed, SolveOptions(start_prices=start))
+            warm, _ = price_raising(perturbed, SolveOptions(start_prices=p_old))
             assert warm == cold
 
 
