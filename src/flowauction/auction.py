@@ -54,7 +54,6 @@ class SolveOptions:
     mode: str = "unit"
     warm_start: bool = True
     start_prices: PriceVector | None = None
-    trace: bool = True
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ def _breakpoint_walk(
         step_network = flownet.build_demand_network(instance, step_prices, reports)
         if step_network.arcs == network.arcs:
             continue
-        update = flownet.flow_update(network, best, step_prices.as_dict(), step_network)
+        update = flownet.flow_update(network, best, step_network)
         network = step_network
         best = flownet.max_flow(network, warm_start=update.flow)
         if _cut_objects(network, best) != raised:
@@ -160,7 +159,7 @@ def price_raising(
     """Run the ascending auction and return the minimum competitive prices.
 
     Returns the final price vector and a trace with one record per price
-    raise (empty when tracing is disabled by the options).
+    raise.
     """
     opts = options or SolveOptions()
     if opts.mode not in MODES:
@@ -212,7 +211,7 @@ def price_raising(
                 # A unit raise on the left-most cut's objects keeps the
                 # carried flow feasible, and re-augmenting it keeps the
                 # demand gap non-increasing along the run.
-                update = flownet.flow_update(network, best, next_prices.as_dict(), next_network)
+                update = flownet.flow_update(network, best, next_network)
                 handoff_gap = next_network.cap_s - update.flow.value
                 next_best = flownet.max_flow(next_network, warm_start=update.flow)
             else:
@@ -220,19 +219,18 @@ def price_raising(
         next_prices = PriceVector(next_network.prices)
         if any(next_prices[i] > price_bound for i in raised):
             raise AuctionError("price raised beyond the maximum valuation")
-        if opts.trace:
-            records.append(
-                IterationRecord(
-                    index=len(records),
-                    prices=prices.as_dict(),
-                    raised=raised,
-                    cut_nodes=cut.labels,
-                    flow_value=best.value,
-                    cap_s=network.cap_s,
-                    step=step,
-                    handoff_gap=handoff_gap,
-                )
+        records.append(
+            IterationRecord(
+                index=len(records),
+                prices=prices.as_dict(),
+                raised=raised,
+                cut_nodes=cut.labels,
+                flow_value=best.value,
+                cap_s=network.cap_s,
+                step=step,
+                handoff_gap=handoff_gap,
             )
+        )
         prices, network, best = next_prices, next_network, next_best
     raise AuctionError("auction failed to terminate within the price bound")
 

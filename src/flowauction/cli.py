@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import flow as flownet
-from .auction import SolveOptions, price_raising, solve, trace_records
+from .auction import AuctionError, SolveOptions, price_raising, solve, trace_records
 from .model import Instance, InstanceError, PriceVector, duplicate_instance, load_instance
 from .tiers import tier_report
 from .verify import (
@@ -49,40 +49,37 @@ def _emit(payload: object) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("instance", help="path to a JSON instance file")
-    sub.add_argument("--mode", choices=("unit", "adapted"), default="unit")
-    sub.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse the previous iteration's flow (default on)",
-    )
-    sub.add_argument("--start-prices", metavar="FILE", help="JSON object-to-price mapping")
-    sub.add_argument("--trace", metavar="FILE", help="write the iteration trace as JSON")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sub.add_argument(
-        "--dump-network", metavar="FILE", help="write the initial demand network and its max flow"
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="flowauction", description=__doc__)
     verbs = parser.add_subparsers(dest="verb", required=True)
-    for verb, handler in (
-        ("solve", _cmd_solve),
-        ("verify", _cmd_verify),
-        ("brute", _cmd_brute),
-        ("monotone", _cmd_monotone),
-        ("duplicate-demo", _cmd_duplicate_demo),
-    ):
-        sub = verbs.add_parser(verb)
-        _add_common(sub)
+
+    def verb(name: str, handler, solves: bool = True) -> argparse.ArgumentParser:
+        """A verb's parser; one that solves takes the solver options."""
+        sub = verbs.add_parser(name)
         sub.set_defaults(handler=handler)
-    verbs.choices["monotone"].add_argument(
-        "--pairs", type=int, default=200, help="number of perturbations to sweep"
+        sub.add_argument("instance", help="path to a JSON instance file")
+        if solves:
+            sub.add_argument("--mode", choices=("unit", "adapted"), default="unit")
+            sub.add_argument(
+                "--warm-start",
+                action=argparse.BooleanOptionalAction,
+                default=True,
+                help="reuse the previous iteration's flow (default on)",
+            )
+            sub.add_argument("--start-prices", metavar="FILE", help="JSON object-to-price mapping")
+        return sub
+
+    solve_verb = verb("solve", _cmd_solve)
+    solve_verb.add_argument("--trace", metavar="FILE", help="write the iteration trace as JSON")
+    solve_verb.add_argument(
+        "--dump-network", metavar="FILE", help="write the initial demand network and its max flow"
     )
+    for sub in (verb("verify", _cmd_verify), verb("brute", _cmd_brute, solves=False)):
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    monotone = verb("monotone", _cmd_monotone)
+    monotone.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    monotone.add_argument("--pairs", type=int, default=200, help="number of perturbations to sweep")
+    verb("duplicate-demo", _cmd_duplicate_demo)
     return parser
 
 
@@ -305,7 +302,10 @@ def run(argv: list[str]) -> int:
         return EXIT_PARSE
     try:
         return args.handler(args)
-    except (InstanceError, OSError, json.JSONDecodeError) as exc:
+    except (InstanceError, OSError, json.JSONDecodeError, AuctionError) as exc:
+        # Start prices above the minimum competitive prices end in an
+        # AuctionError (the allocation flow cannot saturate), so it is an
+        # input error.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

@@ -27,6 +27,8 @@ SINK: Node = ("t",)
 TIER_ABOVE = 1
 TIER_AT_MARGIN = 2
 TIER_ZERO = 3
+DEMAND_TIERS = (TIER_ABOVE, TIER_AT_MARGIN)
+ALLOCATION_TIERS = (TIER_ABOVE, TIER_AT_MARGIN, TIER_ZERO)
 
 
 class FlowError(RuntimeError):
@@ -70,28 +72,23 @@ def node_label(node: Node) -> str:
 class FlowNetwork:
     """A layered s-t network with positive integer arc capacities.
 
-    ``kind`` is ``"demand"`` or ``"allocation"``.  Zero-capacity arcs are
-    omitted from ``arcs`` but every tier node exists in ``nodes``, so node
-    identity is stable across price changes.
+    ``tiers`` is ``DEMAND_TIERS`` or ``ALLOCATION_TIERS``.  Zero-capacity
+    arcs are omitted from ``arcs`` but every tier node exists in ``nodes``,
+    so node identity is stable across price changes.
     """
 
     def __init__(
         self,
-        kind: str,
+        tiers: tuple[int, ...],
         buyers: tuple[str, ...],
         objects: tuple[str, ...],
         prices: dict[str, int],
         arcs: list[tuple[Node, Node, int]],
     ):
-        self.kind = kind
+        self.tiers = tiers
         self.buyers = buyers
         self.objects = objects
         self.prices = prices
-        self.tiers = (TIER_ABOVE, TIER_AT_MARGIN) if kind == "demand" else (
-            TIER_ABOVE,
-            TIER_AT_MARGIN,
-            TIER_ZERO,
-        )
         nodes: list[Node] = [SOURCE]
         for j in buyers:
             nodes.extend(buyer_node(j, tier) for tier in self.tiers)
@@ -143,16 +140,22 @@ class FlowUpdateResult:
     dropped: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
-def build_demand_network(
-    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport]
+def _build_network(
+    instance: Instance,
+    prices: PriceVector,
+    reports: Mapping[str, TierReport],
+    tiers: tuple[int, ...],
 ) -> FlowNetwork:
-    """Build the demand network from one tier report per buyer.
+    """Build the layered network over ``tiers`` from one report per buyer.
 
-    Source arcs carry the above-margin and at-margin tier demands, tier
-    arcs carry the supply visible to the tier (capped by the tier demand
-    for the at-margin tier), and every object forwards its supply to the
-    sink.
+    Source arcs carry the tier demands, tier arcs carry the supply visible
+    to the tier (capped by the tier demand for the at-margin tier), the
+    zero-payoff tier takes part only when ``TIER_ZERO`` is in ``tiers``,
+    and every object forwards its supply to the sink.  The arc order is
+    canonical: the max-flow solver's path order depends on it.
     """
+    zero_tier = TIER_ZERO in tiers
+    supplies = instance.supplies
     arcs: list[tuple[Node, Node, int]] = []
     for j in instance.buyers:
         report = reports[j]
@@ -160,55 +163,44 @@ def build_demand_network(
             arcs.append((SOURCE, buyer_node(j, TIER_ABOVE), report.demand_above))
         if report.demand_at_margin > 0:
             arcs.append((SOURCE, buyer_node(j, TIER_AT_MARGIN), report.demand_at_margin))
+        if zero_tier and report.demand_zero > 0:
+            arcs.append((SOURCE, buyer_node(j, TIER_ZERO), report.demand_zero))
     for j in instance.buyers:
         report = reports[j]
         for i in report.above:
-            if instance.supplies[i] > 0:
-                arcs.append((buyer_node(j, TIER_ABOVE), object_node(i), instance.supplies[i]))
+            if supplies[i] > 0:
+                arcs.append((buyer_node(j, TIER_ABOVE), object_node(i), supplies[i]))
         for i in report.at_margin:
-            cap = min(instance.supplies[i], report.demand_at_margin)
+            cap = min(supplies[i], report.demand_at_margin)
             if cap > 0:
                 arcs.append((buyer_node(j, TIER_AT_MARGIN), object_node(i), cap))
+        if zero_tier and report.demand_zero > 0:
+            for i in report.zero:
+                if supplies[i] > 0:
+                    arcs.append((buyer_node(j, TIER_ZERO), object_node(i), supplies[i]))
     for i in instance.objects:
-        if instance.supplies[i] > 0:
-            arcs.append((object_node(i), SINK, instance.supplies[i]))
-    return FlowNetwork("demand", instance.buyers, instance.objects, prices.as_dict(), arcs)
+        if supplies[i] > 0:
+            arcs.append((object_node(i), SINK, supplies[i]))
+    return FlowNetwork(tiers, instance.buyers, instance.objects, prices.as_dict(), arcs)
+
+
+def build_demand_network(
+    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport]
+) -> FlowNetwork:
+    """Build the demand network (above-margin and at-margin tiers) from one
+    tier report per buyer."""
+    return _build_network(instance, prices, reports, DEMAND_TIERS)
 
 
 def build_allocation_network(instance: Instance, prices: PriceVector) -> FlowNetwork:
-    """Build the allocation network: the demand network plus zero-payoff
-    tier nodes and arcs.  Requires a balanced instance."""
+    """Build the allocation network: the demand network plus the
+    zero-payoff tier.  Requires a balanced instance."""
     if instance.total_supply != instance.total_demand:
         raise UnbalancedInstanceError(
             f"total supply {instance.total_supply} != total demand {instance.total_demand}"
         )
     reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    arcs: list[tuple[Node, Node, int]] = []
-    for j in instance.buyers:
-        report = reports[j]
-        if report.demand_above > 0:
-            arcs.append((SOURCE, buyer_node(j, TIER_ABOVE), report.demand_above))
-        if report.demand_at_margin > 0:
-            arcs.append((SOURCE, buyer_node(j, TIER_AT_MARGIN), report.demand_at_margin))
-        if report.demand_zero > 0:
-            arcs.append((SOURCE, buyer_node(j, TIER_ZERO), report.demand_zero))
-    for j in instance.buyers:
-        report = reports[j]
-        for i in report.above:
-            if instance.supplies[i] > 0:
-                arcs.append((buyer_node(j, TIER_ABOVE), object_node(i), instance.supplies[i]))
-        for i in report.at_margin:
-            cap = min(instance.supplies[i], report.demand_at_margin)
-            if cap > 0:
-                arcs.append((buyer_node(j, TIER_AT_MARGIN), object_node(i), cap))
-        if report.demand_zero > 0:
-            for i in report.zero:
-                if instance.supplies[i] > 0:
-                    arcs.append((buyer_node(j, TIER_ZERO), object_node(i), instance.supplies[i]))
-    for i in instance.objects:
-        if instance.supplies[i] > 0:
-            arcs.append((object_node(i), SINK, instance.supplies[i]))
-    return FlowNetwork("allocation", instance.buyers, instance.objects, prices.as_dict(), arcs)
+    return _build_network(instance, prices, reports, ALLOCATION_TIERS)
 
 
 def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
@@ -310,12 +302,10 @@ def leftmost_min_cut(network: FlowNetwork, flow: IntegralFlow) -> CutResult:
 
 
 def flow_update(
-    old_network: FlowNetwork,
-    old_flow: IntegralFlow,
-    new_prices: Mapping[str, int],
-    new_network: FlowNetwork,
+    old_network: FlowNetwork, old_flow: IntegralFlow, new_network: FlowNetwork
 ) -> FlowUpdateResult:
-    """Carry a maximum flow over to the network at raised prices.
+    """Carry a maximum flow over to the network at raised prices, the
+    prices ``new_network`` was built at.
 
     Every unit a buyer received of an object is rerouted through the tier
     the object now sits in (above-margin first, then at-margin) and dropped
@@ -324,15 +314,13 @@ def flow_update(
     feasibility is asserted and :class:`InfeasibleFlowError` raised on
     violation, since that signals a bug rather than bad input.
     """
-    deltas = {i: new_prices[i] - old_network.prices[i] for i in old_network.objects}
+    deltas = {i: new_network.prices[i] - old_network.prices[i] for i in old_network.objects}
     raised = {i for i, d in deltas.items() if d != 0}
     if not raised:
         raise PriceStepError("new prices equal old prices; nothing to update")
     steps = {deltas[i] for i in raised}
     if len(steps) != 1 or min(steps) < 1:
         raise PriceStepError(f"price changes {deltas} are not a uniform raise on one object set")
-    if dict(new_prices) != new_network.prices:
-        raise PriceStepError("new network was not built at the given prices")
 
     flows: dict[Arc, int] = {arc: 0 for arc in new_network.capacity}
     dropped: dict[tuple[str, str], int] = {}
@@ -361,11 +349,6 @@ def flow_update(
     updated = IntegralFlow(flows, value)
     check_feasible(new_network, updated)
     return FlowUpdateResult(updated, dropped)
-
-
-def cut_objects_equal(cut_a: CutResult, cut_b: CutResult) -> bool:
-    """Whether two cuts select the same objects (tier nodes are ignored)."""
-    return cut_a.objects == cut_b.objects
 
 
 def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:

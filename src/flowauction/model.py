@@ -50,9 +50,6 @@ class Instance:
     demands: dict[str, int]
     valuations: dict[tuple[str, str], int]
 
-    def value(self, obj: str, buyer: str) -> int:
-        return self.valuations[(obj, buyer)]
-
     def payoff(self, obj: str, buyer: str, prices: "PriceVector") -> int:
         return self.valuations[(obj, buyer)] - prices[obj]
 
@@ -194,15 +191,12 @@ def load_instance(path: str) -> Instance:
 
 @dataclass(frozen=True)
 class DummyInfo:
-    """Record of the balancing entity added by :func:`balance_instance`.
-
-    ``kind`` is ``"none"``, ``"dummy-object"`` or ``"dummy-buyer"``;
-    ``size`` is the dummy's supply respectively demand (0 for ``"none"``).
-    """
+    """Record of the balancing entity added by :func:`balance_instance`:
+    ``kind`` is ``"none"``, ``"dummy-object"`` (``DUMMY_OBJECT``, supplying
+    the missing units) or ``"dummy-buyer"`` (``DUMMY_BUYER``, demanding the
+    surplus)."""
 
     kind: str
-    entity: str | None = None
-    size: int = 0
 
 
 def balance_instance(instance: Instance) -> tuple[Instance, DummyInfo]:
@@ -223,7 +217,7 @@ def balance_instance(instance: Instance) -> tuple[Instance, DummyInfo]:
         for j in instance.buyers:
             valuations[(DUMMY_OBJECT, j)] = 0
         balanced = Instance(objects, supplies, instance.buyers, dict(instance.demands), valuations)
-        return balanced, DummyInfo("dummy-object", DUMMY_OBJECT, gap)
+        return balanced, DummyInfo("dummy-object")
     buyers = instance.buyers + (DUMMY_BUYER,)
     demands = dict(instance.demands)
     demands[DUMMY_BUYER] = -gap
@@ -231,7 +225,7 @@ def balance_instance(instance: Instance) -> tuple[Instance, DummyInfo]:
     for i in instance.objects:
         valuations[(i, DUMMY_BUYER)] = 0
     balanced = Instance(instance.objects, dict(instance.supplies), buyers, demands, valuations)
-    return balanced, DummyInfo("dummy-buyer", DUMMY_BUYER, -gap)
+    return balanced, DummyInfo("dummy-buyer")
 
 
 def duplicate_instance(instance: Instance) -> Instance:

@@ -23,10 +23,6 @@ class Bundle:
 
     quantities: dict[str, int]
 
-    @property
-    def size(self) -> int:
-        return sum(self.quantities.values())
-
     def quantity(self, obj: str) -> int:
         return self.quantities.get(obj, 0)
 

@@ -56,7 +56,7 @@ def unit_walk_records(instance):
             step += 1
             step_prices = prices.raised(raised, step)
             next_network = demand_network(instance, step_prices)
-            update = flow_update(step_network, step_best, step_prices.as_dict(), next_network)
+            update = flow_update(step_network, step_best, next_network)
             step_network = next_network
             step_best = max_flow(next_network, warm_start=update.flow)
             if step_best.value == step_network.cap_s:
@@ -176,11 +176,6 @@ class TestPriceRaising:
                 options = SolveOptions(mode=mode, warm_start=warm, start_prices=start)
                 assert price_raising(twin, options)[0] == expected, (mode, warm, change)
         assert zeroed > 0
-
-    def test_trace_disabled(self, three_buyers):
-        prices, trace = price_raising(three_buyers, SolveOptions(trace=False))
-        assert prices.as_dict() == {"alpha": 2, "beta": 0}
-        assert trace.iterations == ()
 
 
 def adapted_steps(instance):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flowauction.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, run
+from flowauction.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, build_parser, run
 
 EXAMPLE1 = {
     "objects": [{"id": "alpha", "supply": 1}, {"id": "beta", "supply": 1}],
@@ -127,6 +127,24 @@ class TestSolve:
     def test_missing_verb(self, capsys):
         assert run([]) == EXIT_PARSE
 
+    def test_start_prices_above_the_minimum_are_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "market.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "objects": [{"id": "o1", "supply": 2}, {"id": "o2", "supply": 3}],
+                    "buyers": [{"id": "b1", "demand": 3, "valuations": {"o1": 1}}],
+                }
+            )
+        )
+        start_path = tmp_path / "start.json"
+        start_path.write_text(json.dumps({"o2": 3}))
+        assert run(["solve", str(path), "--start-prices", str(start_path)]) == EXIT_PARSE
+        assert "error: allocation flow does not saturate" in capsys.readouterr().err
+
+    def test_budget_is_not_a_solve_argument(self, example1_file, capsys):
+        assert run(["solve", example1_file, "--budget", "5"]) == EXIT_PARSE
+
 
 class TestVerify:
     def test_example1_passes(self, example1_file, capsys):
@@ -168,6 +186,9 @@ class TestBrute:
     def test_budget_exceeded(self, fig1_file, capsys):
         assert run(["brute", fig1_file, "--budget", "3"]) == EXIT_BUDGET
 
+    def test_mode_is_not_a_brute_argument(self, example1_file, capsys):
+        assert run(["brute", example1_file, "--mode", "adapted"]) == EXIT_PARSE
+
 
 class TestMonotone:
     def test_small_sweep(self, example1_file, capsys):
@@ -191,6 +212,24 @@ class TestDuplicateDemo:
         assert code == EXIT_OK
         assert payload["original"]["prices"] == {"alpha": 0, "beta": 0}
         assert payload["duplicated"]["prices"] == {"alpha#1": 4, "beta#1": 0}
+
+
+def test_each_verb_takes_only_the_arguments_it_reads():
+    verbs = next(action for action in build_parser()._actions if action.dest == "verb").choices
+    solving = {"instance", "mode", "warm_start", "start_prices"}
+    expected = {
+        "solve": solving | {"trace", "dump_network"},
+        "verify": solving | {"budget"},
+        "brute": {"instance", "budget"},
+        "monotone": solving | {"seed", "pairs"},
+        "duplicate-demo": solving,
+    }
+    taken = {
+        verb: {action.dest for action in sub._actions if action.dest != "help"}
+        for verb, sub in verbs.items()
+    }
+    assert taken == expected
+    assert sum(len(dests) for dests in taken.values()) == 23
 
 
 class TestExitCodes:

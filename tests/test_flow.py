@@ -4,7 +4,7 @@ import random
 import pytest
 
 from flowauction.flow import (
-    CutResult,
+    TIER_ZERO,
     InfeasibleFlowError,
     IntegralFlow,
     NotMaximumError,
@@ -15,11 +15,11 @@ from flowauction.flow import (
     build_allocation_network,
     build_demand_network,
     buyer_node,
-    cut_objects_equal,
     dump_network,
     flow_update,
     leftmost_min_cut,
     max_flow,
+    node_label,
     object_node,
 )
 from flowauction.model import PriceVector, validate_instance
@@ -113,16 +113,31 @@ class TestBuildAllocationNetwork:
         assert cap[(SOURCE, buyer_node("b3", 2))] == 1
 
     def test_all_positive_payoffs_add_no_arcs(self):
-        inst = validate_instance(
+        """The allocation network is the demand network plus zero-tier arcs,
+        in the same order; with no zero-payoff demand it adds none."""
+        fixed = validate_instance(
             {"x": 1, "y": 1},
             {"u": 1, "w": 1},
             {"u": {"x": 2, "y": 1}, "w": {"x": 1, "y": 2}},
         )
-        prices = PriceVector.zero(inst)
-        demand = demand_network(inst, prices)
-        allocation = build_allocation_network(inst, prices)
-        assert set(allocation.capacity.items()) == set(demand.capacity.items())
+        allocation = build_allocation_network(fixed, PriceVector.zero(fixed))
+        assert allocation.arcs == demand_network(fixed, PriceVector.zero(fixed)).arcs
         assert buyer_node("u", 3) in allocation.nodes
+        rng = random.Random(29)
+        balanced = with_zero_tier = 0
+        for _ in range(400):
+            inst = random_instance(rng, max_objects=4, max_buyers=4)
+            if inst.total_supply != inst.total_demand:
+                continue
+            balanced += 1
+            prices = random_prices(rng, inst)
+            demand = demand_network(inst, prices)
+            allocation = build_allocation_network(inst, prices)
+            zero_nodes = {buyer_node(j, TIER_ZERO) for j in inst.buyers}
+            kept = [arc for arc in allocation.arcs if not zero_nodes & {arc[0], arc[1]}]
+            with_zero_tier += len(kept) < len(allocation.arcs)
+            assert kept == list(demand.arcs)
+        assert balanced >= 40 and with_zero_tier >= 10
 
     def test_fig1_after_first_raise(self, fig1):
         network = build_allocation_network(fig1, PriceVector({"alpha": 0, "beta": 1, "gamma": 0}))
@@ -131,6 +146,25 @@ class TestBuildAllocationNetwork:
         assert cap[(buyer_node("j2", 3), object_node("alpha"))] == 1
         assert cap[(buyer_node("j2", 3), object_node("gamma"))] == 4
         assert (SOURCE, buyer_node("j1", 3)) not in cap
+
+    def test_fig1_arc_order(self, fig1):
+        # Max-flow path order, and so the allocation, follows the arc order.
+        network = build_allocation_network(fig1, PriceVector({"alpha": 0, "beta": 1, "gamma": 0}))
+        assert [f"{node_label(u)} -> {node_label(v)} [{c}]" for u, v, c in network.arcs] == [
+            "s -> j1' [1]",
+            "s -> j1'' [3]",
+            "s -> j2'' [1]",
+            "s -> j2''' [1]",
+            "j1' -> alpha [1]",
+            "j1'' -> beta [1]",
+            "j1'' -> gamma [3]",
+            "j2'' -> beta [1]",
+            "j2''' -> alpha [1]",
+            "j2''' -> gamma [4]",
+            "alpha -> t [1]",
+            "beta -> t [1]",
+            "gamma -> t [4]",
+        ]
 
     def test_unbalanced_rejected(self):
         inst = validate_instance({"a": 3}, {"j": 1}, {"j": {"a": 2}})
@@ -241,7 +275,7 @@ class TestFlowUpdate:
         assert old_flow.on((buyer_node("j1", 1), object_node("beta"))) == 1
         raised = zero.raised(["beta"])
         new = demand_network(fig1, raised)
-        result = flow_update(old, old_flow, raised.as_dict(), new)
+        result = flow_update(old, old_flow, new)
         assert result.dropped == {}
         assert result.flow.on((buyer_node("j1", 2), object_node("beta"))) == 1
         assert result.flow.on((buyer_node("j1", 1), object_node("beta"))) == 0
@@ -254,7 +288,7 @@ class TestFlowUpdate:
         old_flow = max_flow(old)
         raised = zero.raised(["item"])
         new = demand_network(contested_single, raised)
-        result = flow_update(old, old_flow, raised.as_dict(), new)
+        result = flow_update(old, old_flow, new)
         assert result.flow.value == old_flow.value
         assert result.dropped == {}
         assert {a: f for a, f in result.flow.flows.items() if f} == {
@@ -269,7 +303,7 @@ class TestFlowUpdate:
         assert old_flow.value == 1
         raised = zero.raised(["x"])
         new = demand_network(inst, raised)
-        result = flow_update(old, old_flow, raised.as_dict(), new)
+        result = flow_update(old, old_flow, new)
         assert result.dropped == {("j", "x"): 1}
         assert result.flow.value == 0
         old_gap = old.cap_s - old_flow.value
@@ -283,23 +317,12 @@ class TestFlowUpdate:
         crooked = {"alpha": 1, "beta": 2, "gamma": 0}
         new = demand_network(fig1, PriceVector.for_instance(fig1, crooked))
         with pytest.raises(PriceStepError):
-            flow_update(old, old_flow, crooked, new)
+            flow_update(old, old_flow, new)
 
     def test_rejects_unchanged_prices(self, fig1):
         zero = PriceVector.zero(fig1)
         network = demand_network(fig1, zero)
         best = max_flow(network)
         with pytest.raises(PriceStepError):
-            flow_update(network, best, zero.as_dict(), network)
+            flow_update(network, best, network)
 
-
-class TestCutComparison:
-    def test_equal_and_unequal(self):
-        a = CutResult(frozenset({SOURCE, object_node("beta")}), frozenset({"beta"}), 3)
-        b = CutResult(
-            frozenset({SOURCE, buyer_node("j", 1), object_node("beta")}), frozenset({"beta"}), 3
-        )
-        c = CutResult(frozenset({SOURCE}), frozenset(), 3)
-        assert cut_objects_equal(a, b)  # tier nodes differ, objects agree
-        assert not cut_objects_equal(a, c)
-        assert cut_objects_equal(c, c)

@@ -120,7 +120,7 @@ def test_report_invariants(data):
         if report.last_item is not None:
             assert inst.payoff(report.last_item, j, prices) > 0
         # the minimal bundle buys exactly the above-margin and at-margin amounts
-        assert bundle.size == report.demand_above + report.demand_at_margin
+        assert sum(bundle.quantities.values()) == report.demand_above + report.demand_at_margin
 
 
 def shuffled_greedy(instance, buyer, prices, rng):

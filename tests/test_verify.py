@@ -284,7 +284,7 @@ class TestOracleEquivalence:
         assert min_competitive_bruteforce(bumped).as_dict() == {"x": 5, "y": 5}
 
     def test_balanced_instance_solves_to_the_same_prices(self):
-        from flowauction.model import balance_instance
+        from flowauction.model import DUMMY_OBJECT, balance_instance
 
         rng = random.Random(61)
         for _ in range(40):
@@ -294,4 +294,4 @@ class TestOracleEquivalence:
             balanced_prices, _ = price_raising(balanced)
             assert all(raw_prices[i] == balanced_prices[i] for i in inst.objects)
             if info.kind == "dummy-object":
-                assert balanced_prices[info.entity] == 0
+                assert balanced_prices[DUMMY_OBJECT] == 0
