@@ -9,16 +9,21 @@ market-clearing assignment off a max flow in the allocation network of the
 balanced instance.
 
 The demand network depends on the prices only through the buyers' tier
-reports.  So adapted mode with warm start finds the length of a jump by
-walking from one tier-report breakpoint to the next (``_breakpoint_walk``),
-recomputing only the reports that can change there; its cost does not grow
-with the valuations.  Adapted mode with cold start binary-searches the
-length instead (``_step_length``), building a network per probe.
+reports.  So a warm start, in either mode, raises the cut's objects from
+one tier-report breakpoint to the next until the network changes
+(``_breakpoint_walk``), recomputing only the reports that can change there
+and carrying the flow over only to the changed network; its oracle and
+flow work do not grow with the valuations.  The mode decides only how the
+climb is recorded: unit mode writes one record per unit of the raise,
+adapted mode one per run of raises on the same object set.  A cold start computes every
+report at every price it tries: unit mode raises by one, and adapted mode
+binary-searches the length of the jump (``_step_length``), building a
+network per probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import flow as flownet
 from .model import (
@@ -67,15 +72,12 @@ def _reports(instance: Instance, prices: PriceVector) -> dict[str, TierReport]:
     return {j: tier_report(instance, j, prices) for j in instance.buyers}
 
 
-def _cut_objects(network: flownet.FlowNetwork, best: flownet.IntegralFlow) -> frozenset[str]:
+def _cut_objects_at(instance: Instance, prices: PriceVector) -> frozenset[str]:
+    network = flownet.build_demand_network(instance, prices, _reports(instance, prices))
+    best = flownet.max_flow(network)
     if best.value == network.cap_s:
         return frozenset()
     return flownet.leftmost_min_cut(network, best).objects
-
-
-def _cut_objects_at(instance: Instance, prices: PriceVector) -> frozenset[str]:
-    network = flownet.build_demand_network(instance, prices, _reports(instance, prices))
-    return _cut_objects(network, flownet.max_flow(network))
 
 
 def _step_length(
@@ -117,19 +119,18 @@ def _breakpoint_walk(
     reports: dict[str, TierReport],
     raised: frozenset[str],
 ) -> tuple[int, int, flownet.FlowNetwork, flownet.IntegralFlow, int]:
-    """Raise ``raised`` until the left-most cut's object set changes.
+    """Raise ``raised`` until the demand network's arcs change.
 
     ``network`` and ``best`` are the demand network and its maximum flow at
     the current prices, and ``reports`` holds every buyer's tier report
     there; it is updated in place to the reports at the returned prices.
     The raise advances from one tier-report breakpoint to the next, and
-    only the buyers whose breakpoint it is recompute their report.  The
-    flow is carried over and re-augmented only where the network changed:
-    in between, every unit raise would build the same network and carry
-    the same flow.  So the sequence of distinct networks, flows and
-    handoff gaps is that of a walk in unit steps.
-    Returns the step, the tier-oracle calls made, the network and maximum
-    flow at the raised prices, and the handoff gap of the last update.
+    only the buyers whose breakpoint it is recompute their report.  Every
+    smaller raise builds the same network and carries the same flow over
+    unchanged, so the flow is carried over and re-augmented only at the
+    returned raise.
+    Returns the raise, the tier-oracle calls made, the network and maximum
+    flow at the raised prices, and the handoff gap of the carried flow.
     """
     prices = PriceVector(network.prices)
     breakpoints = {j: next_breakpoint(instance, j, prices, raised, 0) for j in instance.buyers}
@@ -137,20 +138,17 @@ def _breakpoint_walk(
     while True:
         step = min((t for t in breakpoints.values() if t is not None), default=None)
         if step is None:
-            raise AuctionError("cut did not change within the valuation bound")
+            raise AuctionError("demand network did not change within the valuation bound")
         step_prices = prices.raised(raised, step)
         for j in [j for j, t in breakpoints.items() if t == step]:
             calls += 1
             reports[j] = tier_report(instance, j, step_prices)
             breakpoints[j] = next_breakpoint(instance, j, prices, raised, step)
         step_network = flownet.build_demand_network(instance, step_prices, reports)
-        if step_network.arcs == network.arcs:
-            continue
-        update = flownet.flow_update(network, best, step_network)
-        network = step_network
-        best = flownet.max_flow(network, warm_start=update.flow)
-        if _cut_objects(network, best) != raised:
-            return step, calls, network, best, network.cap_s - update.flow.value
+        if step_network.arcs != network.arcs:
+            update = flownet.flow_update(network, best, step_network)
+            step_best = flownet.max_flow(step_network, warm_start=update.flow)
+            return step, calls, step_network, step_best, step_network.cap_s - update.flow.value
 
 
 def price_raising(
@@ -189,17 +187,13 @@ def price_raising(
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
-        handoff_gap = None
-        if opts.mode == "adapted" and opts.warm_start:
-            # Carrying the flow across a whole jump at once stays feasible
-            # but can widen the handoff gap, so the walk carries it from
-            # one distinct network to the next, as unit steps would.
+        if opts.warm_start:
             step, walk_calls, next_network, next_best, handoff_gap = _breakpoint_walk(
                 instance, network, best, reports, cut.objects
             )
             calls += walk_calls
         else:
-            step = 1
+            step, handoff_gap = 1, None
             if opts.mode == "adapted":
                 step, probe_calls = _step_length(instance, prices, cut.objects, v_max)
                 calls += probe_calls
@@ -207,30 +201,31 @@ def price_raising(
             next_prices = prices.raised(raised, step)
             reports = _reports(instance, next_prices)
             next_network = flownet.build_demand_network(instance, next_prices, reports)
-            if opts.warm_start:
-                # A unit raise on the left-most cut's objects keeps the
-                # carried flow feasible, and re-augmenting it keeps the
-                # demand gap non-increasing along the run.
-                update = flownet.flow_update(network, best, next_network)
-                handoff_gap = next_network.cap_s - update.flow.value
-                next_best = flownet.max_flow(next_network, warm_start=update.flow)
-            else:
-                next_best = flownet.max_flow(next_network)
+            next_best = flownet.max_flow(next_network)
         next_prices = PriceVector(next_network.prices)
         if any(next_prices[i] > price_bound for i in raised):
             raise AuctionError("price raised beyond the maximum valuation")
-        records.append(
-            IterationRecord(
-                index=len(records),
-                prices=prices.as_dict(),
-                raised=raised,
-                cut_nodes=cut.labels,
-                flow_value=best.value,
-                cap_s=network.cap_s,
-                step=step,
-                handoff_gap=handoff_gap,
-            )
-        )
+        if opts.mode == "adapted" and records and records[-1].raised == raised:
+            # The cut kept its object set across the network change, so
+            # the jump goes on.
+            records[-1] = replace(records[-1], step=records[-1].step + step, handoff_gap=handoff_gap)
+        else:
+            # Unit mode writes a record per unit raise.  Each but the last
+            # rebuilds this network and carries this flow over whole.
+            runs = [1] * step if opts.mode == "unit" else [step]
+            for k, run in enumerate(runs):
+                records.append(
+                    IterationRecord(
+                        index=len(records),
+                        prices=prices.raised(raised, k).as_dict(),
+                        raised=raised,
+                        cut_nodes=cut.labels,
+                        flow_value=best.value,
+                        cap_s=network.cap_s,
+                        step=run,
+                        handoff_gap=handoff_gap if k == len(runs) - 1 else network.cap_s - best.value,
+                    )
+                )
         prices, network, best = next_prices, next_network, next_best
     raise AuctionError("auction failed to terminate within the price bound")
 

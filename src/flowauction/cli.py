@@ -303,10 +303,12 @@ def run(argv: list[str]) -> int:
     try:
         return args.handler(args)
     except (InstanceError, OSError, json.JSONDecodeError, AuctionError) as exc:
-        # Start prices above the minimum competitive prices end in an
-        # AuctionError (the allocation flow cannot saturate), so it is an
-        # input error.
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, AuctionError) and getattr(args, "start_prices", None):
+            # From start prices at most the minimum competitive prices the
+            # market clears, so the fault lies with these start prices.
+            message = f"the start prices in {args.start_prices} are above the minimum competitive prices"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

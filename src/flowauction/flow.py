@@ -325,27 +325,21 @@ def flow_update(
     flows: dict[Arc, int] = {arc: 0 for arc in new_network.capacity}
     dropped: dict[tuple[str, str], int] = {}
     value = 0
-    for j in old_network.buyers:
-        for i in old_network.objects:
-            carried = old_flow.on((buyer_node(j, TIER_ABOVE), object_node(i))) + old_flow.on(
-                (buyer_node(j, TIER_AT_MARGIN), object_node(i))
-            )
-            if carried == 0:
-                continue
-            if (buyer_node(j, TIER_ABOVE), object_node(i)) in new_network.capacity:
-                tier = TIER_ABOVE
-            elif (buyer_node(j, TIER_AT_MARGIN), object_node(i)) in new_network.capacity:
-                tier = TIER_AT_MARGIN
-            else:
-                dropped[(j, i)] = carried
-                continue
-            for arc in (
-                (SOURCE, buyer_node(j, tier)),
-                (buyer_node(j, tier), object_node(i)),
-                (object_node(i), SINK),
-            ):
-                flows[arc] = flows.get(arc, 0) + carried
-            value += carried
+    for (u, obj), carried in old_flow.flows.items():
+        # Only tier arcs, buyer tier to object, say who received what.
+        if carried == 0 or u == SOURCE or obj == SINK:
+            continue
+        j = u[1]
+        if (buyer_node(j, TIER_ABOVE), obj) in new_network.capacity:
+            tier_node = buyer_node(j, TIER_ABOVE)
+        elif (buyer_node(j, TIER_AT_MARGIN), obj) in new_network.capacity:
+            tier_node = buyer_node(j, TIER_AT_MARGIN)
+        else:
+            dropped[(j, obj[1])] = dropped.get((j, obj[1]), 0) + carried
+            continue
+        for arc in ((SOURCE, tier_node), (tier_node, obj), (obj, SINK)):
+            flows[arc] = flows.get(arc, 0) + carried
+        value += carried
     updated = IntegralFlow(flows, value)
     check_feasible(new_network, updated)
     return FlowUpdateResult(updated, dropped)

@@ -23,9 +23,6 @@ class Bundle:
 
     quantities: dict[str, int]
 
-    def quantity(self, obj: str) -> int:
-        return self.quantities.get(obj, 0)
-
 
 @dataclass(frozen=True)
 class TierReport:

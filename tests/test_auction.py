@@ -40,10 +40,12 @@ def linear_scan_step(instance, prices, raised):
     raise AssertionError("cut never changed")
 
 
-def unit_walk_records(instance):
-    """Reference for adapted mode with warm start: walk each jump in unit
-    steps, with every tier report, the network and a warm max flow rebuilt
-    at every step, until the left-most cut's object set changes."""
+def unit_walk_records(instance, per_unit=False):
+    """Reference for warm starts: walk in unit steps, with every tier
+    report, the network and a warm max flow rebuilt at every step.  Adapted
+    mode writes one record per jump, which lasts until the left-most cut's
+    object set changes; ``per_unit`` writes one record per unit step, as
+    unit mode does."""
     prices = PriceVector.zero(instance)
     network = demand_network(instance, prices)
     best = max_flow(network)
@@ -59,7 +61,7 @@ def unit_walk_records(instance):
             update = flow_update(step_network, step_best, next_network)
             step_network = next_network
             step_best = max_flow(next_network, warm_start=update.flow)
-            if step_best.value == step_network.cap_s:
+            if per_unit or step_best.value == step_network.cap_s:
                 break
             if leftmost_min_cut(step_network, step_best).objects != cut.objects:
                 break
@@ -306,18 +308,27 @@ class TestModeAndWarmEquivalence:
                     assert rec.handoff_gap <= rec.cap_s - rec.flow_value
 
 
+def walk_markets():
+    rng = random.Random(31)
+    for k in range(300):
+        max_value = 1000 if k % 5 == 0 else 6
+        yield random_instance(rng, max_objects=4, max_buyers=4, max_value=max_value)
+
+
 class TestBreakpointWalk:
     def test_records_equal_the_unit_step_walk(self):
-        rng = random.Random(31)
-        for k in range(300):
-            max_value = 1000 if k % 5 == 0 else 6
-            inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=max_value)
+        for inst in walk_markets():
             prices, trace = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
             assert (prices, trace.iterations) == unit_walk_records(inst)
 
+    def test_unit_records_equal_the_unit_step_walk(self):
+        for inst in walk_markets():
+            prices, trace = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
+            assert (prices, trace.iterations) == unit_walk_records(inst, per_unit=True)
+
     def test_cost_does_not_grow_with_values(self):
         base, _ = restart_fault_pair()
-        calls = set()
+        calls, unit_calls = set(), set()
         for factor in (1, 200, 2000, 20000):
             inst = scaled(base, factor)
             _, warm = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
@@ -325,4 +336,11 @@ class TestBreakpointWalk:
             assert warm.final_prices == cold.final_prices == {"a": 5 * factor, "b": 4 * factor}
             assert warm.oracle_calls <= cold.oracle_calls
             calls.add(warm.oracle_calls)
+            # Unit mode still writes a record per unit raise, so its run
+            # grows with the values even where its oracle calls do not.
+            if factor <= 2000:
+                _, unit = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
+                assert unit.final_prices == warm.final_prices
+                unit_calls.add(unit.oracle_calls)
         assert len(calls) == 1
+        assert len(unit_calls) == 1

@@ -140,7 +140,9 @@ class TestSolve:
         start_path = tmp_path / "start.json"
         start_path.write_text(json.dumps({"o2": 3}))
         assert run(["solve", str(path), "--start-prices", str(start_path)]) == EXIT_PARSE
-        assert "error: allocation flow does not saturate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: the start prices in {start_path} are above the minimum competitive prices" in err
+        assert "guarantee saturation" not in err
 
     def test_budget_is_not_a_solve_argument(self, example1_file, capsys):
         assert run(["solve", example1_file, "--budget", "5"]) == EXIT_PARSE
