@@ -8,15 +8,17 @@ minimum competitive prices.  ``allocate`` then reads a stable,
 market-clearing assignment off a max flow in the allocation network of the
 balanced instance.
 
-The demand network depends on the prices only through the buyers' tier
-reports.  So a warm start, in either mode, raises the cut's objects from
-one tier-report breakpoint to the next until the network changes
-(``_breakpoint_walk``), recomputing only the reports that can change there
-and carrying the flow over only to the changed network; its oracle and
-flow work do not grow with the valuations.  The mode decides only how the
-climb is recorded: unit mode writes one record per unit of the raise,
-adapted mode one per run of raises on the same object set.  A cold start computes every
-report at every price it tries: unit mode raises by one, and adapted mode
+The demand network depends on the prices only through the above-margin
+and at-margin parts of the buyers' tier reports.  So a warm start, in
+either mode, raises the cut's objects from one network breakpoint to the
+next (``tiers.next_breakpoint``: a raise where some buyer's part can
+change) until the network changes (``_breakpoint_walk``), recomputing only
+the reports of the buyers whose breakpoint it reaches and carrying the flow
+over only to the changed network; its oracle and flow work do not grow
+with the valuations.  The mode decides only how the climb is recorded:
+unit mode writes one record per unit of the raise, adapted mode one per
+run of raises on the same object set.  A cold start computes every report
+at every price it tries: unit mode raises by one, and adapted mode
 binary-searches the length of the jump (``_step_length``), building a
 network per probe.
 """
@@ -123,17 +125,20 @@ def _breakpoint_walk(
 
     ``network`` and ``best`` are the demand network and its maximum flow at
     the current prices, and ``reports`` holds every buyer's tier report
-    there; it is updated in place to the reports at the returned prices.
-    The raise advances from one tier-report breakpoint to the next, and
-    only the buyers whose breakpoint it is recompute their report.  Every
-    smaller raise builds the same network and carries the same flow over
-    unchanged, so the flow is carried over and re-augmented only at the
-    returned raise.
+    there.  The raise advances from one network breakpoint to the next, and
+    only the buyers whose breakpoint it is recompute their report, in place
+    in ``reports``.  So at the returned prices the parts the network reads
+    are current, while a zero tier and its demand may be out of date.
+    Every smaller raise builds the same network and carries the same flow
+    over unchanged, so the flow is carried over and re-augmented only at
+    the returned raise.
     Returns the raise, the tier-oracle calls made, the network and maximum
     flow at the raised prices, and the handoff gap of the carried flow.
     """
     prices = PriceVector(network.prices)
-    breakpoints = {j: next_breakpoint(instance, j, prices, raised, 0) for j in instance.buyers}
+    breakpoints = {
+        j: next_breakpoint(instance, j, prices, raised, 0, reports[j]) for j in instance.buyers
+    }
     calls = 0
     while True:
         step = min((t for t in breakpoints.values() if t is not None), default=None)
@@ -143,7 +148,7 @@ def _breakpoint_walk(
         for j in [j for j, t in breakpoints.items() if t == step]:
             calls += 1
             reports[j] = tier_report(instance, j, step_prices)
-            breakpoints[j] = next_breakpoint(instance, j, prices, raised, step)
+            breakpoints[j] = next_breakpoint(instance, j, prices, raised, step, reports[j])
         step_network = flownet.build_demand_network(instance, step_prices, reports)
         if step_network.arcs != network.arcs:
             update = flownet.flow_update(network, best, step_network)
@@ -276,9 +281,11 @@ def trace_records(trace: AuctionTrace) -> list[dict]:
             "iter": record.index,
             "prices": record.prices,
             "raised_set": list(record.raised),
+            "cut_nodes": list(record.cut_nodes),
             "alpha": record.step,
             "flow_value": record.flow_value,
             "cap_s": record.cap_s,
+            "handoff_gap": record.handoff_gap,
         }
         for record in trace.iterations
     ]

@@ -3,16 +3,18 @@
 For a buyer at given prices, the objects split into three tiers relative to
 the marginal payoff (the payoff of the last object the greedy bundle
 construction touches): objects strictly above the margin, objects exactly at
-the margin, and objects with payoff exactly zero.  The auction queries one
-report per buyer per price vector it tries, and ``next_breakpoint`` tells it
-how far a raise can go before a report can change; everything here is a
-pure function of the instance and the prices.
+the margin, and objects with payoff exactly zero.  Every query reads one
+payoff list per buyer (value minus price, in canonical object order) and
+runs the one greedy on it.  The auction queries one report per buyer per
+price vector it tries, and ``next_breakpoint`` tells it how far a raise can
+go before the part of a report that the demand network reads can change;
+everything here is a pure function of the instance and the prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection
 
 from .model import Instance, PriceVector
 
@@ -44,9 +46,30 @@ class TierReport:
     last_item: str | None
 
 
-def _ranked_objects(instance: Instance, buyer: str, prices: PriceVector) -> list[str]:
-    # Non-increasing payoff; sort stability keeps canonical order on ties.
-    return sorted(instance.objects, key=lambda i: -instance.payoff(i, buyer, prices))
+def _payoffs(instance: Instance, buyer: str, prices: PriceVector) -> list[int]:
+    """The buyer's payoff for each object, in canonical object order."""
+    values, price = instance.valuations, prices.prices
+    return [values[(i, buyer)] - price[i] for i in instance.objects]
+
+
+def _greedy(
+    instance: Instance, buyer: str, payoffs: list[int]
+) -> tuple[list[tuple[int, int]], int | None]:
+    """The greedy of :func:`preferred_bundle` on a payoff list: the
+    (object index, units taken) visits and the last index visited."""
+    residual = instance.demands[buyer]
+    objects, supplies = instance.objects, instance.supplies
+    visits: list[tuple[int, int]] = []
+    last: int | None = None
+    # A reversed sort is still stable, so ties keep canonical order.
+    for k in sorted(range(len(payoffs)), key=payoffs.__getitem__, reverse=True):
+        if residual <= 0 or payoffs[k] <= 0:
+            break
+        take = min(supplies[objects[k]], residual)
+        visits.append((k, take))
+        residual -= take
+        last = k
+    return visits, last
 
 
 def preferred_bundle(
@@ -60,18 +83,10 @@ def preferred_bundle(
     and the last object visited, or ``None`` if no object has positive
     payoff or the demand is 0.
     """
-    residual = instance.demands[buyer]
-    quantities: dict[str, int] = {}
-    last: str | None = None
-    for obj in _ranked_objects(instance, buyer, prices):
-        if residual <= 0 or instance.payoff(obj, buyer, prices) <= 0:
-            break
-        take = min(instance.supplies[obj], residual)
-        if take > 0:
-            quantities[obj] = take
-        residual -= take
-        last = obj
-    return Bundle(quantities), last
+    visits, last = _greedy(instance, buyer, _payoffs(instance, buyer, prices))
+    objects = instance.objects
+    bundle = Bundle({objects[k]: take for k, take in visits if take > 0})
+    return bundle, None if last is None else objects[last]
 
 
 def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierReport:
@@ -85,46 +100,64 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
     if demand == 0:
         return TierReport((), (), (), 0, 0, 0, None)
 
-    _, last = preferred_bundle(instance, buyer, prices)
-    zero = tuple(i for i in instance.objects if instance.payoff(i, buyer, prices) == 0)
+    objects, supplies = instance.objects, instance.supplies
+    payoffs = _payoffs(instance, buyer, prices)
+    _, last = _greedy(instance, buyer, payoffs)
+    zero = tuple(i for i, g in zip(objects, payoffs) if g == 0)
     if last is None:
         above: tuple[str, ...] = ()
         at_margin: tuple[str, ...] = ()
         d_above = d_margin = 0
     else:
-        margin = instance.payoff(last, buyer, prices)
-        above = tuple(
-            i for i in instance.objects if instance.payoff(i, buyer, prices) > margin
-        )
-        at_margin = tuple(
-            i for i in instance.objects if instance.payoff(i, buyer, prices) == margin
-        )
-        d_above = sum(instance.supplies[i] for i in above)
-        d_margin = min(sum(instance.supplies[i] for i in at_margin), demand - d_above)
-    d_zero = min(sum(instance.supplies[i] for i in zero), demand - d_above - d_margin)
-    return TierReport(above, at_margin, zero, d_above, d_margin, d_zero, last)
+        margin = payoffs[last]
+        above = tuple(i for i, g in zip(objects, payoffs) if g > margin)
+        at_margin = tuple(i for i, g in zip(objects, payoffs) if g == margin)
+        d_above = sum(supplies[i] for i in above)
+        d_margin = min(sum(supplies[i] for i in at_margin), demand - d_above)
+    d_zero = min(sum(supplies[i] for i in zero), demand - d_above - d_margin)
+    last_item = None if last is None else objects[last]
+    return TierReport(above, at_margin, zero, d_above, d_margin, d_zero, last_item)
 
 
 def next_breakpoint(
-    instance: Instance, buyer: str, prices: PriceVector, raised: Iterable[str], t: int
+    instance: Instance,
+    buyer: str,
+    prices: PriceVector,
+    raised: Collection[str],
+    t: int,
+    report: TierReport,
 ) -> int | None:
-    """Smallest raise above ``t`` at which the buyer's tier report can change.
+    """Smallest raise above ``t`` at which the part of the buyer's tier
+    report that the demand network reads can change.
 
-    Raising the objects in ``raised`` by ``t`` from ``prices`` changes the
-    report only through the order of payoffs that are not negative: where a
-    raised object's payoff reaches 0 or the payoff ``g >= 0`` of a
-    non-raised object, and where it falls below it.  For a raised object
-    with payoff ``pi`` at ``prices`` these are the raises ``u = pi - g``
-    and ``u + 1``, with ``g = 0`` included.  The report is the same for
-    every raise in ``[t, result)``; ``None`` means it never changes again.
+    ``report`` is the buyer's report at ``prices`` with the objects in
+    ``raised`` raised by ``t``.  The network reads ``above``,
+    ``at_margin`` and their demands, and these stay fixed as long as the
+    margin keeps its place among the payoffs:
+
+    - if the margin's objects are not raised, the margin stays put until a
+      raised object above it comes down to it;
+    - if they are raised, the margin falls with them until it reaches 0 or
+      the highest payoff in ``[0, margin)`` of an object not raised;
+    - if the margin holds both kinds, they part at the next raise.
+
+    One of those fields differs at the returned raise.  ``None`` means
+    that they never change again, as when nothing has positive payoff.
     """
-    if instance.demands[buyer] == 0:
+    if not report.at_margin:
         return None
-    raised = set(raised)
-    payoffs = {i: instance.payoff(i, buyer, prices) for i in instance.objects}
-    levels = {0} | {g for i, g in payoffs.items() if i not in raised and g >= 0}
-    points = (payoffs[i] - g + d for i in raised for g in levels for d in (0, 1))
-    return min((u for u in points if u > t), default=None)
+    values, price = instance.valuations, prices.prices
+    falls = [i in raised for i in report.at_margin]
+    if any(falls) != all(falls):
+        return t + 1
+    # Payoffs are taken at ``prices``: at raise ``t`` the margin is
+    # ``top - t`` if its objects are raised and ``top`` if not.
+    top = values[(report.at_margin[0], buyer)] - price[report.at_margin[0]]
+    if falls[0]:
+        fixed = (values[(i, buyer)] - price[i] for i in instance.objects if i not in raised)
+        return top - max((g for g in fixed if 0 <= g < top - t), default=0)
+    falling = (values[(i, buyer)] - price[i] for i in report.above if i in raised)
+    return min((g - top for g in falling), default=None)
 
 
 def indirect_utility(instance: Instance, buyer: str, prices: PriceVector) -> int:
@@ -133,5 +166,6 @@ def indirect_utility(instance: Instance, buyer: str, prices: PriceVector) -> int
     Equals the payoff of the greedy preferred bundle, which maximizes
     the buyer's payoff over all feasible bundles.
     """
-    bundle, _ = preferred_bundle(instance, buyer, prices)
-    return sum(instance.payoff(i, buyer, prices) * q for i, q in bundle.quantities.items())
+    payoffs = _payoffs(instance, buyer, prices)
+    visits, _ = _greedy(instance, buyer, payoffs)
+    return sum(payoffs[k] * take for k, take in visits)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowauction import auction, flow
 from flowauction.auction import (
     AuctionError,
     SolveOptions,
@@ -325,6 +326,36 @@ class TestBreakpointWalk:
         for inst in walk_markets():
             prices, trace = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
             assert (prices, trace.iterations) == unit_walk_records(inst, per_unit=True)
+
+    def test_every_network_built_in_the_walk_is_new(self, monkeypatch):
+        """The walk stops only where some buyer's network-read fields
+        change, and with every supply positive such a change moves an arc.
+        An object without supply can change tiers, and so the margin,
+        without moving one, so markets that have one are left out."""
+        walk, build = auction._breakpoint_walk, flow.build_demand_network
+        handed, walks = [], 0
+
+        def traced_walk(instance, network, *args):
+            nonlocal walks
+            walks += 1
+            handed.append(network.arcs)
+            try:
+                return walk(instance, network, *args)
+            finally:
+                handed.pop()
+
+        def traced_build(*args):
+            network = build(*args)
+            assert not handed or network.arcs != handed[-1]
+            return network
+
+        monkeypatch.setattr(auction, "_breakpoint_walk", traced_walk)
+        monkeypatch.setattr(flow, "build_demand_network", traced_build)
+        for inst in walk_markets():
+            if all(inst.supplies.values()):
+                for mode in ("unit", "adapted"):
+                    price_raising(inst, SolveOptions(mode=mode, warm_start=True))
+        assert walks > 100
 
     def test_cost_does_not_grow_with_values(self):
         base, _ = restart_fault_pair()

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from flowauction.auction import price_raising
 from flowauction.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, build_parser, run
+from flowauction.model import instance_from_dict
 
 EXAMPLE1 = {
     "objects": [{"id": "alpha", "supply": 1}, {"id": "beta", "supply": 1}],
@@ -79,6 +82,20 @@ class TestSolve:
         assert [rec["iter"] for rec in trace["iterations"]] == list(
             range(len(trace["iterations"]))
         )
+        _, solved = price_raising(instance_from_dict(FIG1))
+        assert len(trace["iterations"]) == len(solved.iterations)
+        for rec, record in zip(trace["iterations"], solved.iterations):
+            assert set(rec) == {
+                "iter", "prices", "raised_set", "cut_nodes", "alpha", "flow_value", "cap_s",
+                "handoff_gap",
+            }
+            assert rec["cut_nodes"] == list(record.cut_nodes)
+            assert rec["handoff_gap"] == record.handoff_gap
+            assert rec["handoff_gap"] is not None
+        cold_path = tmp_path / "cold.json"
+        run_json(capsys, ["solve", fig1_file, "--no-warm-start", "--trace", str(cold_path)])
+        cold = json.loads(cold_path.read_text())["iterations"]
+        assert cold and all(rec["handoff_gap"] is None for rec in cold)
         # replaying from any intermediate prices reaches the same final prices
         for rec in trace["iterations"]:
             start_path = tmp_path / f"start{rec['iter']}.json"
@@ -171,6 +188,40 @@ class TestVerify:
         for mode in ("unit", "adapted"):
             code, payload = run_json(capsys, ["verify", fig1_file, "--mode", mode])
             assert code == EXIT_OK and payload["passed"]
+
+    def test_unit_trace_one_record_short_fails_the_iteration_bound(self, fig1_file, capsys, monkeypatch):
+        import flowauction.cli as cli
+
+        solve = cli.solve
+
+        def one_record_short(instance, options):
+            equilibrium = solve(instance, options)
+            trace = replace(equilibrium.trace, iterations=equilibrium.trace.iterations[:-1])
+            return replace(equilibrium, trace=trace)
+
+        monkeypatch.setattr(cli, "solve", one_record_short)
+        for mode, passed in (("unit", False), ("adapted", True)):
+            code, payload = run_json(capsys, ["verify", fig1_file, "--mode", mode])
+            (bound,) = [c for c in payload["checks"] if c["name"] == "iteration-bound"]
+            assert (bound["passed"], payload["passed"]) == (passed, passed)
+            assert bound["detail"] == "0 raises, largest increase 1"
+            assert code == (EXIT_OK if passed else EXIT_VERIFY)
+
+    def test_iteration_bound_counts_an_unsupplied_object_from_zero(self, tmp_path, capsys):
+        """An object without supply starts at 0 whatever the start prices say."""
+        path = tmp_path / "unsupplied.json"
+        path.write_text(json.dumps({
+            "objects": [{"id": "a", "supply": 0}],
+            "buyers": [{"id": "x", "demand": 1, "valuations": {"a": 5}}],
+        }))
+        start_path = tmp_path / "start.json"
+        start_path.write_text(json.dumps({"a": 3}))
+        for mode in ("unit", "adapted"):
+            argv = ["verify", str(path), "--mode", mode, "--start-prices", str(start_path)]
+            code, payload = run_json(capsys, argv)
+            assert code == EXIT_OK and payload["passed"] is True
+            (bound,) = [c for c in payload["checks"] if c["name"] == "iteration-bound"]
+            assert bound["detail"] == "0 raises, largest increase 0"
 
     def test_small_budget_skips_bruteforce(self, fig1_file, capsys):
         code, payload = run_json(capsys, ["verify", fig1_file, "--budget", "5"])

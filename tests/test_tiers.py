@@ -159,31 +159,47 @@ def test_tiers_independent_of_tie_breaking(data, seed):
         }
 
 
+def network_fields(report):
+    """The part of a tier report that the demand network reads."""
+    return report.above, report.at_margin, report.demand_above, report.demand_at_margin
+
+
 @settings(max_examples=200, deadline=None)
 @given(instance_and_prices(), st.data())
 def test_report_constant_up_to_next_breakpoint(data, draw):
     inst, prices = data
     raised = draw.draw(st.sets(st.sampled_from(inst.objects), min_size=1))
     t0 = draw.draw(st.integers(0, 6))
-    # Beyond v_max + 1 every raised object is priced out, so a report that
-    # never changes again is checked over that whole range.
+    # Beyond v_max + 1 every raised object is priced out, so fields that
+    # never change again are checked over that whole range.
     horizon = inst.max_valuation + 2
     for j in inst.buyers:
-        stop = next_breakpoint(inst, j, prices, raised, t0)
+        report = tier_report(inst, j, prices.raised(raised, t0))
+        stop = next_breakpoint(inst, j, prices, raised, t0, report)
         assert stop is None or stop > t0
-        expected = tier_report(inst, j, prices.raised(raised, t0))
+        fields = network_fields(report)
         for t in range(t0, horizon if stop is None else stop):
-            assert tier_report(inst, j, prices.raised(raised, t)) == expected
+            assert network_fields(tier_report(inst, j, prices.raised(raised, t))) == fields
+        if stop is not None:
+            assert network_fields(tier_report(inst, j, prices.raised(raised, stop))) != fields
+
+
+def breakpoints(inst, buyer, prices, raised):
+    points = [0]
+    while True:
+        report = tier_report(inst, buyer, prices.raised(raised, points[-1]))
+        t = next_breakpoint(inst, buyer, prices, raised, points[-1], report)
+        if t is None:
+            return points
+        points.append(t)
 
 
 def test_breakpoints_are_payoff_crossings():
     inst = validate_instance({"a": 1, "b": 1}, {"x": 1}, {"x": {"a": 5, "b": 4}})
     prices = PriceVector.zero(inst)
-    # a ties b at a raise of 1, falls below it at 2, reaches 0 at 5 and
-    # falls below 0 at 6.
-    points = [0]
-    while (t := next_breakpoint(inst, "x", prices, {"a"}, points[-1])) is not None:
-        points.append(t)
-    assert points == [0, 1, 2, 5, 6]
+    # a ties b at the margin at a raise of 1 and falls below it at 2; from
+    # then on b alone is the margin.  a reaching 0 at 5 and falling below 0
+    # at 6 moves only the zero tier, which the demand network does not read.
+    assert breakpoints(inst, "x", prices, {"a"}) == [0, 1, 2]
     zero_demand = validate_instance({"a": 1}, {"x": 0}, {"x": {"a": 5}})
-    assert next_breakpoint(zero_demand, "x", PriceVector.zero(zero_demand), {"a"}, 0) is None
+    assert breakpoints(zero_demand, "x", PriceVector.zero(zero_demand), {"a"}) == [0]
