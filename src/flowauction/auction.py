@@ -114,6 +114,17 @@ def _step_length(
     return low, calls
 
 
+def _network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
+    """The part of a tier report that the demand network reads: the two
+    tier demands and the above-margin and at-margin objects in supply."""
+    return (
+        report.demand_above,
+        report.demand_at_margin,
+        tuple(i for i in report.above if supplies[i] > 0),
+        tuple(i for i in report.at_margin if supplies[i] > 0),
+    )
+
+
 def _breakpoint_walk(
     instance: Instance,
     network: flownet.FlowNetwork,
@@ -130,8 +141,9 @@ def _breakpoint_walk(
     in ``reports``.  So at the returned prices the parts the network reads
     are current, while a zero tier and its demand may be out of date.
     Every smaller raise builds the same network and carries the same flow
-    over unchanged, so the flow is carried over and re-augmented only at
-    the returned raise.
+    over unchanged, so the network is rebuilt only where a recomputed
+    report's network part changed, and the flow is carried over and
+    re-augmented only at the returned raise.
     Returns the raise, the tier-oracle calls made, the network and maximum
     flow at the raised prices, and the handoff gap of the carried flow.
     """
@@ -145,10 +157,15 @@ def _breakpoint_walk(
         if step is None:
             raise AuctionError("demand network did not change within the valuation bound")
         step_prices = prices.raised(raised, step)
+        moved = False
         for j in [j for j, t in breakpoints.items() if t == step]:
             calls += 1
+            before = _network_part(reports[j], instance.supplies)
             reports[j] = tier_report(instance, j, step_prices)
             breakpoints[j] = next_breakpoint(instance, j, prices, raised, step, reports[j])
+            moved = moved or _network_part(reports[j], instance.supplies) != before
+        if not moved:
+            continue
         step_network = flownet.build_demand_network(instance, step_prices, reports)
         if step_network.arcs != network.arcs:
             update = flownet.flow_update(network, best, step_network)
@@ -189,6 +206,7 @@ def price_raising(
             trace = AuctionTrace(tuple(records), prices.as_dict(), calls)
             return prices, trace
         cut = flownet.leftmost_min_cut(network, best)
+        cut_nodes = cut.labels
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
@@ -224,7 +242,7 @@ def price_raising(
                         index=len(records),
                         prices=prices.raised(raised, k).as_dict(),
                         raised=raised,
-                        cut_nodes=cut.labels,
+                        cut_nodes=cut_nodes,
                         flow_value=best.value,
                         cap_s=network.cap_s,
                         step=run,
@@ -255,15 +273,11 @@ def allocate(instance: Instance, prices: PriceVector) -> Allocation:
             "allocation flow does not saturate the source; "
             "market clearing should guarantee saturation"
         )
+    # What the dummy buyer receives or the dummy object supplies is left out.
     quantities: dict[tuple[str, str], int] = {}
-    for j in instance.buyers:
-        for i in instance.objects:
-            amount = sum(
-                best.on((flownet.buyer_node(j, tier), flownet.object_node(i)))
-                for tier in network.tiers
-            )
-            if amount > 0:
-                quantities[(i, j)] = amount
+    for j, i, amount in flownet.tier_flows(network, best):
+        if j in instance.demands and i in instance.supplies:
+            quantities[(i, j)] = amount
     return Allocation(quantities)
 
 

@@ -208,7 +208,8 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
         record("hall-condition", "no object subset is overdemanded at the final prices", None)
     span = instance.max_valuation + 2
     if span ** len(instance.objects) <= grid_budget:
-        brute = min_competitive_bruteforce(instance, budget=grid_budget)
+        # Below competitive auction prices only their box is searched.
+        brute = min_competitive_bruteforce(instance, budget=grid_budget, upper=prices)
         record(
             "bruteforce-minimum-agreement",
             "the auction prices equal the grid-enumerated minimum competitive prices",

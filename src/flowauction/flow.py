@@ -4,9 +4,19 @@ min cuts, and the warm-start flow update.
 The networks are layered: source, one node per buyer payoff tier, one node
 per object, sink.  The demand network carries the above-margin and
 at-margin tiers; the allocation network adds the zero-payoff tier, which
-lets zero-payoff items be assigned.  Capacities are integers and the solver
-(shortest augmenting path) returns an integral flow deterministically given
-the canonical node and arc order.
+lets zero-payoff items be assigned.
+
+A network numbers its nodes once: the source is 0, the tier nodes follow
+buyer by buyer in tier order, then the objects in canonical order, and the
+sink comes last.  Arcs are numbered in the canonical order the builder
+emits them in, and the network keeps each arc's tail, head and capacity in
+lists indexed by arc id, with one list of outgoing and one of incoming
+(arc id, neighbour) pairs per node.  A flow is a list of amounts by arc id.
+Capacities are integers, and the solver (shortest augmenting paths,
+Edmonds-Karp) scans a node's outgoing arcs and then its incoming arcs, each
+in arc order, so the integral flow it returns is a deterministic function
+of the network.  Node labels appear only at the edges: the network dump, a
+cut's node set and labels, and the tier flows an allocation is read from.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from .model import Instance, PriceVector
 from .tiers import TierReport, tier_report
 
 Node = tuple
-Arc = tuple[Node, Node]
 
 SOURCE: Node = ("s",)
 SINK: Node = ("t",)
@@ -72,9 +81,11 @@ def node_label(node: Node) -> str:
 class FlowNetwork:
     """A layered s-t network with positive integer arc capacities.
 
-    ``tiers`` is ``DEMAND_TIERS`` or ``ALLOCATION_TIERS``.  Zero-capacity
-    arcs are omitted from ``arcs`` but every tier node exists in ``nodes``,
-    so node identity is stable across price changes.
+    ``tiers`` is ``DEMAND_TIERS`` or ``ALLOCATION_TIERS``.  ``arcs`` holds
+    one (tail, head, capacity) triple of node ids per arc id.  Zero-capacity
+    arcs are omitted, but every tier node has its id, so the numbering
+    depends only on the buyers, the tiers and the objects and stays the
+    same across price changes.
     """
 
     def __init__(
@@ -83,48 +94,59 @@ class FlowNetwork:
         buyers: tuple[str, ...],
         objects: tuple[str, ...],
         prices: dict[str, int],
-        arcs: list[tuple[Node, Node, int]],
+        arcs: list[tuple[int, int, int]],
     ):
         self.tiers = tiers
         self.buyers = buyers
         self.objects = objects
         self.prices = prices
-        nodes: list[Node] = [SOURCE]
-        for j in buyers:
-            nodes.extend(buyer_node(j, tier) for tier in self.tiers)
-        nodes.extend(object_node(i) for i in objects)
-        nodes.append(SINK)
-        self.nodes: tuple[Node, ...] = tuple(nodes)
-        self.arcs: tuple[tuple[Node, Node, int], ...] = tuple(arcs)
-        self.capacity: dict[Arc, int] = {(u, v): c for u, v, c in self.arcs}
-        out: dict[Node, list[Node]] = {n: [] for n in self.nodes}
-        into: dict[Node, list[Node]] = {n: [] for n in self.nodes}
-        for u, v, _ in self.arcs:
-            out[u].append(v)
-            into[v].append(u)
-        self.out_arcs = {u: tuple(vs) for u, vs in out.items()}
-        self.in_arcs = {v: tuple(us) for v, us in into.items()}
-        self.cap_s = sum(c for (u, _), c in self.capacity.items() if u == SOURCE)
+        self.first_object = 1 + len(buyers) * len(tiers)
+        self.sink = self.first_object + len(objects)
+        self.arcs: tuple[tuple[int, int, int], ...] = tuple(arcs)
+        self.tail = [u for u, _, _ in self.arcs]
+        self.head = [v for _, v, _ in self.arcs]
+        self.cap = [c for _, _, c in self.arcs]
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.sink + 1)]
+        self.into: list[list[tuple[int, int]]] = [[] for _ in range(self.sink + 1)]
+        for a, (u, v, _) in enumerate(self.arcs):
+            self.out[u].append((a, v))
+            self.into[v].append((a, u))
+        self.cap_s = sum(c for u, _, c in self.arcs if u == 0)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The node labels, indexed by node id."""
+        return (
+            SOURCE,
+            *(buyer_node(j, tier) for j in self.buyers for tier in self.tiers),
+            *(object_node(i) for i in self.objects),
+            SINK,
+        )
 
 
 @dataclass(frozen=True)
 class IntegralFlow:
-    """An integral flow: per-arc amounts plus the value leaving the source."""
+    """An integral flow: the amount on each arc, by arc id of the network
+    it was computed in, plus the value leaving the source."""
 
-    flows: dict[Arc, int]
+    flows: list[int]
     value: int
-
-    def on(self, arc: Arc) -> int:
-        return self.flows.get(arc, 0)
 
 
 @dataclass(frozen=True)
 class CutResult:
-    """The source side of an s-t cut, its object members, and its capacity."""
+    """The source side of an s-t cut, as node ids of ``network``, its
+    object members, and its capacity."""
 
-    node_set: frozenset[Node]
+    network: FlowNetwork
+    reached: tuple[int, ...]
     objects: frozenset[str]
     capacity: int
+
+    @property
+    def node_set(self) -> frozenset[Node]:
+        nodes = self.network.nodes
+        return frozenset(nodes[k] for k in self.reached)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -156,31 +178,39 @@ def _build_network(
     """
     zero_tier = TIER_ZERO in tiers
     supplies = instance.supplies
-    arcs: list[tuple[Node, Node, int]] = []
-    for j in instance.buyers:
+    # Node ids as FlowNetwork numbers them; a buyer's tier nodes are
+    # consecutive, above-margin first.
+    width = len(tiers)
+    first_object = 1 + len(instance.buyers) * width
+    obj_id = {i: first_object + k for k, i in enumerate(instance.objects)}
+    sink = first_object + len(instance.objects)
+    arcs: list[tuple[int, int, int]] = []
+    for b, j in enumerate(instance.buyers):
         report = reports[j]
+        above = 1 + b * width
         if report.demand_above > 0:
-            arcs.append((SOURCE, buyer_node(j, TIER_ABOVE), report.demand_above))
+            arcs.append((0, above, report.demand_above))
         if report.demand_at_margin > 0:
-            arcs.append((SOURCE, buyer_node(j, TIER_AT_MARGIN), report.demand_at_margin))
+            arcs.append((0, above + 1, report.demand_at_margin))
         if zero_tier and report.demand_zero > 0:
-            arcs.append((SOURCE, buyer_node(j, TIER_ZERO), report.demand_zero))
-    for j in instance.buyers:
+            arcs.append((0, above + 2, report.demand_zero))
+    for b, j in enumerate(instance.buyers):
         report = reports[j]
+        above = 1 + b * width
         for i in report.above:
             if supplies[i] > 0:
-                arcs.append((buyer_node(j, TIER_ABOVE), object_node(i), supplies[i]))
+                arcs.append((above, obj_id[i], supplies[i]))
         for i in report.at_margin:
             cap = min(supplies[i], report.demand_at_margin)
             if cap > 0:
-                arcs.append((buyer_node(j, TIER_AT_MARGIN), object_node(i), cap))
+                arcs.append((above + 1, obj_id[i], cap))
         if zero_tier and report.demand_zero > 0:
             for i in report.zero:
                 if supplies[i] > 0:
-                    arcs.append((buyer_node(j, TIER_ZERO), object_node(i), supplies[i]))
+                    arcs.append((above + 2, obj_id[i], supplies[i]))
     for i in instance.objects:
         if supplies[i] > 0:
-            arcs.append((object_node(i), SINK, supplies[i]))
+            arcs.append((obj_id[i], sink, supplies[i]))
     return FlowNetwork(tiers, instance.buyers, instance.objects, prices.as_dict(), arcs)
 
 
@@ -204,39 +234,52 @@ def build_allocation_network(instance: Instance, prices: PriceVector) -> FlowNet
 
 
 def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
-    """Raise :class:`InfeasibleFlowError` unless the flow obeys capacities
-    and conservation in this network and its value matches."""
-    balance: dict[Node, int] = {n: 0 for n in network.nodes}
-    for arc, amount in flow.flows.items():
+    """Raise :class:`InfeasibleFlowError` unless the flow has one amount
+    per arc, obeys capacities and conservation, and its value matches."""
+    if len(flow.flows) != len(network.arcs):
+        raise InfeasibleFlowError(
+            f"flow has {len(flow.flows)} amounts for a network of {len(network.arcs)} arcs"
+        )
+    balance = [0] * (network.sink + 1)
+    for (u, v, cap), amount in zip(network.arcs, flow.flows):
         if amount == 0:
             continue
-        if arc not in network.capacity:
-            raise InfeasibleFlowError(f"flow on unknown arc {arc}")
-        if amount < 0 or amount > network.capacity[arc]:
+        if amount < 0 or amount > cap:
+            nodes = network.nodes
             raise InfeasibleFlowError(
-                f"flow {amount} outside [0, {network.capacity[arc]}] on {arc}"
+                f"flow {amount} outside [0, {cap}] on {node_label(nodes[u])} -> {node_label(nodes[v])}"
             )
-        u, v = arc
         balance[u] -= amount
         balance[v] += amount
-    for node in network.nodes:
-        if node in (SOURCE, SINK):
-            continue
-        if balance[node] != 0:
-            raise InfeasibleFlowError(f"conservation violated at {node_label(node)}")
-    if flow.value != -balance[SOURCE]:
-        raise InfeasibleFlowError(
-            f"declared value {flow.value} != source outflow {-balance[SOURCE]}"
-        )
+    for k in range(1, network.sink):
+        if balance[k] != 0:
+            raise InfeasibleFlowError(f"conservation violated at {node_label(network.nodes[k])}")
+    if flow.value != -balance[0]:
+        raise InfeasibleFlowError(f"declared value {flow.value} != source outflow {-balance[0]}")
 
 
-def _residual_neighbors(network: FlowNetwork, flows: dict[Arc, int], u: Node):
-    for v in network.out_arcs[u]:
-        if network.capacity[(u, v)] - flows.get((u, v), 0) > 0:
-            yield v
-    for v in network.in_arcs[u]:
-        if flows.get((v, u), 0) > 0:
-            yield v
+def _residual_search(network: FlowNetwork, flows: list[int]) -> list[int | None]:
+    """Breadth-first search of the residual graph from the source, until
+    the sink is reached or nothing more is.
+
+    Returns, per node id, the arc id the node was reached by (``~a`` when
+    arc ``a`` was crossed backwards) or ``None`` if it was not reached.
+    """
+    cap, out, into, sink = network.cap, network.out, network.into, network.sink
+    pred: list[int | None] = [None] * (sink + 1)
+    pred[0] = 0  # marks the source reached; no path is traced past it
+    queue = deque([0])
+    while queue and pred[sink] is None:
+        u = queue.popleft()
+        for a, v in out[u]:
+            if pred[v] is None and flows[a] < cap[a]:
+                pred[v] = a
+                queue.append(v)
+        for a, v in into[u]:
+            if pred[v] is None and flows[a] > 0:
+                pred[v] = ~a
+                queue.append(v)
+    return pred
 
 
 def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> IntegralFlow:
@@ -246,59 +289,45 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
     it is validated and raises :class:`InfeasibleFlowError` if it does not
     fit this network.
     """
-    flows: dict[Arc, int] = {arc: 0 for arc in network.capacity}
+    cap, tail, head, sink = network.cap, network.tail, network.head, network.sink
+    flows = [0] * len(cap)
     value = 0
     if warm_start is not None:
         check_feasible(network, warm_start)
-        for arc, amount in warm_start.flows.items():
-            flows[arc] = amount
+        flows = list(warm_start.flows)
         value = warm_start.value
     while True:
-        parent: dict[Node, Node] = {SOURCE: SOURCE}
-        queue = deque([SOURCE])
-        while queue and SINK not in parent:
-            u = queue.popleft()
-            for v in _residual_neighbors(network, flows, u):
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if SINK not in parent:
+        pred = _residual_search(network, flows)
+        if pred[sink] is None:
             return IntegralFlow(flows, value)
-        path = [SINK]
-        while path[-1] != SOURCE:
-            path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = None
-        for u, v in zip(path, path[1:]):
-            if (u, v) in network.capacity:
-                residual = network.capacity[(u, v)] - flows.get((u, v), 0)
+        path = []
+        v = sink
+        while v != 0:
+            a = pred[v]
+            path.append(a)
+            v = tail[a] if a >= 0 else head[~a]
+        bottleneck = min(cap[a] - flows[a] if a >= 0 else flows[~a] for a in path)
+        for a in path:
+            if a >= 0:
+                flows[a] += bottleneck
             else:
-                residual = flows.get((v, u), 0)
-            bottleneck = residual if bottleneck is None else min(bottleneck, residual)
-        for u, v in zip(path, path[1:]):
-            if (u, v) in network.capacity:
-                flows[(u, v)] = flows.get((u, v), 0) + bottleneck
-            else:
-                flows[(v, u)] = flows.get((v, u), 0) - bottleneck
+                flows[~a] -= bottleneck
         value += bottleneck
 
 
 def leftmost_min_cut(network: FlowNetwork, flow: IntegralFlow) -> CutResult:
     """The inclusion-wise minimal min cut: all nodes the source reaches in
     the residual graph of a maximum flow."""
-    reached = {SOURCE}
-    queue = deque([SOURCE])
-    while queue:
-        u = queue.popleft()
-        for v in _residual_neighbors(network, flow.flows, u):
-            if v not in reached:
-                reached.add(v)
-                queue.append(v)
-    if SINK in reached:
+    pred = _residual_search(network, flow.flows)
+    if pred[network.sink] is not None:
         raise NotMaximumError("sink reachable in residual graph; flow is not maximum")
-    capacity = sum(c for (u, v), c in network.capacity.items() if u in reached and v not in reached)
-    objects = frozenset(i for i in network.objects if object_node(i) in reached)
-    return CutResult(frozenset(reached), objects, capacity)
+    reached = tuple(k for k, a in enumerate(pred) if a is not None)
+    capacity = sum(
+        c for u, v, c in network.arcs if pred[u] is not None and pred[v] is None
+    )
+    first = network.first_object
+    objects = frozenset(network.objects[k - first] for k in reached if k >= first)
+    return CutResult(network, reached, objects, capacity)
 
 
 def flow_update(
@@ -314,6 +343,9 @@ def flow_update(
     feasibility is asserted and :class:`InfeasibleFlowError` raised on
     violation, since that signals a bug rather than bad input.
     """
+    nodes = (old_network.tiers, old_network.buyers, old_network.objects)
+    if nodes != (new_network.tiers, new_network.buyers, new_network.objects):
+        raise FlowError("the two networks do not share their nodes")
     deltas = {i: new_network.prices[i] - old_network.prices[i] for i in old_network.objects}
     raised = {i for i, d in deltas.items() if d != 0}
     if not raised:
@@ -322,27 +354,43 @@ def flow_update(
     if len(steps) != 1 or min(steps) < 1:
         raise PriceStepError(f"price changes {deltas} are not a uniform raise on one object set")
 
-    flows: dict[Arc, int] = {arc: 0 for arc in new_network.capacity}
+    arc_id = {(u, v): a for a, (u, v, _) in enumerate(new_network.arcs)}
+    width, first, sink = len(new_network.tiers), new_network.first_object, new_network.sink
+    flows = [0] * len(new_network.arcs)
     dropped: dict[tuple[str, str], int] = {}
     value = 0
-    for (u, obj), carried in old_flow.flows.items():
+    for (u, obj, _), carried in zip(old_network.arcs, old_flow.flows):
         # Only tier arcs, buyer tier to object, say who received what.
-        if carried == 0 or u == SOURCE or obj == SINK:
+        if carried == 0 or u == 0 or obj == sink:
             continue
-        j = u[1]
-        if (buyer_node(j, TIER_ABOVE), obj) in new_network.capacity:
-            tier_node = buyer_node(j, TIER_ABOVE)
-        elif (buyer_node(j, TIER_AT_MARGIN), obj) in new_network.capacity:
-            tier_node = buyer_node(j, TIER_AT_MARGIN)
-        else:
-            dropped[(j, obj[1])] = dropped.get((j, obj[1]), 0) + carried
+        above = u - (u - 1) % width
+        tier_arc = arc_id.get((above, obj))
+        tier_node = above
+        if tier_arc is None:
+            tier_arc = arc_id.get((above + 1, obj))
+            tier_node = above + 1
+        if tier_arc is None:
+            key = (new_network.buyers[(u - 1) // width], new_network.objects[obj - first])
+            dropped[key] = dropped.get(key, 0) + carried
             continue
-        for arc in ((SOURCE, tier_node), (tier_node, obj), (obj, SINK)):
-            flows[arc] = flows.get(arc, 0) + carried
+        for a in (arc_id[(0, tier_node)], tier_arc, arc_id[(obj, sink)]):
+            flows[a] += carried
         value += carried
     updated = IntegralFlow(flows, value)
     check_feasible(new_network, updated)
     return FlowUpdateResult(updated, dropped)
+
+
+def tier_flows(network: FlowNetwork, flow: IntegralFlow) -> list[tuple[str, str, int]]:
+    """(buyer, object, amount) for every tier arc that carries flow, in
+    canonical buyer, then object order."""
+    width, first, sink = len(network.tiers), network.first_object, network.sink
+    carried = sorted(
+        ((u - 1) // width, v, amount)
+        for (u, v, _), amount in zip(network.arcs, flow.flows)
+        if amount > 0 and u != 0 and v != sink
+    )
+    return [(network.buyers[b], network.objects[v - first], amount) for b, v, amount in carried]
 
 
 def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:
@@ -352,20 +400,17 @@ def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:
     (the tier and object nodes always exist); tier-to-object arcs appear
     only when present.  The order is canonical, so output is byte-stable.
     """
-    get = (flow.on if flow is not None else lambda arc: 0)
-    lines = []
+    amounts = flow.flows if flow is not None else [0] * len(network.arcs)
+    present = {(u, v): (c, f) for (u, v, c), f in zip(network.arcs, amounts)}
+    labels = [node_label(n) for n in network.nodes]
+    first, sink = network.first_object, network.sink
 
-    def line(u: Node, v: Node) -> str:
-        return f"{node_label(u)} -> {node_label(v)} [{network.capacity.get((u, v), 0)}, {get((u, v))}]"
+    def line(u: int, v: int) -> str:
+        cap, amount = present.get((u, v), (0, 0))
+        return f"{labels[u]} -> {labels[v]} [{cap}, {amount}]"
 
-    for j in network.buyers:
-        for tier in network.tiers:
-            lines.append(line(SOURCE, buyer_node(j, tier)))
-    for j in network.buyers:
-        for tier in network.tiers:
-            for i in network.objects:
-                if (buyer_node(j, tier), object_node(i)) in network.capacity:
-                    lines.append(line(buyer_node(j, tier), object_node(i)))
-    for i in network.objects:
-        lines.append(line(object_node(i), SINK))
+    lines = [line(0, k) for k in range(1, first)]
+    # The builder emits tier arcs buyer by buyer, tier by tier, in object order.
+    lines.extend(line(u, v) for u, v, _ in network.arcs if u != 0 and v != sink)
+    lines.extend(line(k, sink) for k in range(first, sink))
     return "\n".join(lines) + "\n"

@@ -2,7 +2,7 @@
 
 Nothing here reuses the auction's search path: competitiveness is decided
 by exhaustive bundle enumeration or by the Hall-style counting condition,
-minimum prices by enumerating the whole price grid, and descent sets by
+minimum prices by enumerating the price grid, and descent sets by
 evaluating the potential on every object subset.  The checkers are
 desk-scale by design and guard their enumeration budgets explicitly.
 """
@@ -10,6 +10,7 @@ desk-scale by design and guard their enumeration budgets explicitly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -193,22 +194,30 @@ def is_competitive_bruteforce(
     return fits(0, dict(instance.supplies))
 
 
-def min_competitive_bruteforce(instance: Instance, budget: int = 1_000_000) -> PriceVector:
-    """Component-wise minimum competitive prices by full grid enumeration.
+def min_competitive_bruteforce(
+    instance: Instance, budget: int = 1_000_000, upper: PriceVector | None = None
+) -> PriceVector:
+    """Component-wise minimum competitive prices by grid enumeration.
 
     Every price vector in {0, ..., v_max + 1}^objects is tested with the
     flow criterion; at v_max + 1 nothing is demanded, so the grid always
-    contains a competitive vector.  The component-wise minimum of the
+    contains a competitive vector.  The minimum lies below every
+    competitive vector, so if ``upper`` is given and passes the flow
+    criterion, only the box {0, ..., upper_i} of the grid is enumerated;
+    otherwise the whole grid is.  The component-wise minimum of the
     competitive vectors must itself be competitive; if not, a
     :class:`GuaranteeViolation` is raised.
     """
-    v_max = instance.max_valuation
-    span = v_max + 2
-    count = span ** len(instance.objects)
+    top = instance.max_valuation + 1
+    if upper is None or not is_competitive_flowcheck(instance, upper):
+        bounds = [top] * len(instance.objects)
+    else:
+        bounds = [min(upper[i], top) for i in instance.objects]
+    count = math.prod(b + 1 for b in bounds)
     if count > budget:
         raise BudgetExceededError(f"price grid of {count} vectors exceeds budget {budget}")
     minimum: list[int] | None = None
-    for combo in itertools.product(range(span), repeat=len(instance.objects)):
+    for combo in itertools.product(*(range(b + 1) for b in bounds)):
         prices = PriceVector(dict(zip(instance.objects, combo)))
         if is_competitive_flowcheck(instance, prices):
             if minimum is None:

@@ -328,10 +328,9 @@ class TestBreakpointWalk:
             assert (prices, trace.iterations) == unit_walk_records(inst, per_unit=True)
 
     def test_every_network_built_in_the_walk_is_new(self, monkeypatch):
-        """The walk stops only where some buyer's network-read fields
-        change, and with every supply positive such a change moves an arc.
-        An object without supply can change tiers, and so the margin,
-        without moving one, so markets that have one are left out."""
+        """The walk builds a network only where some buyer's report
+        changed in a part the network reads, and such a change moves an
+        arc; an object without supply takes no part in it."""
         walk, build = auction._breakpoint_walk, flow.build_demand_network
         handed, walks = [], 0
 
@@ -351,11 +350,12 @@ class TestBreakpointWalk:
 
         monkeypatch.setattr(auction, "_breakpoint_walk", traced_walk)
         monkeypatch.setattr(flow, "build_demand_network", traced_build)
+        unsupplied = 0
         for inst in walk_markets():
-            if all(inst.supplies.values()):
-                for mode in ("unit", "adapted"):
-                    price_raising(inst, SolveOptions(mode=mode, warm_start=True))
-        assert walks > 100
+            unsupplied += not all(inst.supplies.values())
+            for mode in ("unit", "adapted"):
+                price_raising(inst, SolveOptions(mode=mode, warm_start=True))
+        assert walks > 100 and unsupplied > 50
 
     def test_cost_does_not_grow_with_values(self):
         base, _ = restart_fault_pair()

@@ -223,6 +223,34 @@ class TestVerify:
             (bound,) = [c for c in payload["checks"] if c["name"] == "iteration-bound"]
             assert bound["detail"] == "0 raises, largest increase 0"
 
+    def test_grid_check_searches_only_below_competitive_prices(self, tmp_path, capsys, monkeypatch):
+        """Both objects are unsupplied, so the prices are 0; the whole grid,
+        (840 + 2) ** 2 = 709k vectors, is within the default budget, but
+        only the one vector below the competitive auction prices is tried."""
+        import flowauction.verify as verify
+
+        path = tmp_path / "trivial.json"
+        path.write_text(json.dumps({
+            "objects": [{"id": "o1", "supply": 0}, {"id": "o2", "supply": 0}],
+            "buyers": [
+                {"id": "b1", "demand": 3, "valuations": {"o1": 840, "o2": 79}},
+                {"id": "b2", "demand": 0, "valuations": {"o1": 0, "o2": 0}},
+            ],
+        }))
+        flowcheck, checked = verify.is_competitive_flowcheck, []
+
+        def counted(instance, prices):
+            checked.append(prices.as_dict())
+            return flowcheck(instance, prices)
+
+        monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
+        code, payload = run_json(capsys, ["verify", str(path)])
+        assert code == EXIT_OK and payload["passed"] is True
+        (brute,) = [c for c in payload["checks"] if c["name"] == "bruteforce-minimum-agreement"]
+        assert brute["passed"] is True
+        # The bound, the one grid vector and the minimum found.
+        assert checked == [{"o1": 0, "o2": 0}] * 3
+
     def test_small_budget_skips_bruteforce(self, fig1_file, capsys):
         code, payload = run_json(capsys, ["verify", fig1_file, "--budget", "5"])
         assert code == EXIT_OK

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -22,7 +23,7 @@ from flowauction.flow import (
     node_label,
     object_node,
 )
-from flowauction.model import PriceVector, validate_instance
+from flowauction.model import DUMMY_OBJECT, PriceVector, balance_instance, validate_instance
 from flowauction.tiers import tier_report
 from flowauction.verify import random_instance, random_prices
 
@@ -46,13 +47,36 @@ def demand_network(instance, prices):
     return build_demand_network(instance, prices, reports)
 
 
+def labelled_arcs(network):
+    """The arcs as (tail, head, capacity) with node labels, in arc order."""
+    nodes = network.nodes
+    return [(nodes[u], nodes[v], c) for u, v, c in network.arcs]
+
+
+def capacities(network):
+    """The arc capacities keyed by (tail, head) node labels."""
+    return {(u, v): c for u, v, c in labelled_arcs(network)}
+
+
+def amounts(network, flow):
+    """The flow's amounts keyed by (tail, head) node labels."""
+    nodes = network.nodes
+    return {(nodes[u], nodes[v]): f for (u, v, _), f in zip(network.arcs, flow.flows)}
+
+
+def flow_of(network, by_arc, value):
+    """A flow in ``network`` from amounts keyed by node labels."""
+    nodes = network.nodes
+    return IntegralFlow([by_arc.get((nodes[u], nodes[v]), 0) for u, v, _ in network.arcs], value)
+
+
 def enumerate_min_cuts(network):
     """All minimum s-t cuts by brute force over internal node subsets."""
     internal = [n for n in network.nodes if n not in (SOURCE, SINK)]
     cuts = []
     for bits in itertools.product((False, True), repeat=len(internal)):
         side = {SOURCE} | {n for n, take in zip(internal, bits) if take}
-        cap = sum(c for (u, v), c in network.capacity.items() if u in side and v not in side)
+        cap = sum(c for (u, v), c in capacities(network).items() if u in side and v not in side)
         cuts.append((cap, side))
     best = min(cap for cap, _ in cuts)
     return best, [side for cap, side in cuts if cap == best]
@@ -61,7 +85,7 @@ def enumerate_min_cuts(network):
 class TestBuildDemandNetwork:
     def test_fig1_capacities(self, fig1):
         network = demand_network(fig1, PriceVector.zero(fig1))
-        cap = network.capacity
+        cap = capacities(network)
         assert cap[(SOURCE, buyer_node("j1", 1))] == 2
         assert cap[(SOURCE, buyer_node("j1", 2))] == 2
         assert (SOURCE, buyer_node("j2", 1)) not in cap  # zero capacity omitted
@@ -84,11 +108,11 @@ class TestBuildDemandNetwork:
         inst = validate_instance({"a": 2}, {}, {})
         network = demand_network(inst, PriceVector.zero(inst))
         assert network.cap_s == 0
-        assert set(network.capacity) == {(object_node("a"), SINK)}
+        assert set(capacities(network)) == {(object_node("a"), SINK)}
 
     def test_example1(self, example1):
         network = demand_network(example1, PriceVector.zero(example1))
-        cap = network.capacity
+        cap = capacities(network)
         assert cap[(SOURCE, buyer_node("b1", 1))] == 1
         assert cap[(SOURCE, buyer_node("b1", 2))] == 1
         assert cap[(buyer_node("b1", 1), object_node("alpha"))] == 1
@@ -101,7 +125,7 @@ class TestBuildDemandNetwork:
 class TestBuildAllocationNetwork:
     def test_three_buyers_at_final_prices(self, three_buyers):
         network = build_allocation_network(three_buyers, PriceVector({"alpha": 2, "beta": 0}))
-        cap = network.capacity
+        cap = capacities(network)
         # the zero-payoff buyer contributes only third-tier arcs
         assert cap[(SOURCE, buyer_node("b2", 3))] == 2
         assert cap[(buyer_node("b2", 3), object_node("alpha"))] == 3
@@ -121,7 +145,7 @@ class TestBuildAllocationNetwork:
             {"u": {"x": 2, "y": 1}, "w": {"x": 1, "y": 2}},
         )
         allocation = build_allocation_network(fixed, PriceVector.zero(fixed))
-        assert allocation.arcs == demand_network(fixed, PriceVector.zero(fixed)).arcs
+        assert labelled_arcs(allocation) == labelled_arcs(demand_network(fixed, PriceVector.zero(fixed)))
         assert buyer_node("u", 3) in allocation.nodes
         rng = random.Random(29)
         balanced = with_zero_tier = 0
@@ -134,14 +158,15 @@ class TestBuildAllocationNetwork:
             demand = demand_network(inst, prices)
             allocation = build_allocation_network(inst, prices)
             zero_nodes = {buyer_node(j, TIER_ZERO) for j in inst.buyers}
-            kept = [arc for arc in allocation.arcs if not zero_nodes & {arc[0], arc[1]}]
-            with_zero_tier += len(kept) < len(allocation.arcs)
-            assert kept == list(demand.arcs)
+            arcs = labelled_arcs(allocation)
+            kept = [arc for arc in arcs if not zero_nodes & {arc[0], arc[1]}]
+            with_zero_tier += len(kept) < len(arcs)
+            assert kept == labelled_arcs(demand)
         assert balanced >= 40 and with_zero_tier >= 10
 
     def test_fig1_after_first_raise(self, fig1):
         network = build_allocation_network(fig1, PriceVector({"alpha": 0, "beta": 1, "gamma": 0}))
-        cap = network.capacity
+        cap = capacities(network)
         assert cap[(SOURCE, buyer_node("j2", 3))] == 1
         assert cap[(buyer_node("j2", 3), object_node("alpha"))] == 1
         assert cap[(buyer_node("j2", 3), object_node("gamma"))] == 4
@@ -150,7 +175,7 @@ class TestBuildAllocationNetwork:
     def test_fig1_arc_order(self, fig1):
         # Max-flow path order, and so the allocation, follows the arc order.
         network = build_allocation_network(fig1, PriceVector({"alpha": 0, "beta": 1, "gamma": 0}))
-        assert [f"{node_label(u)} -> {node_label(v)} [{c}]" for u, v, c in network.arcs] == [
+        assert [f"{node_label(u)} -> {node_label(v)} [{c}]" for u, v, c in labelled_arcs(network)] == [
             "s -> j1' [1]",
             "s -> j1'' [3]",
             "s -> j2'' [1]",
@@ -193,7 +218,8 @@ class TestMaxFlow:
 
     def test_warm_start_resumes(self, fig1):
         network = demand_network(fig1, PriceVector.zero(fig1))
-        partial = IntegralFlow(
+        partial = flow_of(
+            network,
             {(SOURCE, buyer_node("j1", 1)): 1, (buyer_node("j1", 1), object_node("alpha")): 1, (object_node("alpha"), SINK): 1},
             1,
         )
@@ -201,9 +227,12 @@ class TestMaxFlow:
 
     def test_warm_start_must_be_feasible(self, fig1):
         network = demand_network(fig1, PriceVector.zero(fig1))
-        overfull = IntegralFlow({(SOURCE, buyer_node("j1", 1)): 5}, 5)
+        overfull = flow_of(network, {(SOURCE, buyer_node("j1", 1)): 5}, 5)
         with pytest.raises(InfeasibleFlowError):
             max_flow(network, warm_start=overfull)
+        # A flow is read by arc id, so one of another length fits no network.
+        with pytest.raises(InfeasibleFlowError):
+            max_flow(network, warm_start=IntegralFlow([0] * (len(network.arcs) + 1), 0))
 
     def test_flow_conservation_and_capacities(self):
         rng = random.Random(11)
@@ -213,8 +242,8 @@ class TestMaxFlow:
             network = demand_network(inst, prices)
             best = max_flow(network)
             balance = {}
-            for (u, v), amount in best.flows.items():
-                assert 0 <= amount <= network.capacity[(u, v)]
+            for (u, v, cap), amount in zip(labelled_arcs(network), best.flows):
+                assert 0 <= amount <= cap
                 balance[u] = balance.get(u, 0) - amount
                 balance[v] = balance.get(v, 0) + amount
             for node in network.nodes:
@@ -246,7 +275,7 @@ class TestLeftmostMinCut:
 
     def test_rejects_non_maximum_flow(self, fig1):
         network = demand_network(fig1, PriceVector.zero(fig1))
-        zero = IntegralFlow({arc: 0 for arc in network.capacity}, 0)
+        zero = IntegralFlow([0] * len(network.arcs), 0)
         with pytest.raises(NotMaximumError):
             leftmost_min_cut(network, zero)
 
@@ -272,13 +301,14 @@ class TestFlowUpdate:
         zero = PriceVector.zero(fig1)
         old = demand_network(fig1, zero)
         old_flow = max_flow(old)
-        assert old_flow.on((buyer_node("j1", 1), object_node("beta"))) == 1
+        assert amounts(old, old_flow)[(buyer_node("j1", 1), object_node("beta"))] == 1
         raised = zero.raised(["beta"])
         new = demand_network(fig1, raised)
         result = flow_update(old, old_flow, new)
         assert result.dropped == {}
-        assert result.flow.on((buyer_node("j1", 2), object_node("beta"))) == 1
-        assert result.flow.on((buyer_node("j1", 1), object_node("beta"))) == 0
+        carried = amounts(new, result.flow)
+        assert carried[(buyer_node("j1", 2), object_node("beta"))] == 1
+        assert (buyer_node("j1", 1), object_node("beta")) not in carried
         assert result.flow.value == old_flow.value
         assert max_flow(new, warm_start=result.flow).value == 5
 
@@ -291,8 +321,8 @@ class TestFlowUpdate:
         result = flow_update(old, old_flow, new)
         assert result.flow.value == old_flow.value
         assert result.dropped == {}
-        assert {a: f for a, f in result.flow.flows.items() if f} == {
-            a: f for a, f in old_flow.flows.items() if f
+        assert {a: f for a, f in amounts(new, result.flow).items() if f} == {
+            a: f for a, f in amounts(old, old_flow).items() if f
         }
 
     def test_dropped_units_recorded_and_gap_kept(self):
@@ -326,3 +356,140 @@ class TestFlowUpdate:
         with pytest.raises(PriceStepError):
             flow_update(network, best, network)
 
+
+
+# ---------------------------------------------------------------------------
+# The dict-keyed solver that the arc-id core replaced, kept as a reference:
+# capacities and flows keyed by (tail, head) node labels, and the same
+# shortest-augmenting-path search over outgoing, then incoming arcs, each
+# in arc order.
+
+
+def reference_graph(network):
+    capacity = capacities(network)
+    out = {n: [] for n in network.nodes}
+    into = {n: [] for n in network.nodes}
+    for u, v in capacity:
+        out[u].append(v)
+        into[v].append(u)
+    return capacity, out, into
+
+
+def reference_neighbors(graph, flows, u):
+    capacity, out, into = graph
+    for v in out[u]:
+        if capacity[(u, v)] - flows.get((u, v), 0) > 0:
+            yield v
+    for v in into[u]:
+        if flows.get((v, u), 0) > 0:
+            yield v
+
+
+def reference_max_flow(network, warm=None):
+    graph = reference_graph(network)
+    capacity = graph[0]
+    flows = {arc: 0 for arc in capacity}
+    flows.update(warm or {})
+    while True:
+        parent = {SOURCE: SOURCE}
+        queue = deque([SOURCE])
+        while queue and SINK not in parent:
+            u = queue.popleft()
+            for v in reference_neighbors(graph, flows, u):
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if SINK not in parent:
+            return flows
+        path = [SINK]
+        while path[-1] != SOURCE:
+            path.append(parent[path[-1]])
+        path.reverse()
+        steps = list(zip(path, path[1:]))
+        bottleneck = min(
+            capacity[(u, v)] - flows[(u, v)] if (u, v) in capacity else flows[(v, u)]
+            for u, v in steps
+        )
+        for u, v in steps:
+            if (u, v) in capacity:
+                flows[(u, v)] += bottleneck
+            else:
+                flows[(v, u)] -= bottleneck
+
+
+def reference_cut(network, flows):
+    graph = reference_graph(network)
+    reached = {SOURCE}
+    queue = deque([SOURCE])
+    while queue:
+        u = queue.popleft()
+        for v in reference_neighbors(graph, flows, u):
+            if v not in reached:
+                reached.add(v)
+                queue.append(v)
+    return frozenset(reached)
+
+
+def reference_flow_update(new_network, old_flows):
+    capacity = capacities(new_network)
+    flows = {arc: 0 for arc in capacity}
+    dropped = {}
+    for (u, obj), carried in old_flows.items():
+        if carried == 0 or u == SOURCE or obj == SINK:
+            continue
+        j = u[1]
+        for tier in (1, 2):
+            if (buyer_node(j, tier), obj) in capacity:
+                tier_node = buyer_node(j, tier)
+                break
+        else:
+            dropped[(j, obj[1])] = dropped.get((j, obj[1]), 0) + carried
+            continue
+        for arc in ((SOURCE, tier_node), (tier_node, obj), (obj, SINK)):
+            flows[arc] += carried
+    return flows, dropped
+
+
+class TestAgainstTheDictReference:
+    def test_cold_and_warm_flows_and_cuts_match(self):
+        """On seeded random markets, each network of a unit-step climb from
+        random or zero prices to competitive prices, and the allocation
+        network of the balanced market where the climb ends: every arc's
+        flow, cold, carried over and warm, and every node of the left-most
+        cut equal the reference's."""
+        rng = random.Random(17)
+        cold = warm = 0
+        for k in range(600):
+            inst = random_instance(
+                rng, max_objects=4, max_buyers=4, max_supply=4, max_demand=4, max_value=6
+            )
+            prices = random_prices(rng, inst) if k % 2 else PriceVector.zero(inst)
+            network = demand_network(inst, prices)
+            best = max_flow(network)
+            expected = reference_max_flow(network)
+            assert amounts(network, best) == expected
+            cold += 1
+            while True:
+                assert best.value == sum(f for (u, _), f in expected.items() if u == SOURCE)
+                cut = leftmost_min_cut(network, best)
+                assert cut.node_set == reference_cut(network, expected)
+                assert cut.capacity == best.value
+                if not cut.objects:
+                    break
+                prices = prices.raised(cut.objects)
+                raised = demand_network(inst, prices)
+                update = flow_update(network, best, raised)
+                carried, dropped = reference_flow_update(raised, expected)
+                assert amounts(raised, update.flow) == carried
+                assert update.dropped == dropped
+                network, best = raised, max_flow(raised, warm_start=update.flow)
+                expected = reference_max_flow(raised, carried)
+                assert amounts(network, best) == expected
+                warm += 1
+            balanced, dummy = balance_instance(inst)
+            if dummy.kind == "dummy-object":
+                prices = prices.extended(DUMMY_OBJECT)
+            allocation = build_allocation_network(balanced, prices)
+            assert amounts(allocation, max_flow(allocation)) == reference_max_flow(allocation)
+            cold += 1
+        assert cold == 1200 and warm >= 500

@@ -1,12 +1,16 @@
-"""The benchmark's answer checks, run on every benchmark market.
+"""The benchmark's answer checks, run on every benchmark market, and its
+per-layer tracer.
 
 ``perfbench/run.py`` reports ``correct: false`` when an answer fails these
 checks.  Running the same checks here makes such a solver change fail the
-test suite, without a timed benchmark run.  Only the market builders and
-the checks are imported, without writing bytecode next to them; ``run.py``
+test suite, without a timed benchmark run.  The tracer wraps solver
+functions by name: one that is renamed, or no longer called, fails the
+tracer test instead of leaving its metrics at 0.  Only the market builders, the checks and the
+tracer are imported, without writing bytecode next to them; ``run.py``
 re-executes itself and is never imported.
 """
 
+import importlib
 import importlib.util
 import random
 import sys
@@ -35,7 +39,7 @@ def load(name):
     return module
 
 
-markets, checks = load("markets"), load("checks")
+markets, checks, layers = load("markets"), load("checks"), load("layers")
 
 
 @pytest.mark.parametrize("workload", sorted(markets.WORKLOADS))
@@ -48,3 +52,43 @@ def test_every_configuration_passes_the_benchmark_checks(workload):
             prices, quantities = equilibrium.prices.as_dict(), dict(equilibrium.allocation.quantities)
             errors = checks.answer_errors(market, reference, prices, quantities)
             assert errors == [], (market.name, mode, warm)
+
+
+def test_the_tracer_still_fits_the_solver():
+    """Install the tracer on a fresh import of the package, as ``run.py``
+    does, and solve one ``dense`` market in every configuration: the
+    wrapped flow functions and the adapted step length are counted."""
+    def ours(name):
+        return name == "flowauction" or name.startswith("flowauction.")
+
+    saved = {name: module for name, module in sys.modules.items() if ours(name)}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        fa = importlib.import_module("flowauction")
+        for name in layers.MODULES:
+            importlib.import_module(f"flowauction.{name}")
+        (market,) = markets.WORKLOADS["dense"](fa, random.Random(1))
+        tracer = layers.Tracer()
+        tracer.install(fa)
+        for op, (mode, warm) in zip(layers.SOLVE_OPS, CONFIGS):
+            tracer.begin(op)
+            options = fa.auction.SolveOptions(mode=mode, warm_start=warm, start_prices=market.start)
+            fa.auction.solve(market.instance, options)
+        tracer.end_pass(dict.fromkeys(layers.SOLVE_OPS, 1.0))
+        metrics = tracer.metrics()
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    counted = [
+        *(f"flow.max_flow.calls.{op}" for op in layers.SOLVE_OPS),
+        *(f"flow.leftmost_min_cut.calls.{op}" for op in layers.SOLVE_OPS),
+        *(f"flow.build_demand_network.calls.{op}" for op in layers.SOLVE_OPS),
+        "flow.flow_update.calls.unit-warm",
+        "flow.flow_update.carried.adapted-warm",
+        "flow.check_feasible.calls.adapted-warm",
+        "auction.step_length.calls.adapted-cold",
+        "auction.price_raising.oracle_calls.unit-cold",
+    ]
+    assert [name for name in counted if not metrics[name]["value"]] == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -120,6 +121,36 @@ class TestMinCompetitiveBruteforce:
     def test_budget(self, fig1):
         with pytest.raises(BudgetExceededError):
             min_competitive_bruteforce(fig1, budget=10)
+
+    def test_box_below_a_competitive_bound_finds_the_grid_minimum(self, monkeypatch):
+        """A competitive bound limits the search to the box under it; one
+        that is not competitive leaves the whole grid to search."""
+        import flowauction.verify as verify
+
+        flowcheck, tried = verify.is_competitive_flowcheck, []
+
+        def counted(instance, prices):
+            tried.append(prices)
+            return flowcheck(instance, prices)
+
+        rng = random.Random(41)
+        boxed = 0
+        for _ in range(150):
+            inst = random_instance(rng, max_objects=3, max_buyers=3)
+            full = min_competitive_bruteforce(inst)
+            grid = (inst.max_valuation + 2) ** len(inst.objects)
+            bound = random_prices(rng, inst)
+            monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
+            tried.clear()
+            assert min_competitive_bruteforce(inst, upper=bound) == full
+            monkeypatch.setattr(verify, "is_competitive_flowcheck", flowcheck)
+            if flowcheck(inst, bound):
+                boxed += 1
+                assert all(p[i] <= bound[i] for p in tried[1:-1] for i in inst.objects)
+                assert len(tried) == 2 + math.prod(bound[i] + 1 for i in inst.objects)
+            else:
+                assert len(tried) == 2 + grid
+        assert boxed >= 40
 
 
 class TestLyapunov:
