@@ -9,18 +9,18 @@ market-clearing assignment off a max flow in the allocation network of the
 balanced instance.
 
 The demand network depends on the prices only through the above-margin
-and at-margin parts of the buyers' tier reports.  So a warm start, in
-either mode, raises the cut's objects from one network breakpoint to the
-next (``tiers.next_breakpoint``: a raise where some buyer's part can
-change) until the network changes (``_breakpoint_walk``), recomputing only
-the reports of the buyers whose breakpoint it reaches and carrying the flow
-over only to the changed network; its oracle and flow work do not grow
-with the valuations.  The mode decides only how the climb is recorded:
-unit mode writes one record per unit of the raise, adapted mode one per
-run of raises on the same object set.  A cold start computes every report
-at every price it tries: unit mode raises by one, and adapted mode
-binary-searches the length of the jump (``_step_length``), building a
-network per probe.
+and at-margin parts of the buyers' tier reports.  So the auction raises the
+cut's objects from one network breakpoint to the next
+(``tiers.next_breakpoint``: a raise where some buyer's part can change)
+until the network changes (``_breakpoint_walk``), recomputing only the
+reports of the buyers whose breakpoint it reaches; its oracle and flow work
+do not grow with the valuations.  A warm start carries the flow over to the
+changed network, a cold start computes a fresh max flow there.  The mode
+decides how the climb is recorded: unit mode writes one record per unit of
+the raise, adapted mode one per run of raises on the same object set.  The
+one exception is adapted mode with a cold start: it computes every report
+at every price it tries, binary-searching the length of the jump
+(``_step_length``) with a network per probe.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def _breakpoint_walk(
     best: flownet.IntegralFlow,
     reports: dict[str, TierReport],
     raised: frozenset[str],
-) -> tuple[int, int, flownet.FlowNetwork, flownet.IntegralFlow, int]:
+    warm_start: bool,
+) -> tuple[int, int, flownet.FlowNetwork, flownet.IntegralFlow, int | None]:
     """Raise ``raised`` until the demand network's arcs change.
 
     ``network`` and ``best`` are the demand network and its maximum flow at
@@ -140,12 +141,13 @@ def _breakpoint_walk(
     only the buyers whose breakpoint it is recompute their report, in place
     in ``reports``.  So at the returned prices the parts the network reads
     are current, while a zero tier and its demand may be out of date.
-    Every smaller raise builds the same network and carries the same flow
-    over unchanged, so the network is rebuilt only where a recomputed
-    report's network part changed, and the flow is carried over and
-    re-augmented only at the returned raise.
+    Every smaller raise builds the same network, with the same maximum
+    flow, so the network is rebuilt only where a recomputed report's
+    network part changed, and a maximum flow is computed only at the
+    returned raise: warm, from ``best`` carried over, or cold.
     Returns the raise, the tier-oracle calls made, the network and maximum
-    flow at the raised prices, and the handoff gap of the carried flow.
+    flow at the raised prices, and the handoff gap of the carried flow
+    (``None`` when cold).
     """
     prices = PriceVector(network.prices)
     breakpoints = {
@@ -168,6 +170,8 @@ def _breakpoint_walk(
             continue
         step_network = flownet.build_demand_network(instance, step_prices, reports)
         if step_network.arcs != network.arcs:
+            if not warm_start:
+                return step, calls, step_network, flownet.max_flow(step_network), None
             update = flownet.flow_update(network, best, step_network)
             step_best = flownet.max_flow(step_network, warm_start=update.flow)
             return step, calls, step_network, step_best, step_network.cap_s - update.flow.value
@@ -210,21 +214,19 @@ def price_raising(
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
-        if opts.warm_start:
+        if opts.warm_start or opts.mode == "unit":
             step, walk_calls, next_network, next_best, handoff_gap = _breakpoint_walk(
-                instance, network, best, reports, cut.objects
+                instance, network, best, reports, cut.objects, opts.warm_start
             )
             calls += walk_calls
         else:
-            step, handoff_gap = 1, None
-            if opts.mode == "adapted":
-                step, probe_calls = _step_length(instance, prices, cut.objects, v_max)
-                calls += probe_calls
-            calls += len(instance.buyers)
+            # Adapted mode with a cold start binary-searches the jump.
+            step, probe_calls = _step_length(instance, prices, cut.objects, v_max)
+            calls += probe_calls + len(instance.buyers)
             next_prices = prices.raised(raised, step)
             reports = _reports(instance, next_prices)
             next_network = flownet.build_demand_network(instance, next_prices, reports)
-            next_best = flownet.max_flow(next_network)
+            next_best, handoff_gap = flownet.max_flow(next_network), None
         next_prices = PriceVector(next_network.prices)
         if any(next_prices[i] > price_bound for i in raised):
             raise AuctionError("price raised beyond the maximum valuation")
@@ -234,8 +236,9 @@ def price_raising(
             records[-1] = replace(records[-1], step=records[-1].step + step, handoff_gap=handoff_gap)
         else:
             # Unit mode writes a record per unit raise.  Each but the last
-            # rebuilds this network and carries this flow over whole.
+            # rebuilds this network and, warm, carries this flow over whole.
             runs = [1] * step if opts.mode == "unit" else [step]
+            carried_gap = network.cap_s - best.value if opts.warm_start else None
             for k, run in enumerate(runs):
                 records.append(
                     IterationRecord(
@@ -246,7 +249,7 @@ def price_raising(
                         flow_value=best.value,
                         cap_s=network.cap_s,
                         step=run,
-                        handoff_gap=handoff_gap if k == len(runs) - 1 else network.cap_s - best.value,
+                        handoff_gap=handoff_gap if k == len(runs) - 1 else carried_gap,
                     )
                 )
         prices, network, best = next_prices, next_network, next_best

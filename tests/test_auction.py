@@ -82,6 +82,38 @@ def unit_walk_records(instance, per_unit=False):
     return prices, tuple(records)
 
 
+def unit_cold_records(instance):
+    """Reference for unit mode with a cold start, by its definition: at
+    every unit raise every tier report, the network, a cold max flow and
+    the left-most cut are computed afresh, and no flow is handed over.
+    Returns the prices, the records and the tier-oracle calls made."""
+    prices = PriceVector.zero(instance)
+    network = demand_network(instance, prices)
+    best = max_flow(network)
+    calls = len(instance.buyers)
+    records = []
+    while best.value < network.cap_s:
+        cut = leftmost_min_cut(network, best)
+        raised = tuple(i for i in instance.objects if i in cut.objects)
+        records.append(
+            IterationRecord(
+                index=len(records),
+                prices=prices.as_dict(),
+                raised=raised,
+                cut_nodes=cut.labels,
+                flow_value=best.value,
+                cap_s=network.cap_s,
+                step=1,
+                handoff_gap=None,
+            )
+        )
+        prices = prices.raised(raised, 1)
+        network = demand_network(instance, prices)
+        best = max_flow(network)
+        calls += len(instance.buyers)
+    return prices, tuple(records), calls
+
+
 def restart_fault_pair():
     """Supplies a:1, b:1 and three unit-demand buyers valuing (5, 4), (5, 4)
     and (5, 1); the twin has no supply of a."""
@@ -327,6 +359,19 @@ class TestBreakpointWalk:
             prices, trace = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
             assert (prices, trace.iterations) == unit_walk_records(inst, per_unit=True)
 
+    def test_cold_unit_records_equal_the_definition(self):
+        fewer = 0
+        for inst in walk_markets():
+            prices, trace = price_raising(inst, SolveOptions(mode="unit", warm_start=False))
+            ref_prices, ref_records, ref_calls = unit_cold_records(inst)
+            assert prices == ref_prices
+            assert len(trace.iterations) == len(ref_records)
+            for record, ref in zip(trace.iterations, ref_records):
+                assert record == ref
+            assert trace.oracle_calls <= ref_calls
+            fewer += trace.oracle_calls < ref_calls
+        assert fewer > 50
+
     def test_every_network_built_in_the_walk_is_new(self, monkeypatch):
         """The walk builds a network only where some buyer's report
         changed in a part the network reads, and such a change moves an
@@ -353,13 +398,13 @@ class TestBreakpointWalk:
         unsupplied = 0
         for inst in walk_markets():
             unsupplied += not all(inst.supplies.values())
-            for mode in ("unit", "adapted"):
-                price_raising(inst, SolveOptions(mode=mode, warm_start=True))
+            for mode, warm in (("unit", True), ("unit", False), ("adapted", True)):
+                price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
         assert walks > 100 and unsupplied > 50
 
     def test_cost_does_not_grow_with_values(self):
         base, _ = restart_fault_pair()
-        calls, unit_calls = set(), set()
+        calls, unit_calls, unit_cold_calls = set(), set(), set()
         for factor in (1, 200, 2000, 20000):
             inst = scaled(base, factor)
             _, warm = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
@@ -373,5 +418,9 @@ class TestBreakpointWalk:
                 _, unit = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
                 assert unit.final_prices == warm.final_prices
                 unit_calls.add(unit.oracle_calls)
+                _, unit_cold = price_raising(inst, SolveOptions(mode="unit", warm_start=False))
+                assert unit_cold.final_prices == warm.final_prices
+                unit_cold_calls.add(unit_cold.oracle_calls)
         assert len(calls) == 1
         assert len(unit_calls) == 1
+        assert len(unit_cold_calls) == 1
