@@ -17,15 +17,19 @@ reports of the buyers whose breakpoint it reaches; its oracle and flow work
 do not grow with the valuations.  A warm start carries the flow over to the
 changed network, a cold start computes a fresh max flow there.  The mode
 decides how the climb is recorded: unit mode writes one record per unit of
-the raise, adapted mode one per run of raises on the same object set.  The
-one exception is adapted mode with a cold start: it computes every report
-at every price it tries, binary-searching the length of the jump
-(``_step_length``) with a network per probe.
+the raise, adapted mode one per run of raises on the same object set.  A
+unit record is a named tuple whose prices are a fresh dict in canonical
+order: the run's start prices with the raised objects lifted by the units
+raised so far.  So a climb of ``v_max`` units writes ``v_max`` small
+records and does no other work per unit.  The one exception is adapted
+mode with a cold start: it computes every report at every price it tries,
+binary-searching the length of the jump (``_step_length``) with a network
+per probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import flow as flownet
 from .model import (
@@ -233,23 +237,26 @@ def price_raising(
         if opts.mode == "adapted" and records and records[-1].raised == raised:
             # The cut kept its object set across the network change, so
             # the jump goes on.
-            records[-1] = replace(records[-1], step=records[-1].step + step, handoff_gap=handoff_gap)
+            records[-1] = records[-1]._replace(step=records[-1].step + step, handoff_gap=handoff_gap)
         else:
             # Unit mode writes a record per unit raise.  Each but the last
             # rebuilds this network and, warm, carries this flow over whole.
+            # The fields go in by position: keywords cost more per record.
             runs = [1] * step if opts.mode == "unit" else [step]
+            last = len(runs) - 1
             carried_gap = network.cap_s - best.value if opts.warm_start else None
+            base = prices.prices
             for k, run in enumerate(runs):
                 records.append(
                     IterationRecord(
-                        index=len(records),
-                        prices=prices.raised(raised, k).as_dict(),
-                        raised=raised,
-                        cut_nodes=cut_nodes,
-                        flow_value=best.value,
-                        cap_s=network.cap_s,
-                        step=run,
-                        handoff_gap=handoff_gap if k == len(runs) - 1 else carried_gap,
+                        len(records),
+                        base | {i: base[i] + k for i in raised},
+                        raised,
+                        cut_nodes,
+                        best.value,
+                        network.cap_s,
+                        run,
+                        handoff_gap if k == last else carried_gap,
                     )
                 )
         prices, network, best = next_prices, next_network, next_best

@@ -17,6 +17,17 @@ Edmonds-Karp) scans a node's outgoing arcs and then its incoming arcs, each
 in arc order, so the integral flow it returns is a deterministic function
 of the network.  Node labels appear only at the edges: the network dump, a
 cut's node set and labels, and the tier flows an allocation is read from.
+
+An augmenting search stops as soon as it reaches an object whose arc into
+the sink has residual capacity, and takes that arc.  A search run until the
+sink is reached finds the same path: only objects have an arc into the
+sink, one each, and nothing leaves the sink, so it reaches the sink from
+the first object it pops with a residual sink arc.  An object is reached
+only forward, since its one outgoing arc goes to the sink.  A breadth-first
+search pops nodes in the order it reaches them, so that object is the
+first one reached with a residual sink arc, and every node reached before
+it, with its predecessor, is the same in both searches.  So every
+augmenting path, and with it every flow, cut and allocation, is the same.
 """
 
 from __future__ import annotations
@@ -85,7 +96,9 @@ class FlowNetwork:
     one (tail, head, capacity) triple of node ids per arc id.  Zero-capacity
     arcs are omitted, but every tier node has its id, so the numbering
     depends only on the buyers, the tiers and the objects and stays the
-    same across price changes.
+    same across price changes.  ``sink_arc`` holds, per node id, the id of
+    the node's arc into the sink, or -1 if it has none (only objects have
+    one).
     """
 
     def __init__(
@@ -108,9 +121,12 @@ class FlowNetwork:
         self.cap = [c for _, _, c in self.arcs]
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.sink + 1)]
         self.into: list[list[tuple[int, int]]] = [[] for _ in range(self.sink + 1)]
+        self.sink_arc = [-1] * (self.sink + 1)
         for a, (u, v, _) in enumerate(self.arcs):
             self.out[u].append((a, v))
             self.into[v].append((a, u))
+            if v == self.sink:
+                self.sink_arc[u] = a
         self.cap_s = sum(c for u, _, c in self.arcs if u == 0)
 
     @property
@@ -260,20 +276,26 @@ def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
 
 def _residual_search(network: FlowNetwork, flows: list[int]) -> list[int | None]:
     """Breadth-first search of the residual graph from the source, until
-    the sink is reached or nothing more is.
+    it reaches an object with a residual arc into the sink, and the sink
+    over that arc, or nothing more.
 
     Returns, per node id, the arc id the node was reached by (``~a`` when
     arc ``a`` was crossed backwards) or ``None`` if it was not reached.
     """
     cap, out, into, sink = network.cap, network.out, network.into, network.sink
+    sink_arc = network.sink_arc
     pred: list[int | None] = [None] * (sink + 1)
     pred[0] = 0  # marks the source reached; no path is traced past it
     queue = deque([0])
-    while queue and pred[sink] is None:
+    while queue:
         u = queue.popleft()
         for a, v in out[u]:
             if pred[v] is None and flows[a] < cap[a]:
                 pred[v] = a
+                t = sink_arc[v]
+                if t >= 0 and flows[t] < cap[t]:
+                    pred[sink] = t
+                    return pred
                 queue.append(v)
         for a, v in into[u]:
             if pred[v] is None and flows[a] > 0:

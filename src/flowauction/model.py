@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 #: Everything is checked to fit comfortably in signed 64-bit arithmetic so
 #: that instances round-trip losslessly through any consumer of the JSON
@@ -331,8 +331,7 @@ class Allocation:
         return nested
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One price-raising step: the state inspected before the raise.
 
     ``handoff_gap`` is only set on warm-started iterations: it is the gap

@@ -14,7 +14,7 @@ everything here is a pure function of the instance and the prices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from .model import Instance, PriceVector
 
@@ -26,8 +26,7 @@ class Bundle:
     quantities: dict[str, int]
 
 
-@dataclass(frozen=True)
-class TierReport:
+class TierReport(NamedTuple):
     """A buyer's demand, split by payoff tier.
 
     ``above`` holds the objects with payoff strictly above the marginal

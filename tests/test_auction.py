@@ -176,6 +176,35 @@ class TestPriceRaising:
         assert prices.as_dict() == {"alpha": 2, "beta": 0}
         assert len(trace.iterations) == 1
 
+    def test_records_and_reports_are_value_types(self):
+        # zeta comes first in canonical order; records 1 and 2 are one run.
+        inst = validate_instance(
+            {"zeta": 1, "alpha": 2},
+            {"u": 1, "v": 2, "w": 1},
+            {"u": {"zeta": 6, "alpha": 5}, "v": {"zeta": 6, "alpha": 3}, "w": {"zeta": 4}},
+        )
+        _, trace = price_raising(inst)
+        records = trace.iterations
+        assert IterationRecord._fields == (
+            "index", "prices", "raised", "cut_nodes", "flow_value", "cap_s", "step", "handoff_gap"
+        )
+        assert IterationRecord(0, {}, (), (), 0, 0, 1).handoff_gap is None
+        assert [rec.index for rec in records] == [0, 1, 2, 3]
+        assert records[1].raised == records[2].raised == ("zeta",)
+        report = tier_report(inst, "u", PriceVector.zero(inst))
+        assert type(report)._fields == (
+            "above", "at_margin", "zero", "demand_above", "demand_at_margin", "demand_zero", "last_item"
+        )
+        with pytest.raises(AttributeError):
+            records[0].step = 2
+        with pytest.raises(AttributeError):
+            report.demand_above = 0
+        expected = [{"zeta": k, "alpha": 0} for k in range(4)]
+        assert [list(rec.prices) for rec in records] == [["zeta", "alpha"]] * 4
+        assert [rec.prices for rec in records] == expected
+        records[1].prices["zeta"] = 99
+        assert [rec.prices for k, rec in enumerate(records) if k != 1] == expected[:1] + expected[2:]
+
     def test_rejects_unknown_mode(self, example1):
         with pytest.raises(ValueError):
             price_raising(example1, SolveOptions(mode="bogus"))

@@ -13,6 +13,7 @@ from flowauction.flow import (
     SINK,
     SOURCE,
     UnbalancedInstanceError,
+    _residual_search,
     build_allocation_network,
     build_demand_network,
     buyer_node,
@@ -250,6 +251,23 @@ class TestMaxFlow:
                 if node not in (SOURCE, SINK):
                     assert balance.get(node, 0) == 0
             assert best.value == -balance.get(SOURCE, 0)
+
+    def test_search_stops_at_the_first_sink_feeder(self, fig1):
+        # At zero flow the search reaches j1', j1'' and j2'' from the source,
+        # then alpha from j1'; alpha's arc into the sink has residual
+        # capacity, so beta and gamma, which come later, are never reached.
+        network = demand_network(fig1, PriceVector.zero(fig1))
+        pred = _residual_search(network, [0] * len(network.arcs))
+        nodes = network.nodes
+        assert nodes[network.tail[pred[network.sink]]] == object_node("alpha")
+        assert {nodes[k] for k, a in enumerate(pred) if a is not None} == {
+            SOURCE,
+            buyer_node("j1", 1),
+            buyer_node("j1", 2),
+            buyer_node("j2", 2),
+            object_node("alpha"),
+            SINK,
+        }
 
 
 class TestLeftmostMinCut:
