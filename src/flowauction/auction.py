@@ -12,19 +12,17 @@ The demand network depends on the prices only through the above-margin
 and at-margin parts of the buyers' tier reports.  So the auction raises the
 cut's objects from one network breakpoint to the next
 (``tiers.next_breakpoint``: a raise where some buyer's part can change)
-until the network changes (``_breakpoint_walk``), recomputing only the
+until the network changes (``_step_length``), recomputing only the
 reports of the buyers whose breakpoint it reaches; its oracle and flow work
-do not grow with the valuations.  A warm start carries the flow over to the
-changed network, a cold start computes a fresh max flow there.  The mode
-decides how the climb is recorded: unit mode writes one record per unit of
-the raise, adapted mode one per run of raises on the same object set.  A
-unit record is a named tuple whose prices are a fresh dict in canonical
-order: the run's start prices with the raised objects lifted by the units
-raised so far.  So a climb of ``v_max`` units writes ``v_max`` small
-records and does no other work per unit.  The one exception is adapted
-mode with a cold start: it computes every report at every price it tries,
-binary-searching the length of the jump (``_step_length``) with a network
-per probe.
+do not grow with the valuations.  Every mode and start takes this one
+advance.  A warm start carries the flow over to the changed network, a
+cold start computes a fresh max flow there.  The mode decides how the
+climb is recorded: unit mode writes one record per unit of the raise,
+adapted mode one per run of raises on the same object set.  A unit record
+is a named tuple whose prices are a fresh dict in canonical order: the
+run's start prices with the raised objects lifted by the units raised so
+far.  So a climb of ``v_max`` units writes ``v_max`` small records and
+does no other work per unit.
 """
 
 from __future__ import annotations
@@ -74,50 +72,6 @@ class Equilibrium:
     trace: AuctionTrace
 
 
-def _reports(instance: Instance, prices: PriceVector) -> dict[str, TierReport]:
-    return {j: tier_report(instance, j, prices) for j in instance.buyers}
-
-
-def _cut_objects_at(instance: Instance, prices: PriceVector) -> frozenset[str]:
-    network = flownet.build_demand_network(instance, prices, _reports(instance, prices))
-    best = flownet.max_flow(network)
-    if best.value == network.cap_s:
-        return frozenset()
-    return flownet.leftmost_min_cut(network, best).objects
-
-
-def _step_length(
-    instance: Instance, prices: PriceVector, raised: frozenset[str], v_max: int
-) -> tuple[int, int]:
-    """Smallest raise after which the left-most cut's object set changes.
-
-    Raising through any smaller amount replays unit steps on the same
-    object set, so the auction may jump by this step in one go.  The
-    change point is found by binary search; monotonicity holds because a
-    once-changed cut never reverts as prices keep rising on the same set.
-    Returns the step and the number of tier-oracle calls spent probing.
-    """
-    calls = 0
-
-    def changed(amount: int) -> bool:
-        nonlocal calls
-        calls += len(instance.buyers)
-        return _cut_objects_at(instance, prices.raised(raised, amount)) != raised
-
-    # At v_max the raised objects are priced out for every buyer, so the
-    # cut has certainly changed and the search window [1, v_max] suffices.
-    low, high = 1, max(1, v_max)
-    if not changed(high):
-        raise AuctionError("cut did not change within the valuation bound")
-    while low < high:
-        mid = (low + high) // 2
-        if changed(mid):
-            high = mid
-        else:
-            low = mid + 1
-    return low, calls
-
-
 def _network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
     """The part of a tier report that the demand network reads: the two
     tier demands and the above-margin and at-margin objects in supply."""
@@ -129,29 +83,24 @@ def _network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
     )
 
 
-def _breakpoint_walk(
+def _step_length(
     instance: Instance,
     network: flownet.FlowNetwork,
-    best: flownet.IntegralFlow,
     reports: dict[str, TierReport],
     raised: frozenset[str],
-    warm_start: bool,
-) -> tuple[int, int, flownet.FlowNetwork, flownet.IntegralFlow, int | None]:
-    """Raise ``raised`` until the demand network's arcs change.
+) -> tuple[int, int, flownet.FlowNetwork]:
+    """Smallest raise of ``raised`` at which the demand network's arcs change.
 
-    ``network`` and ``best`` are the demand network and its maximum flow at
-    the current prices, and ``reports`` holds every buyer's tier report
-    there.  The raise advances from one network breakpoint to the next, and
-    only the buyers whose breakpoint it is recompute their report, in place
-    in ``reports``.  So at the returned prices the parts the network reads
-    are current, while a zero tier and its demand may be out of date.
-    Every smaller raise builds the same network, with the same maximum
-    flow, so the network is rebuilt only where a recomputed report's
-    network part changed, and a maximum flow is computed only at the
-    returned raise: warm, from ``best`` carried over, or cold.
-    Returns the raise, the tier-oracle calls made, the network and maximum
-    flow at the raised prices, and the handoff gap of the carried flow
-    (``None`` when cold).
+    ``network`` is the demand network at the current prices, and ``reports``
+    holds every buyer's tier report there.  The raise advances from one
+    network breakpoint to the next, and only the buyers whose breakpoint it
+    is recompute their report, in place in ``reports``.  So at the returned
+    prices the parts the network reads are current, while a zero tier and
+    its demand may be out of date.  Every smaller raise builds the same
+    network, with the same left-most cut, so the auction may jump by this
+    step in one go; the network is rebuilt only where a recomputed report's
+    network part changed.  Returns the raise, the tier-oracle calls made and
+    the network at the raised prices.
     """
     prices = PriceVector(network.prices)
     breakpoints = {
@@ -174,11 +123,7 @@ def _breakpoint_walk(
             continue
         step_network = flownet.build_demand_network(instance, step_prices, reports)
         if step_network.arcs != network.arcs:
-            if not warm_start:
-                return step, calls, step_network, flownet.max_flow(step_network), None
-            update = flownet.flow_update(network, best, step_network)
-            step_best = flownet.max_flow(step_network, warm_start=update.flow)
-            return step, calls, step_network, step_best, step_network.cap_s - update.flow.value
+            return step, calls, step_network
 
 
 def price_raising(
@@ -198,11 +143,10 @@ def price_raising(
     # competitive price is 0 whatever the start prices say; the auction
     # never lowers a price, so it has to start there.
     prices = PriceVector({i: p if instance.supplies[i] else 0 for i, p in start.prices.items()})
-    v_max = instance.max_valuation
-    price_bound = v_max + 1
+    price_bound = instance.max_valuation + 1
 
     calls = len(instance.buyers)
-    reports = _reports(instance, prices)
+    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
     network = flownet.build_demand_network(instance, prices, reports)
     best = flownet.max_flow(network)
     records: list[IterationRecord] = []
@@ -218,18 +162,13 @@ def price_raising(
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
-        if opts.warm_start or opts.mode == "unit":
-            step, walk_calls, next_network, next_best, handoff_gap = _breakpoint_walk(
-                instance, network, best, reports, cut.objects, opts.warm_start
-            )
-            calls += walk_calls
+        step, walk_calls, next_network = _step_length(instance, network, reports, cut.objects)
+        calls += walk_calls
+        if opts.warm_start:
+            update = flownet.flow_update(network, best, next_network)
+            next_best = flownet.max_flow(next_network, warm_start=update.flow)
+            handoff_gap = next_network.cap_s - update.flow.value
         else:
-            # Adapted mode with a cold start binary-searches the jump.
-            step, probe_calls = _step_length(instance, prices, cut.objects, v_max)
-            calls += probe_calls + len(instance.buyers)
-            next_prices = prices.raised(raised, step)
-            reports = _reports(instance, next_prices)
-            next_network = flownet.build_demand_network(instance, next_prices, reports)
             next_best, handoff_gap = flownet.max_flow(next_network), None
         next_prices = PriceVector(next_network.prices)
         if any(next_prices[i] > price_bound for i in raised):

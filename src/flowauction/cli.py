@@ -49,6 +49,17 @@ def _emit(payload: object) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _count(text: str) -> int:
+    """An integer argument that counts something, so at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="flowauction", description=__doc__)
     verbs = parser.add_subparsers(dest="verb", required=True)
@@ -75,10 +86,10 @@ def build_parser() -> _Parser:
         "--dump-network", metavar="FILE", help="write the initial demand network and its max flow"
     )
     for sub in (verb("verify", _cmd_verify), verb("brute", _cmd_brute, solves=False)):
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        sub.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     monotone = verb("monotone", _cmd_monotone)
     monotone.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    monotone.add_argument("--pairs", type=int, default=200, help="number of perturbations to sweep")
+    monotone.add_argument("--pairs", type=_count, default=200, help="number of perturbations to sweep")
     verb("duplicate-demo", _cmd_duplicate_demo)
     return parser
 

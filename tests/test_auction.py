@@ -275,7 +275,7 @@ class TestAdaptedStepLength:
     def test_competitive_market_takes_no_step(self, example1):
         assert adapted_steps(example1) == []
 
-    def test_binary_search_matches_linear_scan(self):
+    def test_steps_match_linear_scan(self):
         rng = random.Random(99)
         checked = 0
         while checked < 40:
@@ -380,8 +380,13 @@ def walk_markets():
 class TestBreakpointWalk:
     def test_records_equal_the_unit_step_walk(self):
         for inst in walk_markets():
+            ref_prices, ref_records = unit_walk_records(inst)
             prices, trace = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
-            assert (prices, trace.iterations) == unit_walk_records(inst)
+            assert (prices, trace.iterations) == (ref_prices, ref_records)
+            # A cold start walks the same jumps and hands no flow over.
+            cold_records = tuple(record._replace(handoff_gap=None) for record in ref_records)
+            prices, trace = price_raising(inst, SolveOptions(mode="adapted", warm_start=False))
+            assert (prices, trace.iterations) == (ref_prices, cold_records)
 
     def test_unit_records_equal_the_unit_step_walk(self):
         for inst in walk_markets():
@@ -405,7 +410,7 @@ class TestBreakpointWalk:
         """The walk builds a network only where some buyer's report
         changed in a part the network reads, and such a change moves an
         arc; an object without supply takes no part in it."""
-        walk, build = auction._breakpoint_walk, flow.build_demand_network
+        walk, build = auction._step_length, flow.build_demand_network
         handed, walks = [], 0
 
         def traced_walk(instance, network, *args):
@@ -422,18 +427,19 @@ class TestBreakpointWalk:
             assert not handed or network.arcs != handed[-1]
             return network
 
-        monkeypatch.setattr(auction, "_breakpoint_walk", traced_walk)
+        monkeypatch.setattr(auction, "_step_length", traced_walk)
         monkeypatch.setattr(flow, "build_demand_network", traced_build)
         unsupplied = 0
         for inst in walk_markets():
             unsupplied += not all(inst.supplies.values())
-            for mode, warm in (("unit", True), ("unit", False), ("adapted", True)):
-                price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
+            for mode in ("unit", "adapted"):
+                for warm in (True, False):
+                    price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
         assert walks > 100 and unsupplied > 50
 
     def test_cost_does_not_grow_with_values(self):
         base, _ = restart_fault_pair()
-        calls, unit_calls, unit_cold_calls = set(), set(), set()
+        calls, cold_calls, unit_calls, unit_cold_calls = set(), set(), set(), set()
         for factor in (1, 200, 2000, 20000):
             inst = scaled(base, factor)
             _, warm = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
@@ -441,6 +447,7 @@ class TestBreakpointWalk:
             assert warm.final_prices == cold.final_prices == {"a": 5 * factor, "b": 4 * factor}
             assert warm.oracle_calls <= cold.oracle_calls
             calls.add(warm.oracle_calls)
+            cold_calls.add(cold.oracle_calls)
             # Unit mode still writes a record per unit raise, so its run
             # grows with the values even where its oracle calls do not.
             if factor <= 2000:
@@ -451,5 +458,6 @@ class TestBreakpointWalk:
                 assert unit_cold.final_prices == warm.final_prices
                 unit_cold_calls.add(unit_cold.oracle_calls)
         assert len(calls) == 1
+        assert len(cold_calls) == 1
         assert len(unit_calls) == 1
         assert len(unit_cold_calls) == 1

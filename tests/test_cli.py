@@ -251,6 +251,10 @@ class TestVerify:
         # The bound, the one grid vector and the minimum found.
         assert checked == [{"o1": 0, "o2": 0}] * 3
 
+    def test_negative_budget_is_a_parse_error(self, fig1_file, capsys):
+        assert run(["verify", fig1_file, "--budget", "-1"]) == EXIT_PARSE
+        assert "--budget: expected an integer of at least 0, got '-1'" in capsys.readouterr().err
+
     def test_small_budget_skips_bruteforce(self, fig1_file, capsys):
         code, payload = run_json(capsys, ["verify", fig1_file, "--budget", "5"])
         assert code == EXIT_OK
@@ -267,6 +271,10 @@ class TestBrute:
     def test_budget_exceeded(self, fig1_file, capsys):
         assert run(["brute", fig1_file, "--budget", "3"]) == EXIT_BUDGET
 
+    def test_negative_budget_is_a_parse_error(self, fig1_file, capsys):
+        assert run(["brute", fig1_file, "--budget", "-1"]) == EXIT_PARSE
+        assert "exceeds budget" not in capsys.readouterr().err
+
     def test_mode_is_not_a_brute_argument(self, example1_file, capsys):
         assert run(["brute", example1_file, "--mode", "adapted"]) == EXIT_PARSE
 
@@ -278,6 +286,10 @@ class TestMonotone:
         assert code == EXIT_OK
         assert "12/12 passed" in out
         assert out.count("pass") >= 12
+
+    def test_negative_pairs_is_a_parse_error(self, example1_file, capsys):
+        assert run(["monotone", example1_file, "--pairs", "-5"]) == EXIT_PARSE
+        assert "passed" not in capsys.readouterr().out
 
     def test_deterministic_given_seed(self, example1_file, capsys):
         run(["monotone", example1_file, "--pairs", "6", "--seed", "5"])

@@ -88,6 +88,7 @@ def test_the_tracer_still_fits_the_solver():
         "flow.flow_update.calls.unit-warm",
         "flow.flow_update.carried.adapted-warm",
         "flow.check_feasible.calls.adapted-warm",
+        "auction.step_length.calls.adapted-warm",
         "auction.step_length.calls.adapted-cold",
         "auction.price_raising.oracle_calls.unit-cold",
     ]
