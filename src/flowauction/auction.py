@@ -54,10 +54,9 @@ class SolveOptions:
 
     ``start_prices`` must be component-wise at most the minimum competitive
     prices for the result to be meaningful; this is the caller's
-    responsibility and cannot be checked up front.  The one exception is an
-    object without supply: its minimum competitive price is 0, and the
-    auction starts it there whatever ``start_prices`` says, so a previous
-    equilibrium stays a sound start after a supply cut to zero.
+    responsibility and cannot be checked up front.  The auction starts from
+    ``first_prices``, which sets the one exception, an object without
+    supply, to 0.
     """
 
     mode: str = "unit"
@@ -70,6 +69,19 @@ class Equilibrium:
     prices: PriceVector
     allocation: Allocation
     trace: AuctionTrace
+
+
+def first_prices(instance: Instance, start: PriceVector | None) -> PriceVector:
+    """The prices a solve starts from: ``start`` (zero prices if ``None``),
+    checked against the instance, with every object without supply at 0.
+
+    No feasible bundle holds an object without supply, so its minimum
+    competitive price is 0 whatever the start prices say; the auction never
+    lowers a price, so it has to start there.  So a previous equilibrium
+    stays a sound start after a supply cut to zero.
+    """
+    checked = PriceVector.for_instance(instance, start.prices if start is not None else {})
+    return PriceVector({i: p if instance.supplies[i] else 0 for i, p in checked.prices.items()})
 
 
 def _network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
@@ -137,12 +149,7 @@ def price_raising(
     opts = options or SolveOptions()
     if opts.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {opts.mode!r}")
-    start = opts.start_prices or PriceVector.zero(instance)
-    start = PriceVector.for_instance(instance, start.as_dict())
-    # No feasible bundle holds an object without supply, so its minimum
-    # competitive price is 0 whatever the start prices say; the auction
-    # never lowers a price, so it has to start there.
-    prices = PriceVector({i: p if instance.supplies[i] else 0 for i, p in start.prices.items()})
+    prices = first_prices(instance, opts.start_prices)
     price_bound = instance.max_valuation + 1
 
     calls = len(instance.buyers)

@@ -1,10 +1,13 @@
 """Independent oracles and checkers for every claim the solver relies on.
 
-Nothing here reuses the auction's search path: competitiveness is decided
-by exhaustive bundle enumeration or by the Hall-style counting condition,
-minimum prices by enumerating the price grid, and descent sets by
-evaluating the potential on every object subset.  The checkers are
-desk-scale by design and guard their enumeration budgets explicitly.
+Competitiveness is decided by exhaustive bundle enumeration, by the
+Hall-style counting condition or by the flow criterion, minimum prices by
+enumerating the price grid, and descent sets by evaluating the potential on
+every object subset.  The checks share ``tier_report``,
+``build_demand_network`` and, through ``is_competitive_flowcheck``,
+``max_flow`` with the solver, but not its search path: ``next_breakpoint``,
+``_step_length`` and ``flow_update``.  The checkers are desk-scale by design
+and each raises :class:`BudgetExceededError` beyond its enumeration budget.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from typing import Iterable, Iterator, Mapping
 from .flow import build_demand_network, max_flow
 from .model import Allocation, Instance, InstanceError, PriceVector, validate_instance
 from .tiers import indirect_utility, tier_report
+
+
+DEFAULT_BUDGET = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -36,7 +42,7 @@ class PerturbationError(ValueError):
 # Bundle enumeration: the ground-truth demand oracle.
 
 def enumerate_bundles(
-    instance: Instance, buyer: str, budget: int = 1_000_000
+    instance: Instance, buyer: str, budget: int = DEFAULT_BUDGET
 ) -> Iterator[dict[str, int]]:
     """All feasible bundles of the buyer: 0 <= x_i <= min(b_i, d_j),
     total at most d_j."""
@@ -53,7 +59,7 @@ def enumerate_bundles(
 
 
 def best_bundle_payoff(
-    instance: Instance, buyer: str, prices: PriceVector, budget: int = 1_000_000
+    instance: Instance, buyer: str, prices: PriceVector, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Maximum bundle payoff by exhaustive search; independent of the
     greedy construction it is used to check."""
@@ -158,7 +164,7 @@ def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
 
 
 def is_competitive_bruteforce(
-    instance: Instance, prices: PriceVector, budget: int = 1_000_000
+    instance: Instance, prices: PriceVector, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Competitiveness by first principles: search for a supply-feasible
     assignment giving every buyer a payoff-maximal bundle."""
@@ -195,7 +201,7 @@ def is_competitive_bruteforce(
 
 
 def min_competitive_bruteforce(
-    instance: Instance, budget: int = 1_000_000, upper: PriceVector | None = None
+    instance: Instance, budget: int = DEFAULT_BUDGET, upper: PriceVector | None = None
 ) -> PriceVector:
     """Component-wise minimum competitive prices by grid enumeration.
 
@@ -204,15 +210,18 @@ def min_competitive_bruteforce(
     contains a competitive vector.  The minimum lies below every
     competitive vector, so if ``upper`` is given and passes the flow
     criterion, only the box {0, ..., upper_i} of the grid is enumerated;
-    otherwise the whole grid is.  The component-wise minimum of the
-    competitive vectors must itself be competitive; if not, a
+    otherwise the whole grid is.  The whole grid is never smaller than the
+    box, so a box beyond the budget raises with the box's count before
+    ``upper`` is checked.  The component-wise minimum of the competitive
+    vectors must itself be competitive; if not, a
     :class:`GuaranteeViolation` is raised.
     """
     top = instance.max_valuation + 1
-    if upper is None or not is_competitive_flowcheck(instance, upper):
-        bounds = [top] * len(instance.objects)
-    else:
-        bounds = [min(upper[i], top) for i in instance.objects]
+    bounds = [top] * len(instance.objects)
+    if upper is not None:
+        box = [min(upper[i], top) for i in instance.objects]
+        if math.prod(b + 1 for b in box) > budget or is_competitive_flowcheck(instance, upper):
+            bounds = box
     count = math.prod(b + 1 for b in bounds)
     if count > budget:
         raise BudgetExceededError(f"price grid of {count} vectors exceeds budget {budget}")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,11 +9,19 @@ from flowauction.auction import (
     AuctionError,
     SolveOptions,
     allocate,
+    first_prices,
     price_raising,
     solve,
+    trace_records,
 )
 from flowauction.flow import build_demand_network, flow_update, leftmost_min_cut, max_flow
-from flowauction.model import IterationRecord, PriceVector, duplicate_instance, validate_instance
+from flowauction.model import (
+    InstanceError,
+    IterationRecord,
+    PriceVector,
+    duplicate_instance,
+    validate_instance,
+)
 from flowauction.tiers import tier_report
 from flowauction.verify import (
     check_equilibrium,
@@ -225,6 +235,15 @@ class TestPriceRaising:
             options = SolveOptions(mode=mode, warm_start=warm, start_prices=start)
             prices, _ = price_raising(twin, options)
             assert prices.as_dict() == {"a": 0, "b": 4}
+
+    def test_first_prices_start_unsupplied_objects_at_zero(self):
+        base, twin = restart_fault_pair()
+        start = PriceVector({"a": 5, "b": 4})
+        assert first_prices(base, start) == start
+        assert first_prices(twin, start).as_dict() == {"a": 0, "b": 4}
+        assert first_prices(twin, None) == PriceVector.zero(twin)
+        with pytest.raises(InstanceError, match="unknown objects"):
+            first_prices(twin, PriceVector({"c": 1}))
 
     def test_restarted_twins_reach_the_grid_minimum(self):
         rng = random.Random(83)
@@ -461,3 +480,47 @@ class TestBreakpointWalk:
         assert len(cold_calls) == 1
         assert len(unit_calls) == 1
         assert len(unit_cold_calls) == 1
+
+
+def pinned_markets():
+    rng = random.Random(2026)
+    for k in range(400):
+        base = random_instance(rng, max_objects=4, max_buyers=4, max_value=(6, 30, 300)[k % 3])
+        twin, _ = perturb_instance(rng, base)
+        yield base, twin
+
+
+PINNED_DIGESTS = {
+    ("unit", True): "d450d13b78127d23",
+    ("unit", False): "59b914b060d9fb4f",
+    ("adapted", True): "c390f7662e0a7b3a",
+    ("adapted", False): "f7391359782a4373",
+}
+
+
+def test_solve_outputs_are_pinned():
+    """Per configuration, a digest of the prices, the allocation items in
+    order, ``trace_records`` and ``oracle_calls`` of every solve in a seeded
+    sweep: each market from zero prices, then its perturbed twin restarted
+    from the market's prices.  Only sound starts are used, so a solver that
+    also lowers prices leaves the digests as they are.  They do not depend
+    on the string-hash seed.  A change that moves them changes the solver's
+    output; re-recording them needs a line in CHANGES.md saying why."""
+    markets = list(pinned_markets())
+    digests = {}
+    for mode, warm in CONFIGS:
+        digest = hashlib.sha256()
+        for base, twin in markets:
+            start = None
+            for inst in (base, twin):
+                equilibrium = solve(inst, SolveOptions(mode=mode, warm_start=warm, start_prices=start))
+                output = [
+                    equilibrium.prices.as_dict(),
+                    list(equilibrium.allocation.quantities.items()),
+                    trace_records(equilibrium.trace),
+                    equilibrium.trace.oracle_calls,
+                ]
+                digest.update(json.dumps(output).encode())
+                start = equilibrium.prices
+        digests[(mode, warm)] = digest.hexdigest()[:16]
+    assert digests == PINNED_DIGESTS

@@ -114,6 +114,31 @@ class TestSolve:
         assert code == EXIT_OK
         assert "warning" in captured.err
 
+    def test_start_price_on_an_unsupplied_object_neither_warns_nor_moves_the_dump(self, tmp_path, capsys):
+        """The auction starts an object without supply at 0, so a start
+        price on it alone is a zero start: no warning, and the dump shows
+        the network the auction starts from (at Z = 5, A would be j's
+        margin object instead)."""
+        path = tmp_path / "unsupplied.json"
+        path.write_text(json.dumps({
+            "objects": [{"id": "A", "supply": 1}, {"id": "Z", "supply": 0}],
+            "buyers": [{"id": "j", "demand": 3, "valuations": {"A": 5, "Z": 3}}],
+        }))
+        start_path = tmp_path / "start.json"
+        start_path.write_text(json.dumps({"Z": 5}))
+        zero_dump, start_dump = tmp_path / "zero.txt", tmp_path / "start.txt"
+        code, zero = run_json(capsys, ["solve", str(path), "--dump-network", str(zero_dump)])
+        assert code == EXIT_OK
+        argv = ["solve", str(path), "--start-prices", str(start_path), "--dump-network", str(start_dump)]
+        assert run(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == zero
+        assert zero["prices"] == {"A": 0, "Z": 0} and zero["iterations"] == 0
+        assert captured.err == ""
+        assert start_dump.read_text() == zero_dump.read_text()
+        assert "s -> j' [1, 1]" in zero_dump.read_text()
+        assert "j' -> A [1, 1]" in zero_dump.read_text()
+
     def test_network_dump_golden(self, fig1_file, tmp_path, capsys):
         dump_path = tmp_path / "net.txt"
         code = run(["solve", fig1_file, "--dump-network", str(dump_path)])
@@ -256,10 +281,49 @@ class TestVerify:
         assert "--budget: expected an integer of at least 0, got '-1'" in capsys.readouterr().err
 
     def test_small_budget_skips_bruteforce(self, fig1_file, capsys):
-        code, payload = run_json(capsys, ["verify", fig1_file, "--budget", "5"])
+        """The box below fig1's prices {alpha: 0, beta: 1, gamma: 0} holds
+        two vectors, one more than the budget."""
+        code, payload = run_json(capsys, ["verify", fig1_file, "--budget", "1"])
         assert code == EXIT_OK
         brute = [c for c in payload["checks"] if c["name"] == "bruteforce-minimum-agreement"]
         assert brute[0]["passed"] is None and brute[0]["skipped"] is True
+        assert brute[0]["detail"] == "price grid of 2 vectors exceeds budget 1"
+
+    def test_grid_check_runs_where_the_box_fits(self, tmp_path, capsys):
+        """The whole grid, 1002 ** 3 vectors, is beyond the default budget,
+        but the box below the auction prices, 999 * 6 * 1 vectors, is not;
+        it holds the minimum, a = 997, below the start a = 998."""
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({
+            "objects": [{"id": "a", "supply": 1}, {"id": "b", "supply": 1}, {"id": "c", "supply": 5}],
+            "buyers": [
+                {"id": "x", "demand": 1, "valuations": {"a": 1000, "b": 3}},
+                {"id": "y", "demand": 1, "valuations": {"a": 997, "b": 5}},
+                {"id": "w", "demand": 1, "valuations": {"b": 7}},
+                {"id": "z", "demand": 2, "valuations": {"a": 6, "b": 2, "c": 1000}},
+            ],
+        }))
+        start_path = tmp_path / "start.json"
+        start_path.write_text(json.dumps({"a": 998, "b": 5}))
+        code, payload = run_json(capsys, ["verify", str(path), "--start-prices", str(start_path)])
+        assert code == EXIT_VERIFY and payload["passed"] is False
+        assert payload["prices"] == {"a": 998, "b": 5, "c": 0}
+        (brute,) = [c for c in payload["checks"] if c["name"] == "bruteforce-minimum-agreement"]
+        assert brute["passed"] is False
+        assert brute["detail"] == "auction {'a': 998, 'b': 5, 'c': 0}, bruteforce {'a': 997, 'b': 5, 'c': 0}"
+
+    def test_skipped_hall_check_says_why(self, tmp_path, capsys):
+        objects = [{"id": f"o{k}", "supply": 1} for k in range(17)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "objects": objects,
+            "buyers": [{"id": "b", "demand": 1, "valuations": {"o0": 1}}],
+        }))
+        code, payload = run_json(capsys, ["verify", str(path)])
+        assert code == EXIT_OK and payload["passed"] is True
+        (hall,) = [c for c in payload["checks"] if c["name"] == "hall-condition"]
+        assert hall["passed"] is None and hall["skipped"] is True
+        assert hall["detail"] == "17 objects exceed the enumeration budget of 16"
 
 
 class TestBrute:
@@ -305,6 +369,18 @@ class TestDuplicateDemo:
         assert code == EXIT_OK
         assert payload["original"]["prices"] == {"alpha": 0, "beta": 0}
         assert payload["duplicated"]["prices"] == {"alpha#1": 4, "beta#1": 0}
+
+    def test_start_prices_seed_only_the_original(self, example1_file, tmp_path, capsys):
+        """The start prices name the original objects; the duplicated
+        market is solved from zero prices."""
+        start_path = tmp_path / "start.json"
+        for start in ({}, {"beta": 0}):
+            start_path.write_text(json.dumps(start))
+            argv = ["duplicate-demo", example1_file, "--start-prices", str(start_path)]
+            code, payload = run_json(capsys, argv)
+            assert code == EXIT_OK
+            assert payload["original"]["prices"] == {"alpha": 0, "beta": 0}
+            assert payload["duplicated"]["prices"] == {"alpha#1": 4, "beta#1": 0}
 
 
 def test_each_verb_takes_only_the_arguments_it_reads():

@@ -122,6 +122,23 @@ class TestMinCompetitiveBruteforce:
         with pytest.raises(BudgetExceededError):
             min_competitive_bruteforce(fig1, budget=10)
 
+    def test_a_box_beyond_the_budget_raises_before_the_flow_check(self, fig1, monkeypatch):
+        """The whole grid is never smaller than the box, so a box beyond
+        the budget ends the search before the bound is checked."""
+        import flowauction.verify as verify
+
+        flowcheck, tried = verify.is_competitive_flowcheck, []
+
+        def counted(instance, prices):
+            tried.append(prices)
+            return flowcheck(instance, prices)
+
+        monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
+        bound = PriceVector({"alpha": 3, "beta": 3, "gamma": 3})
+        with pytest.raises(BudgetExceededError, match="^price grid of 64 vectors exceeds budget 10$"):
+            min_competitive_bruteforce(fig1, budget=10, upper=bound)
+        assert tried == []
+
     def test_box_below_a_competitive_bound_finds_the_grid_minimum(self, monkeypatch):
         """A competitive bound limits the search to the box under it; one
         that is not competitive leaves the whole grid to search."""
