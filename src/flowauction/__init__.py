@@ -11,7 +11,6 @@ from .auction import Equilibrium, SolveOptions, allocate, price_raising, solve
 from .model import (
     Allocation,
     AuctionTrace,
-    DummyInfo,
     Instance,
     InstanceError,
     PriceVector,
@@ -29,7 +28,6 @@ __all__ = [
     "Allocation",
     "AuctionTrace",
     "Bundle",
-    "DummyInfo",
     "Equilibrium",
     "Instance",
     "InstanceError",

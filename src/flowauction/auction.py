@@ -33,7 +33,6 @@ from . import flow as flownet
 from .model import (
     Allocation,
     AuctionTrace,
-    DUMMY_OBJECT,
     Instance,
     IterationRecord,
     PriceVector,
@@ -218,11 +217,11 @@ def allocate(instance: Instance, prices: PriceVector) -> Allocation:
     prices; at those a saturating flow exists, so failing to saturate
     signals a bug and raises :class:`AuctionError`.
     """
-    balanced, dummy = balance_instance(instance)
-    full_prices = prices
-    if dummy.kind == "dummy-object":
-        full_prices = prices.extended(DUMMY_OBJECT, 0)
-    network = flownet.build_allocation_network(balanced, full_prices)
+    balanced = balance_instance(instance)
+    # A dummy object, missing from ``prices``, prices at 0.
+    network = flownet.build_allocation_network(
+        balanced, PriceVector.for_instance(balanced, prices.prices)
+    )
     best = flownet.max_flow(network)
     if best.value != network.cap_s:
         raise AuctionError(

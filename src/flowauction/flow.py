@@ -15,8 +15,10 @@ lists indexed by arc id, with one list of outgoing and one of incoming
 Capacities are integers, and the solver (shortest augmenting paths,
 Edmonds-Karp) scans a node's outgoing arcs and then its incoming arcs, each
 in arc order, so the integral flow it returns is a deterministic function
-of the network.  Node labels appear only at the edges: the network dump, a
-cut's node set and labels, and the tier flows an allocation is read from.
+of the network.  Node labels appear only at the edges, and all come from
+``FlowNetwork.label``: the network dump, the infeasible-flow messages and a
+cut's labels.  The tier flows an allocation is read from name buyers and
+objects by id.
 
 An augmenting search stops as soon as it reaches an object whose arc into
 the sink has residual capacity, and takes that arc.  A search run until the
@@ -38,11 +40,6 @@ from typing import Mapping
 
 from .model import Instance, PriceVector
 from .tiers import TierReport, tier_report
-
-Node = tuple
-
-SOURCE: Node = ("s",)
-SINK: Node = ("t",)
 
 TIER_ABOVE = 1
 TIER_AT_MARGIN = 2
@@ -69,24 +66,6 @@ class NotMaximumError(FlowError):
 
 class PriceStepError(FlowError):
     """The new prices are not a uniform raise on a single object set."""
-
-
-def object_node(obj: str) -> Node:
-    return ("obj", obj)
-
-
-def buyer_node(buyer: str, tier: int) -> Node:
-    return ("tier", buyer, tier)
-
-
-def node_label(node: Node) -> str:
-    if node == SOURCE:
-        return "s"
-    if node == SINK:
-        return "t"
-    if node[0] == "obj":
-        return node[1]
-    return node[1] + "'" * node[2]
 
 
 class FlowNetwork:
@@ -129,15 +108,17 @@ class FlowNetwork:
                 self.sink_arc[u] = a
         self.cap_s = sum(c for u, _, c in self.arcs if u == 0)
 
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        """The node labels, indexed by node id."""
-        return (
-            SOURCE,
-            *(buyer_node(j, tier) for j in self.buyers for tier in self.tiers),
-            *(object_node(i) for i in self.objects),
-            SINK,
-        )
+    def label(self, k: int) -> str:
+        """Node ``k``'s label: ``s``, ``t``, the object id, or the buyer id
+        with one prime per tier."""
+        if k == 0:
+            return "s"
+        if k == self.sink:
+            return "t"
+        if k >= self.first_object:
+            return self.objects[k - self.first_object]
+        b, t = divmod(k - 1, len(self.tiers))
+        return self.buyers[b] + "'" * self.tiers[t]
 
 
 @dataclass(frozen=True)
@@ -151,22 +132,12 @@ class IntegralFlow:
 
 @dataclass(frozen=True)
 class CutResult:
-    """The source side of an s-t cut, as node ids of ``network``, its
-    object members, and its capacity."""
+    """The source side of an s-t cut: its node ids, its objects, and its
+    node labels in sorted order."""
 
-    network: FlowNetwork
     reached: tuple[int, ...]
     objects: frozenset[str]
-    capacity: int
-
-    @property
-    def node_set(self) -> frozenset[Node]:
-        nodes = self.network.nodes
-        return frozenset(nodes[k] for k in self.reached)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(node_label(n) for n in self.node_set))
+    labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -261,15 +232,14 @@ def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
         if amount == 0:
             continue
         if amount < 0 or amount > cap:
-            nodes = network.nodes
             raise InfeasibleFlowError(
-                f"flow {amount} outside [0, {cap}] on {node_label(nodes[u])} -> {node_label(nodes[v])}"
+                f"flow {amount} outside [0, {cap}] on {network.label(u)} -> {network.label(v)}"
             )
         balance[u] -= amount
         balance[v] += amount
     for k in range(1, network.sink):
         if balance[k] != 0:
-            raise InfeasibleFlowError(f"conservation violated at {node_label(network.nodes[k])}")
+            raise InfeasibleFlowError(f"conservation violated at {network.label(k)}")
     if flow.value != -balance[0]:
         raise InfeasibleFlowError(f"declared value {flow.value} != source outflow {-balance[0]}")
 
@@ -344,12 +314,9 @@ def leftmost_min_cut(network: FlowNetwork, flow: IntegralFlow) -> CutResult:
     if pred[network.sink] is not None:
         raise NotMaximumError("sink reachable in residual graph; flow is not maximum")
     reached = tuple(k for k, a in enumerate(pred) if a is not None)
-    capacity = sum(
-        c for u, v, c in network.arcs if pred[u] is not None and pred[v] is None
-    )
     first = network.first_object
     objects = frozenset(network.objects[k - first] for k in reached if k >= first)
-    return CutResult(network, reached, objects, capacity)
+    return CutResult(reached, objects, tuple(sorted(network.label(k) for k in reached)))
 
 
 def flow_update(
@@ -424,7 +391,7 @@ def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:
     """
     amounts = flow.flows if flow is not None else [0] * len(network.arcs)
     present = {(u, v): (c, f) for (u, v, c), f in zip(network.arcs, amounts)}
-    labels = [node_label(n) for n in network.nodes]
+    labels = [network.label(k) for k in range(network.sink + 1)]
     first, sink = network.first_object, network.sink
 
     def line(u: int, v: int) -> str:

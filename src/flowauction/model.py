@@ -32,6 +32,8 @@ def _check_count(kind: str, entity: str, value: object) -> int:
         raise InstanceError(f"{kind} of {entity!r} must be an integer, got {value!r}")
     if value < 0:
         raise InstanceError(f"{kind} of {entity!r} must be nonnegative, got {value}")
+    if value > INT_BOUND:
+        raise InstanceError(f"{kind} of {entity!r} exceeds the 64-bit bound {INT_BOUND}, got {value}")
     return value
 
 
@@ -91,7 +93,6 @@ def validate_instance(
     supplies: Mapping[str, int],
     demands: Mapping[str, int],
     valuations: Mapping[str, Mapping[str, int]],
-    allow_reserved: bool = False,
 ) -> Instance:
     """Check raw market data and build an :class:`Instance`.
 
@@ -110,10 +111,9 @@ def validate_instance(
     if set(objects) & set(buyers):
         clash = sorted(set(objects) & set(buyers))[0]
         raise InstanceError(f"id {clash!r} used for both an object and a buyer")
-    if not allow_reserved:
-        for name in (*objects, *buyers):
-            if name in RESERVED_IDS:
-                raise InstanceError(f"id {name!r} is reserved")
+    for name in (*objects, *buyers):
+        if name in RESERVED_IDS:
+            raise InstanceError(f"id {name!r} is reserved")
 
     checked_supplies = {i: _check_count("supply", i, supplies[i]) for i in objects}
     checked_demands = {j: _check_count("demand", j, demands[j]) for j in buyers}
@@ -149,6 +149,9 @@ def instance_from_dict(data: object) -> Instance:
     unknown = set(data) - {"objects", "buyers"}
     if unknown:
         raise InstanceError(f"unknown top-level keys: {sorted(unknown)}")
+    for key in ("objects", "buyers"):
+        if not isinstance(data.get(key, []), list):
+            raise InstanceError(f"{key!r} must be a list, got {data[key]!r}")
     supplies: dict[str, int] = {}
     for entry in data.get("objects", []):
         if not isinstance(entry, dict) or set(entry) - {"id", "supply"}:
@@ -189,26 +192,18 @@ def load_instance(path: str) -> Instance:
     return instance_from_dict(data)
 
 
-@dataclass(frozen=True)
-class DummyInfo:
-    """Record of the balancing entity added by :func:`balance_instance`:
-    ``kind`` is ``"none"``, ``"dummy-object"`` (``DUMMY_OBJECT``, supplying
-    the missing units) or ``"dummy-buyer"`` (``DUMMY_BUYER``, demanding the
-    surplus)."""
-
-    kind: str
-
-
-def balance_instance(instance: Instance) -> tuple[Instance, DummyInfo]:
+def balance_instance(instance: Instance) -> Instance:
     """Equalize total supply and total demand with a zero-value dummy.
 
-    If total supply falls short of total demand a dummy object makes up the
-    difference; in the opposite case a dummy buyer does.  A balanced
-    instance is returned unchanged, which makes the operation idempotent.
+    If total supply falls short of total demand a dummy object,
+    ``DUMMY_OBJECT``, supplies the missing units; in the opposite case a
+    dummy buyer, ``DUMMY_BUYER``, demands the surplus.  Either is added last
+    in canonical order.  A balanced instance is returned unchanged, which
+    makes the operation idempotent.
     """
     gap = instance.total_demand - instance.total_supply
     if gap == 0:
-        return instance, DummyInfo("none")
+        return instance
     if gap > 0:
         objects = instance.objects + (DUMMY_OBJECT,)
         supplies = dict(instance.supplies)
@@ -216,16 +211,14 @@ def balance_instance(instance: Instance) -> tuple[Instance, DummyInfo]:
         valuations = dict(instance.valuations)
         for j in instance.buyers:
             valuations[(DUMMY_OBJECT, j)] = 0
-        balanced = Instance(objects, supplies, instance.buyers, dict(instance.demands), valuations)
-        return balanced, DummyInfo("dummy-object")
+        return Instance(objects, supplies, instance.buyers, dict(instance.demands), valuations)
     buyers = instance.buyers + (DUMMY_BUYER,)
     demands = dict(instance.demands)
     demands[DUMMY_BUYER] = -gap
     valuations = dict(instance.valuations)
     for i in instance.objects:
         valuations[(i, DUMMY_BUYER)] = 0
-    balanced = Instance(instance.objects, dict(instance.supplies), buyers, demands, valuations)
-    return balanced, DummyInfo("dummy-buyer")
+    return Instance(instance.objects, dict(instance.supplies), buyers, demands, valuations)
 
 
 def duplicate_instance(instance: Instance) -> Instance:
@@ -285,11 +278,6 @@ class PriceVector:
         """Return a copy with ``amount`` added to the given objects."""
         raised_set = set(objects)
         return PriceVector({i: p + (amount if i in raised_set else 0) for i, p in self.prices.items()})
-
-    def extended(self, obj: str, price: int = 0) -> "PriceVector":
-        prices = dict(self.prices)
-        prices[obj] = price
-        return PriceVector(prices)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.prices)

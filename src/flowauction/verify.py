@@ -24,6 +24,10 @@ from .tiers import indirect_utility, tier_report
 
 
 DEFAULT_BUDGET = 1_000_000
+#: ``hall_check`` enumerates the subsets of at most this many objects.
+HALL_MAX_OBJECTS = 16
+#: ``steepest_descent_bruteforce`` scores at most this many object subsets.
+DESCENT_BUDGET = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,30 +45,26 @@ class PerturbationError(ValueError):
 # ---------------------------------------------------------------------------
 # Bundle enumeration: the ground-truth demand oracle.
 
-def enumerate_bundles(
-    instance: Instance, buyer: str, budget: int = DEFAULT_BUDGET
-) -> Iterator[dict[str, int]]:
+def enumerate_bundles(instance: Instance, buyer: str) -> Iterator[dict[str, int]]:
     """All feasible bundles of the buyer: 0 <= x_i <= min(b_i, d_j),
-    total at most d_j."""
+    total at most d_j; at most ``DEFAULT_BUDGET`` candidates."""
     demand = instance.demands[buyer]
     ranges = [range(min(instance.supplies[i], demand) + 1) for i in instance.objects]
     count = 1
     for r in ranges:
         count *= len(r)
-        if count > budget:
-            raise BudgetExceededError(f"bundle enumeration for {buyer!r} exceeds {budget}")
+        if count > DEFAULT_BUDGET:
+            raise BudgetExceededError(f"bundle enumeration for {buyer!r} exceeds {DEFAULT_BUDGET}")
     for combo in itertools.product(*ranges):
         if sum(combo) <= demand:
             yield {i: q for i, q in zip(instance.objects, combo) if q > 0}
 
 
-def best_bundle_payoff(
-    instance: Instance, buyer: str, prices: PriceVector, budget: int = DEFAULT_BUDGET
-) -> int:
+def best_bundle_payoff(instance: Instance, buyer: str, prices: PriceVector) -> int:
     """Maximum bundle payoff by exhaustive search; independent of the
     greedy construction it is used to check."""
     best = 0
-    for bundle in enumerate_bundles(instance, buyer, budget):
+    for bundle in enumerate_bundles(instance, buyer):
         payoff = sum(instance.payoff(i, buyer, prices) * q for i, q in bundle.items())
         best = max(best, payoff)
     return best
@@ -122,9 +122,7 @@ def overdemand(instance: Instance, prices: PriceVector, objects: Iterable[str]) 
     return _overdemand_from_table(_tier_arc_table(instance, prices), subset)
 
 
-def hall_check(
-    instance: Instance, prices: PriceVector, max_objects: int = 16
-) -> tuple[bool, tuple[str, ...] | None]:
+def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str, ...] | None]:
     """Competitiveness by subset enumeration: supply must cover the
     overdemand of every object subset.
 
@@ -132,9 +130,9 @@ def hall_check(
     overdemand minus supply; ties resolved towards inclusion-minimal sets,
     then canonical order).
     """
-    if len(instance.objects) > max_objects:
+    if len(instance.objects) > HALL_MAX_OBJECTS:
         raise BudgetExceededError(
-            f"{len(instance.objects)} objects exceed the enumeration budget of {max_objects}"
+            f"{len(instance.objects)} objects exceed the enumeration budget of {HALL_MAX_OBJECTS}"
         )
     table = _tier_arc_table(instance, prices)
     violations: list[tuple[int, frozenset[str]]] = []
@@ -163,17 +161,16 @@ def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
     return max_flow(network).value == network.cap_s
 
 
-def is_competitive_bruteforce(
-    instance: Instance, prices: PriceVector, budget: int = DEFAULT_BUDGET
-) -> bool:
+def is_competitive_bruteforce(instance: Instance, prices: PriceVector) -> bool:
     """Competitiveness by first principles: search for a supply-feasible
-    assignment giving every buyer a payoff-maximal bundle."""
+    assignment giving every buyer a payoff-maximal bundle, visiting at most
+    ``DEFAULT_BUDGET`` search nodes."""
     optimal: list[list[dict[str, int]]] = []
     for j in instance.buyers:
-        best = best_bundle_payoff(instance, j, prices, budget)
+        best = best_bundle_payoff(instance, j, prices)
         options = [
             bundle
-            for bundle in enumerate_bundles(instance, j, budget)
+            for bundle in enumerate_bundles(instance, j)
             if sum(instance.payoff(i, j, prices) * q for i, q in bundle.items()) == best
         ]
         optimal.append(options)
@@ -183,7 +180,7 @@ def is_competitive_bruteforce(
     def fits(index: int, remaining: dict[str, int]) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > DEFAULT_BUDGET:
             raise BudgetExceededError("stable-assignment search exceeded its budget")
         if index == len(optimal):
             return True
@@ -255,9 +252,7 @@ def lyapunov(instance: Instance, prices: PriceVector) -> int:
     return utilities + sum(instance.supplies[i] * prices[i] for i in instance.objects)
 
 
-def steepest_descent_bruteforce(
-    instance: Instance, prices: PriceVector, budget: int = 1 << 16
-) -> frozenset[str]:
+def steepest_descent_bruteforce(instance: Instance, prices: PriceVector) -> frozenset[str]:
     """Inclusion-wise minimal minimizer of the potential after a unit raise.
 
     Evaluates the potential for every object subset and asserts that the
@@ -265,8 +260,8 @@ def steepest_descent_bruteforce(
     otherwise.
     """
     m = len(instance.objects)
-    if 2**m > budget:
-        raise BudgetExceededError(f"{2**m} subsets exceed budget {budget}")
+    if 2**m > DESCENT_BUDGET:
+        raise BudgetExceededError(f"{2**m} subsets exceed budget {DESCENT_BUDGET}")
     scored: list[tuple[int, frozenset[str]]] = []
     for size in range(m + 1):
         for combo in itertools.combinations(instance.objects, size):

@@ -163,6 +163,30 @@ class TestSolve:
         path.write_text(json.dumps({"objects": [], "buyers": [], "frobs": 2}))
         assert run(["solve", str(path)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("key", ["objects", "buyers"])
+    @pytest.mark.parametrize("value", [5, None])
+    def test_entries_that_are_not_a_list_are_an_input_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({key: value}))
+        assert run(["solve", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {key!r} must be a list, got {value!r}\n"
+
+    def test_start_prices_stay_within_64_bits(self, tmp_path, capsys):
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({
+            "objects": [{"id": "a", "supply": 1}],
+            "buyers": [{"id": "b", "demand": 1, "valuations": {"a": 2**63 - 1}}],
+        }))
+        start_path = tmp_path / "start.json"
+        start_path.write_text(json.dumps({"a": 2**63}))
+        assert run(["solve", str(path), "--start-prices", str(start_path)]) == EXIT_PARSE
+        assert f"error: price of 'a' exceeds the 64-bit bound {2**63 - 1}" in capsys.readouterr().err
+        start_path.write_text(json.dumps({"a": 2**63 - 1}))
+        code, payload = run_json(capsys, ["solve", str(path), "--start-prices", str(start_path)])
+        assert code == EXIT_OK
+        assert payload["prices"] == {"a": 2**63 - 1}
+        assert payload["allocation"] == {"a": {"b": 1}}
+
     def test_unknown_flag(self, example1_file, capsys):
         assert run(["solve", example1_file, "--frotz"]) == EXIT_PARSE
 

@@ -10,19 +10,14 @@ from flowauction.flow import (
     IntegralFlow,
     NotMaximumError,
     PriceStepError,
-    SINK,
-    SOURCE,
     UnbalancedInstanceError,
     _residual_search,
     build_allocation_network,
     build_demand_network,
-    buyer_node,
     dump_network,
     flow_update,
     leftmost_min_cut,
     max_flow,
-    node_label,
-    object_node,
 )
 from flowauction.model import DUMMY_OBJECT, PriceVector, balance_instance, validate_instance
 from flowauction.tiers import tier_report
@@ -48,10 +43,15 @@ def demand_network(instance, prices):
     return build_demand_network(instance, prices, reports)
 
 
+def node_labels(network):
+    """The node labels, indexed by node id."""
+    return [network.label(k) for k in range(network.sink + 1)]
+
+
 def labelled_arcs(network):
     """The arcs as (tail, head, capacity) with node labels, in arc order."""
-    nodes = network.nodes
-    return [(nodes[u], nodes[v], c) for u, v, c in network.arcs]
+    labels = node_labels(network)
+    return [(labels[u], labels[v], c) for u, v, c in network.arcs]
 
 
 def capacities(network):
@@ -61,24 +61,29 @@ def capacities(network):
 
 def amounts(network, flow):
     """The flow's amounts keyed by (tail, head) node labels."""
-    nodes = network.nodes
-    return {(nodes[u], nodes[v]): f for (u, v, _), f in zip(network.arcs, flow.flows)}
+    labels = node_labels(network)
+    return {(labels[u], labels[v]): f for (u, v, _), f in zip(network.arcs, flow.flows)}
 
 
 def flow_of(network, by_arc, value):
     """A flow in ``network`` from amounts keyed by node labels."""
-    nodes = network.nodes
-    return IntegralFlow([by_arc.get((nodes[u], nodes[v]), 0) for u, v, _ in network.arcs], value)
+    labels = node_labels(network)
+    return IntegralFlow([by_arc.get((labels[u], labels[v]), 0) for u, v, _ in network.arcs], value)
+
+
+def side_capacity(network, side):
+    """The capacity of the arcs leaving a set of node ids."""
+    return sum(c for u, v, c in network.arcs if u in side and v not in side)
 
 
 def enumerate_min_cuts(network):
-    """All minimum s-t cuts by brute force over internal node subsets."""
-    internal = [n for n in network.nodes if n not in (SOURCE, SINK)]
+    """All minimum s-t cuts, as sets of node ids, by brute force over
+    internal node subsets."""
+    internal = range(1, network.sink)
     cuts = []
     for bits in itertools.product((False, True), repeat=len(internal)):
-        side = {SOURCE} | {n for n, take in zip(internal, bits) if take}
-        cap = sum(c for (u, v), c in capacities(network).items() if u in side and v not in side)
-        cuts.append((cap, side))
+        side = {0} | {k for k, take in zip(internal, bits) if take}
+        cuts.append((side_capacity(network, side), side))
     best = min(cap for cap, _ in cuts)
     return best, [side for cap, side in cuts if cap == best]
 
@@ -87,17 +92,17 @@ class TestBuildDemandNetwork:
     def test_fig1_capacities(self, fig1):
         network = demand_network(fig1, PriceVector.zero(fig1))
         cap = capacities(network)
-        assert cap[(SOURCE, buyer_node("j1", 1))] == 2
-        assert cap[(SOURCE, buyer_node("j1", 2))] == 2
-        assert (SOURCE, buyer_node("j2", 1)) not in cap  # zero capacity omitted
-        assert cap[(SOURCE, buyer_node("j2", 2))] == 1
-        assert cap[(buyer_node("j1", 1), object_node("alpha"))] == 1
-        assert cap[(buyer_node("j1", 1), object_node("beta"))] == 1
-        assert cap[(buyer_node("j1", 2), object_node("gamma"))] == 2
-        assert cap[(buyer_node("j2", 2), object_node("beta"))] == 1
-        assert cap[(object_node("alpha"), SINK)] == 1
-        assert cap[(object_node("beta"), SINK)] == 1
-        assert cap[(object_node("gamma"), SINK)] == 4
+        assert cap[("s", "j1'")] == 2
+        assert cap[("s", "j1''")] == 2
+        assert ("s", "j2'") not in cap  # zero capacity omitted
+        assert cap[("s", "j2''")] == 1
+        assert cap[("j1'", "alpha")] == 1
+        assert cap[("j1'", "beta")] == 1
+        assert cap[("j1''", "gamma")] == 2
+        assert cap[("j2''", "beta")] == 1
+        assert cap[("alpha", "t")] == 1
+        assert cap[("beta", "t")] == 1
+        assert cap[("gamma", "t")] == 4
         assert len(cap) == 10
         assert network.cap_s == 5
 
@@ -109,17 +114,17 @@ class TestBuildDemandNetwork:
         inst = validate_instance({"a": 2}, {}, {})
         network = demand_network(inst, PriceVector.zero(inst))
         assert network.cap_s == 0
-        assert set(capacities(network)) == {(object_node("a"), SINK)}
+        assert set(capacities(network)) == {("a", "t")}
 
     def test_example1(self, example1):
         network = demand_network(example1, PriceVector.zero(example1))
         cap = capacities(network)
-        assert cap[(SOURCE, buyer_node("b1", 1))] == 1
-        assert cap[(SOURCE, buyer_node("b1", 2))] == 1
-        assert cap[(buyer_node("b1", 1), object_node("alpha"))] == 1
-        assert cap[(buyer_node("b1", 2), object_node("beta"))] == 1
-        assert cap[(object_node("alpha"), SINK)] == 1
-        assert cap[(object_node("beta"), SINK)] == 1
+        assert cap[("s", "b1'")] == 1
+        assert cap[("s", "b1''")] == 1
+        assert cap[("b1'", "alpha")] == 1
+        assert cap[("b1''", "beta")] == 1
+        assert cap[("alpha", "t")] == 1
+        assert cap[("beta", "t")] == 1
         assert len(cap) == 6
 
 
@@ -128,14 +133,14 @@ class TestBuildAllocationNetwork:
         network = build_allocation_network(three_buyers, PriceVector({"alpha": 2, "beta": 0}))
         cap = capacities(network)
         # the zero-payoff buyer contributes only third-tier arcs
-        assert cap[(SOURCE, buyer_node("b2", 3))] == 2
-        assert cap[(buyer_node("b2", 3), object_node("alpha"))] == 3
-        assert cap[(buyer_node("b2", 3), object_node("beta"))] == 2
+        assert cap[("s", "b2'''")] == 2
+        assert cap[("b2'''", "alpha")] == 3
+        assert cap[("b2'''", "beta")] == 2
         assert not any(
-            arc[0] in (buyer_node("b2", 1), buyer_node("b2", 2)) for arc in cap
+            arc[0] in ("b2'", "b2''") for arc in cap
         )
-        assert cap[(SOURCE, buyer_node("b1", 2))] == 2
-        assert cap[(SOURCE, buyer_node("b3", 2))] == 1
+        assert cap[("s", "b1''")] == 2
+        assert cap[("s", "b3''")] == 1
 
     def test_all_positive_payoffs_add_no_arcs(self):
         """The allocation network is the demand network plus zero-tier arcs,
@@ -147,7 +152,7 @@ class TestBuildAllocationNetwork:
         )
         allocation = build_allocation_network(fixed, PriceVector.zero(fixed))
         assert labelled_arcs(allocation) == labelled_arcs(demand_network(fixed, PriceVector.zero(fixed)))
-        assert buyer_node("u", 3) in allocation.nodes
+        assert "u'''" in node_labels(allocation)
         rng = random.Random(29)
         balanced = with_zero_tier = 0
         for _ in range(400):
@@ -158,7 +163,7 @@ class TestBuildAllocationNetwork:
             prices = random_prices(rng, inst)
             demand = demand_network(inst, prices)
             allocation = build_allocation_network(inst, prices)
-            zero_nodes = {buyer_node(j, TIER_ZERO) for j in inst.buyers}
+            zero_nodes = {j + "'" * TIER_ZERO for j in inst.buyers}
             arcs = labelled_arcs(allocation)
             kept = [arc for arc in arcs if not zero_nodes & {arc[0], arc[1]}]
             with_zero_tier += len(kept) < len(arcs)
@@ -168,15 +173,15 @@ class TestBuildAllocationNetwork:
     def test_fig1_after_first_raise(self, fig1):
         network = build_allocation_network(fig1, PriceVector({"alpha": 0, "beta": 1, "gamma": 0}))
         cap = capacities(network)
-        assert cap[(SOURCE, buyer_node("j2", 3))] == 1
-        assert cap[(buyer_node("j2", 3), object_node("alpha"))] == 1
-        assert cap[(buyer_node("j2", 3), object_node("gamma"))] == 4
-        assert (SOURCE, buyer_node("j1", 3)) not in cap
+        assert cap[("s", "j2'''")] == 1
+        assert cap[("j2'''", "alpha")] == 1
+        assert cap[("j2'''", "gamma")] == 4
+        assert ("s", "j1'''") not in cap
 
     def test_fig1_arc_order(self, fig1):
         # Max-flow path order, and so the allocation, follows the arc order.
         network = build_allocation_network(fig1, PriceVector({"alpha": 0, "beta": 1, "gamma": 0}))
-        assert [f"{node_label(u)} -> {node_label(v)} [{c}]" for u, v, c in labelled_arcs(network)] == [
+        assert [f"{u} -> {v} [{c}]" for u, v, c in labelled_arcs(network)] == [
             "s -> j1' [1]",
             "s -> j1'' [3]",
             "s -> j2'' [1]",
@@ -221,14 +226,14 @@ class TestMaxFlow:
         network = demand_network(fig1, PriceVector.zero(fig1))
         partial = flow_of(
             network,
-            {(SOURCE, buyer_node("j1", 1)): 1, (buyer_node("j1", 1), object_node("alpha")): 1, (object_node("alpha"), SINK): 1},
+            {("s", "j1'"): 1, ("j1'", "alpha"): 1, ("alpha", "t"): 1},
             1,
         )
         assert max_flow(network, warm_start=partial).value == 4
 
     def test_warm_start_must_be_feasible(self, fig1):
         network = demand_network(fig1, PriceVector.zero(fig1))
-        overfull = flow_of(network, {(SOURCE, buyer_node("j1", 1)): 5}, 5)
+        overfull = flow_of(network, {("s", "j1'"): 5}, 5)
         with pytest.raises(InfeasibleFlowError):
             max_flow(network, warm_start=overfull)
         # A flow is read by arc id, so one of another length fits no network.
@@ -247,10 +252,10 @@ class TestMaxFlow:
                 assert 0 <= amount <= cap
                 balance[u] = balance.get(u, 0) - amount
                 balance[v] = balance.get(v, 0) + amount
-            for node in network.nodes:
-                if node not in (SOURCE, SINK):
+            for node in node_labels(network):
+                if node not in ("s", "t"):
                     assert balance.get(node, 0) == 0
-            assert best.value == -balance.get(SOURCE, 0)
+            assert best.value == -balance.get("s", 0)
 
     def test_search_stops_at_the_first_sink_feeder(self, fig1):
         # At zero flow the search reaches j1', j1'' and j2'' from the source,
@@ -258,15 +263,14 @@ class TestMaxFlow:
         # capacity, so beta and gamma, which come later, are never reached.
         network = demand_network(fig1, PriceVector.zero(fig1))
         pred = _residual_search(network, [0] * len(network.arcs))
-        nodes = network.nodes
-        assert nodes[network.tail[pred[network.sink]]] == object_node("alpha")
-        assert {nodes[k] for k, a in enumerate(pred) if a is not None} == {
-            SOURCE,
-            buyer_node("j1", 1),
-            buyer_node("j1", 2),
-            buyer_node("j2", 2),
-            object_node("alpha"),
-            SINK,
+        assert network.label(network.tail[pred[network.sink]]) == "alpha"
+        assert {network.label(k) for k, a in enumerate(pred) if a is not None} == {
+            "s",
+            "j1'",
+            "j1''",
+            "j2''",
+            "alpha",
+            "t",
         }
 
 
@@ -274,16 +278,14 @@ class TestLeftmostMinCut:
     def test_fig1(self, fig1):
         network = demand_network(fig1, PriceVector.zero(fig1))
         cut = leftmost_min_cut(network, max_flow(network))
-        assert cut.node_set == frozenset(
-            {SOURCE, buyer_node("j1", 1), buyer_node("j2", 2), object_node("beta")}
-        )
+        assert cut.labels == ("beta", "j1'", "j2''", "s")
         assert cut.objects == frozenset({"beta"})
-        assert cut.capacity == 4
+        assert side_capacity(network, set(cut.reached)) == 4
 
     def test_saturating_flow_gives_source_only(self, example1):
         network = demand_network(example1, PriceVector.zero(example1))
         cut = leftmost_min_cut(network, max_flow(network))
-        assert cut.node_set == frozenset({SOURCE})
+        assert cut.labels == ("s",)
         assert cut.objects == frozenset()
 
     def test_three_buyers_at_zero(self, three_buyers):
@@ -307,9 +309,9 @@ class TestLeftmostMinCut:
             best = max_flow(network)
             cut = leftmost_min_cut(network, best)
             min_cap, sides = enumerate_min_cuts(network)
-            assert cut.capacity == min_cap == best.value
+            assert side_capacity(network, set(cut.reached)) == min_cap == best.value
             for side in sides:
-                assert cut.node_set <= side
+                assert set(cut.reached) <= side
             checked += 1
         assert checked == 60
 
@@ -319,14 +321,14 @@ class TestFlowUpdate:
         zero = PriceVector.zero(fig1)
         old = demand_network(fig1, zero)
         old_flow = max_flow(old)
-        assert amounts(old, old_flow)[(buyer_node("j1", 1), object_node("beta"))] == 1
+        assert amounts(old, old_flow)[("j1'", "beta")] == 1
         raised = zero.raised(["beta"])
         new = demand_network(fig1, raised)
         result = flow_update(old, old_flow, new)
         assert result.dropped == {}
         carried = amounts(new, result.flow)
-        assert carried[(buyer_node("j1", 2), object_node("beta"))] == 1
-        assert (buyer_node("j1", 1), object_node("beta")) not in carried
+        assert carried[("j1''", "beta")] == 1
+        assert ("j1'", "beta") not in carried
         assert result.flow.value == old_flow.value
         assert max_flow(new, warm_start=result.flow).value == 5
 
@@ -385,8 +387,8 @@ class TestFlowUpdate:
 
 def reference_graph(network):
     capacity = capacities(network)
-    out = {n: [] for n in network.nodes}
-    into = {n: [] for n in network.nodes}
+    out = {n: [] for n in node_labels(network)}
+    into = {n: [] for n in node_labels(network)}
     for u, v in capacity:
         out[u].append(v)
         into[v].append(u)
@@ -409,18 +411,18 @@ def reference_max_flow(network, warm=None):
     flows = {arc: 0 for arc in capacity}
     flows.update(warm or {})
     while True:
-        parent = {SOURCE: SOURCE}
-        queue = deque([SOURCE])
-        while queue and SINK not in parent:
+        parent = {"s": "s"}
+        queue = deque(["s"])
+        while queue and "t" not in parent:
             u = queue.popleft()
             for v in reference_neighbors(graph, flows, u):
                 if v not in parent:
                     parent[v] = u
                     queue.append(v)
-        if SINK not in parent:
+        if "t" not in parent:
             return flows
-        path = [SINK]
-        while path[-1] != SOURCE:
+        path = ["t"]
+        while path[-1] != "s":
             path.append(parent[path[-1]])
         path.reverse()
         steps = list(zip(path, path[1:]))
@@ -437,8 +439,8 @@ def reference_max_flow(network, warm=None):
 
 def reference_cut(network, flows):
     graph = reference_graph(network)
-    reached = {SOURCE}
-    queue = deque([SOURCE])
+    reached = {"s"}
+    queue = deque(["s"])
     while queue:
         u = queue.popleft()
         for v in reference_neighbors(graph, flows, u):
@@ -453,17 +455,17 @@ def reference_flow_update(new_network, old_flows):
     flows = {arc: 0 for arc in capacity}
     dropped = {}
     for (u, obj), carried in old_flows.items():
-        if carried == 0 or u == SOURCE or obj == SINK:
+        if carried == 0 or u == "s" or obj == "t":
             continue
-        j = u[1]
+        j = u.rstrip("'")
         for tier in (1, 2):
-            if (buyer_node(j, tier), obj) in capacity:
-                tier_node = buyer_node(j, tier)
+            if (j + "'" * tier, obj) in capacity:
+                tier_node = j + "'" * tier
                 break
         else:
-            dropped[(j, obj[1])] = dropped.get((j, obj[1]), 0) + carried
+            dropped[(j, obj)] = dropped.get((j, obj), 0) + carried
             continue
-        for arc in ((SOURCE, tier_node), (tier_node, obj), (obj, SINK)):
+        for arc in (("s", tier_node), (tier_node, obj), (obj, "t")):
             flows[arc] += carried
     return flows, dropped
 
@@ -488,10 +490,10 @@ class TestAgainstTheDictReference:
             assert amounts(network, best) == expected
             cold += 1
             while True:
-                assert best.value == sum(f for (u, _), f in expected.items() if u == SOURCE)
+                assert best.value == sum(f for (u, _), f in expected.items() if u == "s")
                 cut = leftmost_min_cut(network, best)
-                assert cut.node_set == reference_cut(network, expected)
-                assert cut.capacity == best.value
+                assert cut.labels == tuple(sorted(reference_cut(network, expected)))
+                assert side_capacity(network, set(cut.reached)) == best.value
                 if not cut.objects:
                     break
                 prices = prices.raised(cut.objects)
@@ -504,9 +506,9 @@ class TestAgainstTheDictReference:
                 expected = reference_max_flow(raised, carried)
                 assert amounts(network, best) == expected
                 warm += 1
-            balanced, dummy = balance_instance(inst)
-            if dummy.kind == "dummy-object":
-                prices = prices.extended(DUMMY_OBJECT)
+            balanced = balance_instance(inst)
+            if DUMMY_OBJECT in balanced.objects:
+                prices = PriceVector(prices.prices | {DUMMY_OBJECT: 0})
             allocation = build_allocation_network(balanced, prices)
             assert amounts(allocation, max_flow(allocation)) == reference_max_flow(allocation)
             cold += 1

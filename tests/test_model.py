@@ -100,6 +100,12 @@ class TestInstanceFile:
         )
         assert inst.objects == ("z", "a")
 
+    @pytest.mark.parametrize("key", ["objects", "buyers"])
+    @pytest.mark.parametrize("value", [5, None, {"id": "a"}])
+    def test_entries_that_are_not_a_list_rejected(self, key, value):
+        with pytest.raises(InstanceError, match=f"^{key!r} must be a list"):
+            instance_from_dict({key: value})
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -109,31 +115,31 @@ class TestInstanceFile:
 
 class TestBalance:
     def test_already_balanced_unchanged(self, three_buyers):
-        balanced, info = balance_instance(three_buyers)
-        assert info.kind == "none"
+        balanced = balance_instance(three_buyers)
+        assert DUMMY_OBJECT not in balanced.objects and DUMMY_BUYER not in balanced.buyers
         assert balanced is three_buyers
 
     def test_dummy_object_added(self):
         inst = validate_instance({"alpha": 2}, {"b1": 5}, {"b1": {"alpha": 1}})
-        balanced, info = balance_instance(inst)
-        assert info.kind == "dummy-object"
+        balanced = balance_instance(inst)
+        assert balanced.objects == ("alpha", DUMMY_OBJECT) and DUMMY_BUYER not in balanced.buyers
         assert balanced.supplies[DUMMY_OBJECT] == 3
         assert balanced.valuations[(DUMMY_OBJECT, "b1")] == 0
         assert balanced.total_supply == balanced.total_demand
 
     def test_dummy_buyer_added(self):
         inst = validate_instance({"alpha": 5}, {"b1": 2}, {"b1": {"alpha": 1}})
-        balanced, info = balance_instance(inst)
-        assert info.kind == "dummy-buyer"
+        balanced = balance_instance(inst)
+        assert balanced.buyers == ("b1", DUMMY_BUYER) and DUMMY_OBJECT not in balanced.objects
         assert balanced.demands[DUMMY_BUYER] == 3
         assert balanced.valuations[("alpha", DUMMY_BUYER)] == 0
         assert balanced.total_supply == balanced.total_demand
 
     @given(instances())
     def test_idempotent(self, inst):
-        once, _ = balance_instance(inst)
-        twice, info = balance_instance(once)
-        assert info.kind == "none"
+        once = balance_instance(inst)
+        twice = balance_instance(once)
+        assert twice is once
         assert twice == once
 
 
@@ -184,6 +190,11 @@ class TestPriceVector:
     def test_negative_rejected(self, example1):
         with pytest.raises(InstanceError):
             PriceVector.for_instance(example1, {"alpha": -1})
+
+    def test_above_the_64_bit_bound_rejected(self, example1):
+        assert PriceVector.for_instance(example1, {"alpha": 2**63 - 1})["alpha"] == 2**63 - 1
+        with pytest.raises(InstanceError, match="^price of 'alpha' exceeds the 64-bit bound"):
+            PriceVector.for_instance(example1, {"alpha": 2**63})
 
 
 class TestAllocation:
