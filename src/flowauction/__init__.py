@@ -20,14 +20,13 @@ from .model import (
     load_instance,
     validate_instance,
 )
-from .tiers import Bundle, TierReport, indirect_utility, preferred_bundle, tier_report
+from .tiers import TierReport, indirect_utility, preferred_bundle, tier_report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
     "AuctionTrace",
-    "Bundle",
     "Equilibrium",
     "Instance",
     "InstanceError",

@@ -85,7 +85,10 @@ def first_prices(instance: Instance, start: PriceVector | None) -> PriceVector:
 
 def _network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
     """The part of a tier report that the demand network reads: the two
-    tier demands and the above-margin and at-margin objects in supply."""
+    tier demands and the above-margin and at-margin objects in supply.
+    It fixes the buyer's source and tier arcs and they fix it, since an
+    at-margin tier holding an object in supply has a demand of at least 1,
+    so every object in the part has an arc."""
     return (
         report.demand_above,
         report.demand_at_margin,
@@ -109,9 +112,9 @@ def _step_length(
     prices the parts the network reads are current, while a zero tier and
     its demand may be out of date.  Every smaller raise builds the same
     network, with the same left-most cut, so the auction may jump by this
-    step in one go; the network is rebuilt only where a recomputed report's
-    network part changed.  Returns the raise, the tier-oracle calls made and
-    the network at the raised prices.
+    step in one go; the first breakpoint where a network part changed moves
+    an arc, so the network is built there, once.  Returns the raise, the
+    tier-oracle calls made and the network at the raised prices.
     """
     prices = PriceVector(network.prices)
     breakpoints = {
@@ -130,11 +133,8 @@ def _step_length(
             reports[j] = tier_report(instance, j, step_prices)
             breakpoints[j] = next_breakpoint(instance, j, prices, raised, step, reports[j])
             moved = moved or _network_part(reports[j], instance.supplies) != before
-        if not moved:
-            continue
-        step_network = flownet.build_demand_network(instance, step_prices, reports)
-        if step_network.arcs != network.arcs:
-            return step, calls, step_network
+        if moved:
+            return step, calls, flownet.build_demand_network(instance, step_prices, reports)
 
 
 def price_raising(
@@ -161,8 +161,7 @@ def price_raising(
     # below the bound, so this limit is never hit unless something is wrong.
     for _ in range(len(instance.objects) * (price_bound + 1) + 1):
         if best.value == network.cap_s:
-            trace = AuctionTrace(tuple(records), prices.as_dict(), calls)
-            return prices, trace
+            return prices, AuctionTrace(tuple(records), calls)
         cut = flownet.leftmost_min_cut(network, best)
         cut_nodes = cut.labels
         raised = tuple(i for i in instance.objects if i in cut.objects)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from . import flow as flownet
 from .auction import MODES, AuctionError, SolveOptions, first_prices, price_raising, solve, trace_records
-from .model import Instance, InstanceError, PriceVector, duplicate_instance, load_instance
+from .model import Instance, InstanceError, PriceVector, duplicate_instance, load_instance, read_json
 from .tiers import tier_report
 from .verify import (
     DEFAULT_BUDGET,
@@ -97,8 +97,7 @@ def build_parser() -> _Parser:
 def _options(args, instance: Instance) -> SolveOptions:
     start = None
     if args.start_prices:
-        with open(args.start_prices, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = read_json(args.start_prices)
         if not isinstance(raw, dict):
             raise InstanceError(f"{args.start_prices}: expected a JSON object")
         start = PriceVector.for_instance(instance, raw)
@@ -302,7 +301,7 @@ def run(argv: list[str]) -> int:
         return EXIT_PARSE
     try:
         return args.handler(args)
-    except (InstanceError, OSError, json.JSONDecodeError, AuctionError) as exc:
+    except (InstanceError, OSError, AuctionError) as exc:
         message = str(exc)
         if isinstance(exc, AuctionError) and getattr(args, "start_prices", None):
             # From start prices at most the minimum competitive prices the

@@ -328,9 +328,9 @@ def flow_update(
     Every unit a buyer received of an object is rerouted through the tier
     the object now sits in (above-margin first, then at-margin) and dropped
     if the object left both tiers.  The result is feasible in the new
-    network whenever the raise happened on the left-most min cut's objects;
-    feasibility is asserted and :class:`InfeasibleFlowError` raised on
-    violation, since that signals a bug rather than bad input.
+    network whenever the raise happened on the left-most min cut's objects.
+    It is checked once, by ``max_flow`` when warm started from it (or by
+    ``check_feasible``), whose :class:`InfeasibleFlowError` signals a bug.
     """
     nodes = (old_network.tiers, old_network.buyers, old_network.objects)
     if nodes != (new_network.tiers, new_network.buyers, new_network.objects):
@@ -365,9 +365,7 @@ def flow_update(
         for a in (arc_id[(0, tier_node)], tier_arc, arc_id[(obj, sink)]):
             flows[a] += carried
         value += carried
-    updated = IntegralFlow(flows, value)
-    check_feasible(new_network, updated)
-    return FlowUpdateResult(updated, dropped)
+    return FlowUpdateResult(IntegralFlow(flows, value), dropped)
 
 
 def tier_flows(network: FlowNetwork, flow: IntegralFlow) -> list[tuple[str, str, int]]:

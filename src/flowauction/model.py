@@ -19,7 +19,9 @@ INT_BOUND = 2**63 - 1
 
 DUMMY_OBJECT = "__dummy_object"
 DUMMY_BUYER = "__dummy_buyer"
-RESERVED_IDS = frozenset({DUMMY_OBJECT, DUMMY_BUYER})
+#: Ids that would read as a dummy or a flow network node, as would any id
+#: ending in ``'`` (a buyer's tier label).
+RESERVED_IDS = frozenset({DUMMY_OBJECT, DUMMY_BUYER, "s", "t"})
 
 
 class InstanceError(ValueError):
@@ -67,27 +69,6 @@ class Instance:
     def max_valuation(self) -> int:
         return max(self.valuations.values(), default=0)
 
-    def object_index(self, obj: str) -> int:
-        return self.objects.index(obj)
-
-    def to_dict(self) -> dict:
-        """Serialize to the canonical instance file schema."""
-        return {
-            "objects": [{"id": i, "supply": self.supplies[i]} for i in self.objects],
-            "buyers": [
-                {
-                    "id": j,
-                    "demand": self.demands[j],
-                    "valuations": {
-                        i: self.valuations[(i, j)]
-                        for i in self.objects
-                        if self.valuations[(i, j)] != 0
-                    },
-                }
-                for j in self.buyers
-            ],
-        }
-
 
 def validate_instance(
     supplies: Mapping[str, int],
@@ -112,7 +93,7 @@ def validate_instance(
         clash = sorted(set(objects) & set(buyers))[0]
         raise InstanceError(f"id {clash!r} used for both an object and a buyer")
     for name in (*objects, *buyers):
-        if name in RESERVED_IDS:
+        if name in RESERVED_IDS or name.endswith("'"):
             raise InstanceError(f"id {name!r} is reserved")
 
     checked_supplies = {i: _check_count("supply", i, supplies[i]) for i in objects}
@@ -182,14 +163,19 @@ def instance_from_dict(data: object) -> Instance:
     return validate_instance(supplies, demands, valuations)
 
 
-def load_instance(path: str) -> Instance:
-    """Load an instance from a JSON file."""
+def read_json(path: str) -> object:
+    """Read a JSON file; bytes or text that do not decode as UTF-8 JSON
+    raise :class:`InstanceError`."""
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
             raise InstanceError(f"{path}: invalid JSON ({exc})") from exc
-    return instance_from_dict(data)
+
+
+def load_instance(path: str) -> Instance:
+    """Load an instance from a JSON file."""
+    return instance_from_dict(read_json(path))
 
 
 def balance_instance(instance: Instance) -> Instance:
@@ -340,5 +326,4 @@ class IterationRecord(NamedTuple):
 @dataclass(frozen=True)
 class AuctionTrace:
     iterations: tuple[IterationRecord, ...]
-    final_prices: dict[str, int]
     oracle_calls: int

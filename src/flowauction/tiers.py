@@ -13,27 +13,19 @@ everything here is a pure function of the instance and the prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
 from .model import Instance, PriceVector
-
-
-@dataclass(frozen=True)
-class Bundle:
-    """A single buyer's purchase; only positive quantities are stored."""
-
-    quantities: dict[str, int]
 
 
 class TierReport(NamedTuple):
     """A buyer's demand, split by payoff tier.
 
     ``above`` holds the objects with payoff strictly above the marginal
-    payoff, ``at_margin`` those exactly at it, and ``zero`` those with
-    payoff exactly 0.  The three demand figures are the amounts the buyer
-    wants from each tier; ``last_item`` is the object the greedy bundle
-    construction selected last (absent when nothing has positive payoff).
+    payoff (the payoff of the object the greedy bundle construction
+    selects last), ``at_margin`` those exactly at it, and ``zero`` those
+    with payoff exactly 0.  The three demand figures are the amounts the
+    buyer wants from each tier.
     """
 
     above: tuple[str, ...]
@@ -42,7 +34,6 @@ class TierReport(NamedTuple):
     demand_above: int
     demand_at_margin: int
     demand_zero: int
-    last_item: str | None
 
 
 def _payoffs(instance: Instance, buyer: str, prices: PriceVector) -> list[int]:
@@ -73,18 +64,18 @@ def _greedy(
 
 def preferred_bundle(
     instance: Instance, buyer: str, prices: PriceVector
-) -> tuple[Bundle, str | None]:
+) -> tuple[dict[str, int], str | None]:
     """Construct a minimal preferred bundle greedily.
 
     Objects are visited in order of non-increasing payoff (canonical order
     on ties); each visit takes ``min(supply, residual demand)`` units while
     the residual demand and the payoff stay positive.  Returns the bundle
-    and the last object visited, or ``None`` if no object has positive
-    payoff or the demand is 0.
+    (object to positive units) and the last object visited, or ``None`` if
+    no object has positive payoff or the demand is 0.
     """
     visits, last = _greedy(instance, buyer, _payoffs(instance, buyer, prices))
     objects = instance.objects
-    bundle = Bundle({objects[k]: take for k, take in visits if take > 0})
+    bundle = {objects[k]: take for k, take in visits if take > 0}
     return bundle, None if last is None else objects[last]
 
 
@@ -97,7 +88,7 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
     """
     demand = instance.demands[buyer]
     if demand == 0:
-        return TierReport((), (), (), 0, 0, 0, None)
+        return TierReport((), (), (), 0, 0, 0)
 
     objects, supplies = instance.objects, instance.supplies
     payoffs = _payoffs(instance, buyer, prices)
@@ -114,8 +105,7 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
         d_above = sum(supplies[i] for i in above)
         d_margin = min(sum(supplies[i] for i in at_margin), demand - d_above)
     d_zero = min(sum(supplies[i] for i in zero), demand - d_above - d_margin)
-    last_item = None if last is None else objects[last]
-    return TierReport(above, at_margin, zero, d_above, d_margin, d_zero, last_item)
+    return TierReport(above, at_margin, zero, d_above, d_margin, d_zero)
 
 
 def next_breakpoint(

@@ -149,7 +149,7 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
     candidates = [subset for excess, subset in violations if excess == worst]
     minimal = [s for s in candidates if not any(o < s for o in candidates)]
     ordered = min(
-        minimal, key=lambda s: (len(s), tuple(instance.object_index(i) for i in sorted(s)))
+        minimal, key=lambda s: (len(s), tuple(instance.objects.index(i) for i in sorted(s)))
     )
     return False, tuple(i for i in instance.objects if i in ordered)
 

@@ -100,7 +100,14 @@ def test_criterion_01_example1_and_duplication(example1, tmp_path, capsys):
     ok = equilibrium.prices.as_dict() == {"alpha": 0, "beta": 0}
     ok = ok and equilibrium.allocation.to_nested() == {"alpha": {"b1": 1}, "beta": {"b1": 1}}
     path = tmp_path / "example1.json"
-    path.write_text(json.dumps(example1.to_dict()))
+    path.write_text(
+        json.dumps(
+            {
+                "objects": [{"id": "alpha", "supply": 1}, {"id": "beta", "supply": 1}],
+                "buyers": [{"id": "b1", "demand": 2, "valuations": {"alpha": 5, "beta": 1}}],
+            }
+        )
+    )
     code = run(["duplicate-demo", str(path)])
     payload = json.loads(capsys.readouterr().out)
     ok = ok and code == 0
@@ -230,8 +237,8 @@ def test_criterion_09_flow_update_contracts(suite, capsys):
     ok = True
     warm_iterations = 0
     for entry in entries:
-        # feasibility of every update is asserted inside flow_update; a
-        # recorded handoff gap proves the update was accepted
+        # max_flow asserts the feasibility of every update it is warm
+        # started from; a recorded handoff gap proves it was accepted
         for record in entry.unit_trace.iterations + entry.adapted_trace.iterations:
             ok = ok and record.handoff_gap is not None
             ok = ok and record.handoff_gap <= record.cap_s - record.flow_value

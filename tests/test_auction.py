@@ -28,6 +28,7 @@ from flowauction.verify import (
     min_competitive_bruteforce,
     perturb_instance,
     random_instance,
+    random_prices,
 )
 
 
@@ -172,8 +173,8 @@ class TestPriceRaising:
                 assert rec.step >= 1
 
     def test_price_monotone_within_run(self, three_buyers):
-        _, trace = price_raising(three_buyers)
-        rows = [rec.prices for rec in trace.iterations] + [trace.final_prices]
+        final, trace = price_raising(three_buyers)
+        rows = [rec.prices for rec in trace.iterations] + [final.prices]
         for before, after, rec in zip(rows, rows[1:], trace.iterations):
             for i in before:
                 assert before[i] <= after[i]
@@ -203,7 +204,7 @@ class TestPriceRaising:
         assert records[1].raised == records[2].raised == ("zeta",)
         report = tier_report(inst, "u", PriceVector.zero(inst))
         assert type(report)._fields == (
-            "above", "at_margin", "zero", "demand_above", "demand_at_margin", "demand_zero", "last_item"
+            "above", "at_margin", "zero", "demand_above", "demand_at_margin", "demand_zero"
         )
         with pytest.raises(AttributeError):
             records[0].step = 2
@@ -456,25 +457,56 @@ class TestBreakpointWalk:
                     price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
         assert walks > 100 and unsupplied > 50
 
+    def test_a_network_part_changes_exactly_where_its_arcs_do(self):
+        """The walk stops at the first breakpoint where some buyer's
+        network part changed, which is sound only if the part and the
+        buyer's source and tier arcs fix each other."""
+        rng = random.Random(43)
+        pairs = unequal = 0
+        for _ in range(2000):
+            inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=6)
+            parts, arcs = [], []
+            for prices in (random_prices(rng, inst), random_prices(rng, inst)):
+                reports = {j: tier_report(inst, j, prices) for j in inst.buyers}
+                network = build_demand_network(inst, prices, reports)
+                parts.append({j: auction._network_part(reports[j], inst.supplies) for j in inst.buyers})
+                # Buyer b's tier nodes are 1 + 2b and 2 + 2b; its source
+                # arcs enter them and its tier arcs leave them.
+                tiers = {j: (1 + 2 * b, 2 + 2 * b) for b, j in enumerate(inst.buyers)}
+                arcs.append(
+                    {
+                        j: [arc for arc in network.arcs if arc[1 if arc[0] == 0 else 0] in tiers[j]]
+                        for j in inst.buyers
+                    }
+                )
+            for j in inst.buyers:
+                same = parts[0][j] == parts[1][j]
+                assert same == (arcs[0][j] == arcs[1][j])
+                pairs += 1
+                unequal += not same
+        assert pairs > 4000 and unequal > 1000
+
     def test_cost_does_not_grow_with_values(self):
         base, _ = restart_fault_pair()
         calls, cold_calls, unit_calls, unit_cold_calls = set(), set(), set(), set()
         for factor in (1, 200, 2000, 20000):
             inst = scaled(base, factor)
-            _, warm = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
-            _, cold = price_raising(inst, SolveOptions(mode="adapted", warm_start=False))
-            assert warm.final_prices == cold.final_prices == {"a": 5 * factor, "b": 4 * factor}
+            warm_prices, warm = price_raising(inst, SolveOptions(mode="adapted", warm_start=True))
+            cold_prices, cold = price_raising(inst, SolveOptions(mode="adapted", warm_start=False))
+            assert warm_prices.as_dict() == cold_prices.as_dict() == {"a": 5 * factor, "b": 4 * factor}
             assert warm.oracle_calls <= cold.oracle_calls
             calls.add(warm.oracle_calls)
             cold_calls.add(cold.oracle_calls)
             # Unit mode still writes a record per unit raise, so its run
             # grows with the values even where its oracle calls do not.
             if factor <= 2000:
-                _, unit = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
-                assert unit.final_prices == warm.final_prices
+                unit_prices, unit = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
+                assert unit_prices == warm_prices
                 unit_calls.add(unit.oracle_calls)
-                _, unit_cold = price_raising(inst, SolveOptions(mode="unit", warm_start=False))
-                assert unit_cold.final_prices == warm.final_prices
+                unit_cold_prices, unit_cold = price_raising(
+                    inst, SolveOptions(mode="unit", warm_start=False)
+                )
+                assert unit_cold_prices == warm_prices
                 unit_cold_calls.add(unit_cold.oracle_calls)
         assert len(calls) == 1
         assert len(cold_calls) == 1

@@ -158,6 +158,38 @@ class TestSolve:
         path.write_text("{")
         assert run(["solve", str(path)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf-8", "too-deep"])
+    @pytest.mark.parametrize("role", ["instance", "start-prices"])
+    def test_undecodable_file_is_an_input_error(self, example1_file, tmp_path, capsys, role, content):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        if role == "instance":
+            argv = ["solve", str(path)]
+        else:
+            argv = ["solve", example1_file, "--start-prices", str(path)]
+        assert run(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (")
+
+    def test_ids_that_read_as_node_labels_are_an_input_error(self, tmp_path, capsys):
+        # Buyer x's tier would print as x', object x' as well, and the
+        # source and sink as s and t.
+        path = tmp_path / "labels.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "objects": [{"id": "s", "supply": 1}, {"id": "x'", "supply": 1}],
+                    "buyers": [
+                        {"id": "x", "demand": 1, "valuations": {"s": 2}},
+                        {"id": "t", "demand": 1, "valuations": {"x'": 2}},
+                    ],
+                }
+            )
+        )
+        dump_path = tmp_path / "net.txt"
+        assert run(["solve", str(path), "--dump-network", str(dump_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: id 's' is reserved\n"
+        assert not dump_path.exists()
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         path = tmp_path / "extra.json"
         path.write_text(json.dumps({"objects": [], "buyers": [], "frobs": 2}))

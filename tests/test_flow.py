@@ -14,6 +14,7 @@ from flowauction.flow import (
     _residual_search,
     build_allocation_network,
     build_demand_network,
+    check_feasible,
     dump_network,
     flow_update,
     leftmost_min_cut,
@@ -325,6 +326,7 @@ class TestFlowUpdate:
         raised = zero.raised(["beta"])
         new = demand_network(fig1, raised)
         result = flow_update(old, old_flow, new)
+        check_feasible(new, result.flow)
         assert result.dropped == {}
         carried = amounts(new, result.flow)
         assert carried[("j1''", "beta")] == 1
@@ -339,6 +341,7 @@ class TestFlowUpdate:
         raised = zero.raised(["item"])
         new = demand_network(contested_single, raised)
         result = flow_update(old, old_flow, new)
+        check_feasible(new, result.flow)
         assert result.flow.value == old_flow.value
         assert result.dropped == {}
         assert {a: f for a, f in amounts(new, result.flow).items() if f} == {
@@ -354,6 +357,7 @@ class TestFlowUpdate:
         raised = zero.raised(["x"])
         new = demand_network(inst, raised)
         result = flow_update(old, old_flow, new)
+        check_feasible(new, result.flow)
         assert result.dropped == {("j", "x"): 1}
         assert result.flow.value == 0
         old_gap = old.cap_s - old_flow.value
@@ -499,6 +503,7 @@ class TestAgainstTheDictReference:
                 prices = prices.raised(cut.objects)
                 raised = demand_network(inst, prices)
                 update = flow_update(network, best, raised)
+                check_feasible(raised, update.flow)
                 carried, dropped = reference_flow_update(raised, expected)
                 assert amounts(raised, update.flow) == carried
                 assert update.dropped == dropped

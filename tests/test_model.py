@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +66,18 @@ class TestValidateInstance:
         with pytest.raises(InstanceError, match="reserved"):
             validate_instance({}, {DUMMY_BUYER: 1}, {})
 
+    @pytest.mark.parametrize("name", ["s", "t", "x'", "x''", "'"])
+    def test_ids_that_read_as_node_labels_rejected(self, name):
+        message = f"^id {name!r} is reserved$"
+        with pytest.raises(InstanceError, match=message):
+            validate_instance({name: 1}, {}, {})
+        with pytest.raises(InstanceError, match=message):
+            validate_instance({}, {name: 1}, {})
+
+    def test_ids_near_the_node_labels_allowed(self):
+        inst = validate_instance({"st": 1, "x'y": 1}, {"S": 1, "'t": 1}, {})
+        assert inst.objects == ("st", "x'y") and inst.buyers == ("S", "'t")
+
     def test_shared_object_buyer_id_rejected(self):
         with pytest.raises(InstanceError, match="both"):
             validate_instance({"x": 1}, {"x": 1}, {})
@@ -79,7 +92,21 @@ class TestValidateInstance:
 class TestInstanceFile:
     def test_round_trip(self, fig1, tmp_path):
         path = tmp_path / "fig1.json"
-        path.write_text(json.dumps(fig1.to_dict()))
+        path.write_text(
+            json.dumps(
+                {
+                    "objects": [
+                        {"id": "alpha", "supply": 1},
+                        {"id": "beta", "supply": 1},
+                        {"id": "gamma", "supply": 4},
+                    ],
+                    "buyers": [
+                        {"id": "j1", "demand": 4, "valuations": {"alpha": 3, "beta": 2, "gamma": 1}},
+                        {"id": "j2", "demand": 2, "valuations": {"beta": 2}},
+                    ],
+                }
+            )
+        )
         again = load_instance(str(path))
         assert again == fig1
 
@@ -110,6 +137,13 @@ class TestInstanceFile:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(InstanceError, match="invalid JSON"):
+            load_instance(str(path))
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf-8", "too-deep"])
+    def test_undecodable_json_reported(self, tmp_path, content):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        with pytest.raises(InstanceError, match=f"^{re.escape(str(path))}: invalid JSON"):
             load_instance(str(path))
 
 

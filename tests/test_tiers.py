@@ -21,25 +21,25 @@ def instance_and_prices(draw):
 
 
 def bundle_payoff(instance, buyer, prices, bundle):
-    return sum(instance.payoff(i, buyer, prices) * q for i, q in bundle.quantities.items())
+    return sum(instance.payoff(i, buyer, prices) * q for i, q in bundle.items())
 
 
 class TestPreferredBundle:
     def test_fig1_first_buyer_at_zero(self, fig1):
         bundle, last = preferred_bundle(fig1, "j1", PriceVector.zero(fig1))
-        assert bundle.quantities == {"alpha": 1, "beta": 1, "gamma": 2}
+        assert bundle == {"alpha": 1, "beta": 1, "gamma": 2}
         assert last == "gamma"
 
     def test_no_positive_payoff_gives_empty_bundle(self, fig1):
         prices = PriceVector({"alpha": 3, "beta": 2, "gamma": 1})
         bundle, last = preferred_bundle(fig1, "j1", prices)
-        assert bundle.quantities == {}
+        assert bundle == {}
         assert last is None
 
     def test_tie_resolved_by_canonical_order(self, three_buyers):
         # payoffs (1, 1): canonical order puts alpha first, supply covers it
         bundle, last = preferred_bundle(three_buyers, "b1", PriceVector({"alpha": 2, "beta": 0}))
-        assert bundle.quantities == {"alpha": 2}
+        assert bundle == {"alpha": 2}
         assert last == "alpha"
         assert bundle_payoff(three_buyers, "b1", PriceVector({"alpha": 2, "beta": 0}), bundle) == (
             best_bundle_payoff(three_buyers, "b1", PriceVector({"alpha": 2, "beta": 0}))
@@ -54,7 +54,6 @@ class TestTierReport:
         assert report.zero == ("alpha", "gamma")
         assert (report.demand_above, report.demand_at_margin) == (0, 1)
         assert report.demand_zero == 1
-        assert report.last_item == "beta"
 
     def test_fig1_first_buyer(self, fig1):
         report = tier_report(fig1, "j1", PriceVector.zero(fig1))
@@ -69,7 +68,6 @@ class TestTierReport:
         assert report.above == () and report.at_margin == ()
         assert report.zero == ("a", "b")
         assert report.demand_zero == min(5, 4)
-        assert report.last_item is None
 
     def test_zero_demand_buyer_reports_empty_tiers(self):
         inst = validate_instance({"a": 2}, {"j": 0}, {"j": {"a": 4}})
@@ -116,11 +114,11 @@ def test_report_invariants(data):
         assert set(report.above).isdisjoint(report.zero)
         assert set(report.at_margin).isdisjoint(report.zero)
         assert report.demand_above + report.demand_at_margin <= inst.demands[j]
-        assert (report.last_item is None) == (not report.above and not report.at_margin)
-        if report.last_item is not None:
-            assert inst.payoff(report.last_item, j, prices) > 0
+        assert (last is None) == (not report.at_margin)
+        assert report.at_margin or not report.above
+        assert all(inst.payoff(i, j, prices) > 0 for i in report.at_margin)
         # the minimal bundle buys exactly the above-margin and at-margin amounts
-        assert sum(bundle.quantities.values()) == report.demand_above + report.demand_at_margin
+        assert sum(bundle.values()) == report.demand_above + report.demand_at_margin
 
 
 def shuffled_greedy(instance, buyer, prices, rng):

@@ -226,11 +226,11 @@ class TestSteepestDescent:
         rng = random.Random(41)
         for _ in range(50):
             inst = random_instance(rng)
-            _, trace = price_raising(inst)
+            final, trace = price_raising(inst)
             values = [
                 lyapunov(inst, PriceVector(dict(rec.prices))) for rec in trace.iterations
             ]
-            values.append(lyapunov(inst, PriceVector(dict(trace.final_prices))))
+            values.append(lyapunov(inst, final))
             for before, after in zip(values, values[1:]):
                 assert after < before
 
