@@ -84,14 +84,13 @@ def first_prices(instance: Instance, start: PriceVector | None) -> PriceVector:
 
 
 def _network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
-    """The part of a tier report that the demand network reads: the two
-    tier demands and the above-margin and at-margin objects in supply.
-    It fixes the buyer's source and tier arcs and they fix it, since an
-    at-margin tier holding an object in supply has a demand of at least 1,
-    so every object in the part has an arc."""
+    """The part of a tier report that the demand network reads: the
+    above-margin and at-margin objects in supply.  It fixes the tier
+    demands (``demand_above`` is the first's supply, ``demand_at_margin``
+    the second's capped by the demand left) and so the buyer's source and
+    tier arcs.  They fix it: an at-margin tier holding an object in supply
+    has a demand of at least 1, so every object in the part has an arc."""
     return (
-        report.demand_above,
-        report.demand_at_margin,
         tuple(i for i in report.above if supplies[i] > 0),
         tuple(i for i in report.at_margin if supplies[i] > 0),
     )
@@ -116,22 +115,21 @@ def _step_length(
     an arc, so the network is built there, once.  Returns the raise, the
     tier-oracle calls made and the network at the raised prices.
     """
-    prices = PriceVector(network.prices)
     breakpoints = {
-        j: next_breakpoint(instance, j, prices, raised, 0, reports[j]) for j in instance.buyers
+        j: next_breakpoint(instance, j, network.prices, raised, 0, reports[j]) for j in instance.buyers
     }
     calls = 0
     while True:
         step = min((t for t in breakpoints.values() if t is not None), default=None)
         if step is None:
             raise AuctionError("demand network did not change within the valuation bound")
-        step_prices = prices.raised(raised, step)
+        step_prices = network.prices.raised(raised, step)
         moved = False
         for j in [j for j, t in breakpoints.items() if t == step]:
             calls += 1
             before = _network_part(reports[j], instance.supplies)
             reports[j] = tier_report(instance, j, step_prices)
-            breakpoints[j] = next_breakpoint(instance, j, prices, raised, step, reports[j])
+            breakpoints[j] = next_breakpoint(instance, j, network.prices, raised, step, reports[j])
             moved = moved or _network_part(reports[j], instance.supplies) != before
         if moved:
             return step, calls, flownet.build_demand_network(instance, step_prices, reports)
@@ -148,12 +146,12 @@ def price_raising(
     opts = options or SolveOptions()
     if opts.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {opts.mode!r}")
-    prices = first_prices(instance, opts.start_prices)
+    first = first_prices(instance, opts.start_prices)
     price_bound = instance.max_valuation + 1
 
     calls = len(instance.buyers)
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    network = flownet.build_demand_network(instance, prices, reports)
+    reports = {j: tier_report(instance, j, first) for j in instance.buyers}
+    network = flownet.build_demand_network(instance, first, reports)
     best = flownet.max_flow(network)
     records: list[IterationRecord] = []
 
@@ -161,7 +159,7 @@ def price_raising(
     # below the bound, so this limit is never hit unless something is wrong.
     for _ in range(len(instance.objects) * (price_bound + 1) + 1):
         if best.value == network.cap_s:
-            return prices, AuctionTrace(tuple(records), calls)
+            return network.prices, AuctionTrace(tuple(records), calls)
         cut = flownet.leftmost_min_cut(network, best)
         cut_nodes = cut.labels
         raised = tuple(i for i in instance.objects if i in cut.objects)
@@ -175,8 +173,7 @@ def price_raising(
             handoff_gap = next_network.cap_s - update.flow.value
         else:
             next_best, handoff_gap = flownet.max_flow(next_network), None
-        next_prices = PriceVector(next_network.prices)
-        if any(next_prices[i] > price_bound for i in raised):
+        if any(next_network.prices[i] > price_bound for i in raised):
             raise AuctionError("price raised beyond the maximum valuation")
         if opts.mode == "adapted" and records and records[-1].raised == raised:
             # The cut kept its object set across the network change, so
@@ -189,7 +186,7 @@ def price_raising(
             runs = [1] * step if opts.mode == "unit" else [step]
             last = len(runs) - 1
             carried_gap = network.cap_s - best.value if opts.warm_start else None
-            base = prices.prices
+            base = network.prices.prices
             for k, run in enumerate(runs):
                 records.append(
                     IterationRecord(
@@ -203,7 +200,7 @@ def price_raising(
                         handoff_gap if k == last else carried_gap,
                     )
                 )
-        prices, network, best = next_prices, next_network, next_best
+        network, best = next_network, next_best
     raise AuctionError("auction failed to terminate within the price bound")
 
 

@@ -273,6 +273,12 @@ def _cmd_monotone(args) -> int:
 
 def _cmd_duplicate_demo(args) -> int:
     instance = load_instance(args.instance)
+    # The duplicated market holds a value per unit copy and unit buyer.
+    supply, demand = instance.total_supply, instance.total_demand
+    if (supply + 1) * (demand + 1) > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"duplicating supply {supply} and demand {demand} exceeds budget {DEFAULT_BUDGET}"
+        )
     options = _options(args, instance)
     original = solve(instance, options)
     # The start prices name the original objects: the copies start at 0.

@@ -71,13 +71,13 @@ class PriceStepError(FlowError):
 class FlowNetwork:
     """A layered s-t network with positive integer arc capacities.
 
-    ``tiers`` is ``DEMAND_TIERS`` or ``ALLOCATION_TIERS``.  ``arcs`` holds
-    one (tail, head, capacity) triple of node ids per arc id.  Zero-capacity
+    ``tiers`` is ``DEMAND_TIERS`` or ``ALLOCATION_TIERS``, ``prices`` the
+    :class:`PriceVector` the network was built at.  ``arcs`` holds one
+    (tail, head, capacity) triple of node ids per arc id.  Zero-capacity
     arcs are omitted, but every tier node has its id, so the numbering
     depends only on the buyers, the tiers and the objects and stays the
     same across price changes.  ``sink_arc`` holds, per node id, the id of
-    the node's arc into the sink, or -1 if it has none (only objects have
-    one).
+    the node's arc into the sink, or -1 if it has none (only objects do).
     """
 
     def __init__(
@@ -85,7 +85,7 @@ class FlowNetwork:
         tiers: tuple[int, ...],
         buyers: tuple[str, ...],
         objects: tuple[str, ...],
-        prices: dict[str, int],
+        prices: PriceVector,
         arcs: list[tuple[int, int, int]],
     ):
         self.tiers = tiers
@@ -198,7 +198,7 @@ def _build_network(
     for i in instance.objects:
         if supplies[i] > 0:
             arcs.append((obj_id[i], sink, supplies[i]))
-    return FlowNetwork(tiers, instance.buyers, instance.objects, prices.as_dict(), arcs)
+    return FlowNetwork(tiers, instance.buyers, instance.objects, prices, arcs)
 
 
 def build_demand_network(

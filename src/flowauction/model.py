@@ -85,10 +85,9 @@ def validate_instance(
     """
     objects = tuple(supplies)
     buyers = tuple(demands)
-    if len(set(objects)) != len(objects):
-        raise InstanceError("duplicate object ids")
-    if len(set(buyers)) != len(buyers):
-        raise InstanceError("duplicate buyer ids")
+    for name in (*objects, *buyers):
+        if not isinstance(name, str):
+            raise InstanceError(f"ids must be strings, got {name!r}")
     if set(objects) & set(buyers):
         clash = sorted(set(objects) & set(buyers))[0]
         raise InstanceError(f"id {clash!r} used for both an object and a buyer")
@@ -103,6 +102,8 @@ def validate_instance(
     for j, per_buyer in valuations.items():
         if j not in checked_demands:
             raise InstanceError(f"valuations given for unknown buyer {j!r}")
+        if not isinstance(per_buyer, Mapping):
+            raise InstanceError(f"valuations of buyer {j!r} must be a mapping")
         for i, v in per_buyer.items():
             if i not in checked_supplies:
                 raise InstanceError(f"buyer {j!r} values unknown object {i!r}")
@@ -156,10 +157,7 @@ def instance_from_dict(data: object) -> Instance:
         if bid in demands:
             raise InstanceError(f"duplicate buyer ids: {bid!r}")
         demands[bid] = entry.get("demand")
-        vals = entry.get("valuations", {})
-        if not isinstance(vals, dict):
-            raise InstanceError(f"valuations of buyer {bid!r} must be a mapping")
-        valuations[bid] = vals
+        valuations[bid] = entry.get("valuations", {})
     return validate_instance(supplies, demands, valuations)
 
 

@@ -28,6 +28,8 @@ DEFAULT_BUDGET = 1_000_000
 HALL_MAX_OBJECTS = 16
 #: ``steepest_descent_bruteforce`` scores at most this many object subsets.
 DESCENT_BUDGET = 1 << 16
+#: ``perturb_instance`` changes a demand or a supply by at most this much.
+PERTURB_MAX_DELTA = 3
 
 
 class BudgetExceededError(RuntimeError):
@@ -126,9 +128,9 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
     """Competitiveness by subset enumeration: supply must cover the
     overdemand of every object subset.
 
-    On failure, returns a most overdemanded violating set (largest
-    overdemand minus supply; ties resolved towards inclusion-minimal sets,
-    then canonical order).
+    On failure, returns the inclusion-minimal set of largest overdemand
+    minus supply.  It is unique, since that excess is supermodular in the
+    object set; a second such set raises :class:`GuaranteeViolation`.
     """
     if len(instance.objects) > HALL_MAX_OBJECTS:
         raise BudgetExceededError(
@@ -148,10 +150,9 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
     worst = max(excess for excess, _ in violations)
     candidates = [subset for excess, subset in violations if excess == worst]
     minimal = [s for s in candidates if not any(o < s for o in candidates)]
-    ordered = min(
-        minimal, key=lambda s: (len(s), tuple(instance.objects.index(i) for i in sorted(s)))
-    )
-    return False, tuple(i for i in instance.objects if i in ordered)
+    if len(minimal) != 1:
+        raise GuaranteeViolation(f"minimal most overdemanded set is not unique: {minimal}")
+    return False, tuple(i for i in instance.objects if i in minimal[0])
 
 
 def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
@@ -384,10 +385,8 @@ def random_prices(rng: random.Random, instance: Instance) -> PriceVector:
     return PriceVector({i: rng.randint(0, cap) for i in instance.objects})
 
 
-def perturb_instance(
-    rng: random.Random, instance: Instance, max_delta: int = 3
-) -> tuple[Instance, Perturbation]:
-    """Raise one buyer's demand or cut one object's supply by 1..max_delta."""
+def perturb_instance(rng: random.Random, instance: Instance) -> tuple[Instance, Perturbation]:
+    """Raise one buyer's demand or cut one object's supply by 1..PERTURB_MAX_DELTA."""
     choices = []
     if instance.buyers:
         choices.append("demand")
@@ -396,7 +395,7 @@ def perturb_instance(
     if not choices:
         return instance, Perturbation("none", "", 0)
     kind = rng.choice(choices)
-    delta = rng.randint(1, max_delta)
+    delta = rng.randint(1, PERTURB_MAX_DELTA)
     supplies = dict(instance.supplies)
     demands = dict(instance.demands)
     if kind == "demand":

@@ -246,6 +246,37 @@ class TestSolve:
         assert run(["solve", example1_file, "--budget", "5"]) == EXIT_PARSE
 
 
+BUYER = {"id": "b", "demand": 1}
+BAD_INPUTS = {
+    "top-level-array": ([], None, []),
+    "object-id-not-a-string": ({"objects": [{"id": 1, "supply": 1}]}, None, []),
+    "duplicate-object-ids": ({"objects": [{"id": "a", "supply": 1}, {"id": "a", "supply": 2}]}, None, []),
+    "unknown-buyer-key": ({"buyers": [{**BUYER, "budget": 3}]}, None, []),
+    "null-buyer-id": ({"buyers": [{**BUYER, "id": None}]}, None, []),
+    "duplicate-buyer-ids": ({"buyers": [BUYER, BUYER]}, None, []),
+    "valuations-not-a-mapping": ({"buyers": [{**BUYER, "valuations": [1]}]}, None, []),
+    "total-supply-beyond-64-bits": (
+        {"objects": [{"id": "a", "supply": 2**62}, {"id": "c", "supply": 2**62}]}, None, []
+    ),
+    "start-prices-not-an-object": (EXAMPLE1, [1], []),
+    "budget-not-a-number": (EXAMPLE1, None, ["--budget", "abc"]),
+}
+
+
+@pytest.mark.parametrize("instance, start, extra", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_an_input_error(tmp_path, capsys, instance, start, extra):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(instance))
+    argv = ["verify", str(path), *extra]
+    if start is not None:
+        start_path = tmp_path / "start.json"
+        start_path.write_text(json.dumps(start))
+        argv += ["--start-prices", str(start_path)]
+    assert run(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestVerify:
     def test_example1_passes(self, example1_file, capsys):
         code, payload = run_json(capsys, ["verify", example1_file])
@@ -437,6 +468,27 @@ class TestDuplicateDemo:
             assert code == EXIT_OK
             assert payload["original"]["prices"] == {"alpha": 0, "beta": 0}
             assert payload["duplicated"]["prices"] == {"alpha#1": 4, "beta#1": 0}
+
+    def test_a_market_too_large_to_duplicate_exceeds_the_budget(self, tmp_path, capsys, monkeypatch):
+        """The duplicated market holds a value per unit copy and unit buyer,
+        so (supply + 1) x (demand + 1) beyond the budget stops the demo
+        before anything is solved or duplicated."""
+        import flowauction.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the demo went on past its budget check")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        monkeypatch.setattr(cli, "duplicate_instance", refuse)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({
+            "objects": [{"id": "a", "supply": 1000}],
+            "buyers": [{"id": "b", "demand": 1000, "valuations": {"a": 5}}],
+        }))
+        assert run(["duplicate-demo", str(path)]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicating supply 1000 and demand 1000 exceeds budget 1000000\n"
 
 
 def test_each_verb_takes_only_the_arguments_it_reads():

@@ -6,6 +6,7 @@ import pytest
 
 from flowauction.flow import (
     TIER_ZERO,
+    FlowError,
     InfeasibleFlowError,
     IntegralFlow,
     NotMaximumError,
@@ -91,7 +92,10 @@ def enumerate_min_cuts(network):
 
 class TestBuildDemandNetwork:
     def test_fig1_capacities(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        zero = PriceVector.zero(fig1)
+        network = demand_network(fig1, zero)
+        # The network keeps the prices it was built at, not a copy.
+        assert network.prices is zero
         cap = capacities(network)
         assert cap[("s", "j1'")] == 2
         assert cap[("s", "j1''")] == 2
@@ -240,6 +244,12 @@ class TestMaxFlow:
         # A flow is read by arc id, so one of another length fits no network.
         with pytest.raises(InfeasibleFlowError):
             max_flow(network, warm_start=IntegralFlow([0] * (len(network.arcs) + 1), 0))
+        stuck = flow_of(network, {("s", "j1'"): 1}, 1)
+        with pytest.raises(InfeasibleFlowError, match="^conservation violated at j1'$"):
+            max_flow(network, warm_start=stuck)
+        path = {("s", "j1'"): 1, ("j1'", "alpha"): 1, ("alpha", "t"): 1}
+        with pytest.raises(InfeasibleFlowError, match="^declared value 2 != source outflow 1$"):
+            max_flow(network, warm_start=flow_of(network, path, 2))
 
     def test_flow_conservation_and_capacities(self):
         rng = random.Random(11)
@@ -379,6 +389,19 @@ class TestFlowUpdate:
         best = max_flow(network)
         with pytest.raises(PriceStepError):
             flow_update(network, best, network)
+
+    def test_rejects_networks_with_other_nodes(self, fig1, example1):
+        zero = PriceVector.zero(fig1)
+        network = demand_network(fig1, zero)
+        best = max_flow(network)
+        # Other tiers, then other objects and buyers.
+        others = (
+            build_allocation_network(fig1, zero.raised(["beta"])),
+            demand_network(example1, PriceVector.zero(example1)),
+        )
+        for other in others:
+            with pytest.raises(FlowError, match="^the two networks do not share their nodes$"):
+                flow_update(network, best, other)
 
 
 

@@ -87,6 +87,24 @@ class TestValidateInstance:
             validate_instance({"alpha": 2**63}, {}, {})
         with pytest.raises(InstanceError, match="64-bit"):
             validate_instance({"alpha": 1}, {"b1": 2**32}, {"b1": {"alpha": 2**32}})
+        # Each supply is within the bound, their total is not.
+        with pytest.raises(InstanceError, match="^total supply or demand exceeds the 64-bit bound$"):
+            validate_instance({"a": 2**62, "b": 2**62}, {}, {})
+
+    @pytest.mark.parametrize(
+        "supplies, demands", [({1: 1}, {"b": 1}), ({"a": 1}, {None: 1})], ids=["object", "buyer"]
+    )
+    def test_ids_that_are_not_strings_rejected(self, supplies, demands):
+        with pytest.raises(InstanceError, match="^ids must be strings, got (1|None)$"):
+            validate_instance(supplies, demands, {})
+
+    def test_valuation_row_that_is_not_a_mapping_rejected(self):
+        with pytest.raises(InstanceError, match="^valuations of buyer 'b' must be a mapping$"):
+            validate_instance({"a": 1}, {"b": 1}, {"b": [1]})
+
+    def test_valuations_for_an_unknown_buyer_rejected(self):
+        with pytest.raises(InstanceError, match="^valuations given for unknown buyer 'c'$"):
+            validate_instance({"a": 1}, {"b": 1}, {"c": {"a": 1}})
 
 
 class TestInstanceFile:

@@ -7,8 +7,10 @@ import pytest
 from flowauction.auction import SolveOptions, price_raising, solve
 from flowauction.model import Allocation, InstanceError, PriceVector, validate_instance
 from flowauction.tiers import tier_report
+from flowauction import verify
 from flowauction.verify import (
     BudgetExceededError,
+    GuaranteeViolation,
     PerturbationError,
     best_bundle_payoff,
     check_equilibrium,
@@ -69,6 +71,34 @@ class TestHallCheck:
         supplies = {f"o{k}": 1 for k in range(17)}
         inst = validate_instance(supplies, {}, {})
         with pytest.raises(BudgetExceededError):
+            hall_check(inst, PriceVector.zero(inst))
+
+    def test_overdemand_minus_supply_is_supermodular(self):
+        """So the sets of largest overdemand minus supply are closed under
+        intersection, and hall_check's inclusion-minimal one is unique."""
+        rng = random.Random(29)
+        pairs = 0
+        for _ in range(1000):
+            inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=6)
+            prices = random_prices(rng, inst)
+            subsets = [
+                frozenset(combo)
+                for size in range(len(inst.objects) + 1)
+                for combo in itertools.combinations(inst.objects, size)
+            ]
+            excess = {
+                s: overdemand(inst, prices, s) - sum(inst.supplies[i] for i in s) for s in subsets
+            }
+            for a, b in itertools.combinations(subsets, 2):
+                assert excess[a | b] + excess[a & b] >= excess[a] + excess[b], (inst, prices, a, b)
+                pairs += 1
+        assert pairs > 30_000
+
+    def test_a_second_minimal_violating_set_is_a_violation(self, monkeypatch):
+        # A constant overdemand makes both singletons most overdemanded.
+        inst = validate_instance({"a": 1, "b": 1}, {}, {})
+        monkeypatch.setattr(verify, "_overdemand_from_table", lambda table, subset: 5)
+        with pytest.raises(GuaranteeViolation, match="not unique"):
             hall_check(inst, PriceVector.zero(inst))
 
 
