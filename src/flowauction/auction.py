@@ -5,14 +5,14 @@ not admit a saturating flow, raise prices on the objects of the left-most
 min cut, by one unit per iteration or, in adapted mode, by as many units as
 the cut's object set survives.  The final prices are the component-wise
 minimum competitive prices.  ``allocate`` then reads a stable,
-market-clearing assignment off a max flow in the allocation network of the
-balanced instance.
+market-clearing assignment off a max flow in the allocation network, which
+balances the market with a zero-value dummy.
 
 The demand network depends on the prices only through the above-margin
-and at-margin parts of the buyers' tier reports.  So the auction raises the
-cut's objects from one network breakpoint to the next
-(``tiers.next_breakpoint``: a raise where some buyer's part can change)
-until the network changes (``_step_length``), recomputing only the
+and at-margin parts of the buyers' tier reports (``flow.network_part``).
+So the auction raises the cut's objects from one network breakpoint to the
+next (``tiers.next_breakpoint``: a raise where some buyer's part can
+change) until the network changes (``_step_length``), recomputing only the
 reports of the buyers whose breakpoint it reaches; its oracle and flow work
 do not grow with the valuations.  Every mode and start takes this one
 advance.  A warm start carries the flow over to the changed network, a
@@ -22,7 +22,9 @@ adapted mode one per run of raises on the same object set.  A unit record
 is a named tuple whose prices are a fresh dict in canonical order: the
 run's start prices with the raised objects lifted by the units raised so
 far.  So a climb of ``v_max`` units writes ``v_max`` small records and
-does no other work per unit.
+does no other work per unit.  A unit climb that would write more than
+``verify.DEFAULT_BUDGET`` records raises ``verify.BudgetExceededError``
+before it writes them.
 """
 
 from __future__ import annotations
@@ -30,15 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flow as flownet
-from .model import (
-    Allocation,
-    AuctionTrace,
-    Instance,
-    IterationRecord,
-    PriceVector,
-    balance_instance,
-)
+from .model import Allocation, AuctionTrace, Instance, IterationRecord, PriceVector
 from .tiers import TierReport, next_breakpoint, tier_report
+from .verify import DEFAULT_BUDGET, BudgetExceededError
 
 MODES = ("unit", "adapted")
 
@@ -83,19 +79,6 @@ def first_prices(instance: Instance, start: PriceVector | None) -> PriceVector:
     return PriceVector({i: p if instance.supplies[i] else 0 for i, p in checked.prices.items()})
 
 
-def _network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
-    """The part of a tier report that the demand network reads: the
-    above-margin and at-margin objects in supply.  It fixes the tier
-    demands (``demand_above`` is the first's supply, ``demand_at_margin``
-    the second's capped by the demand left) and so the buyer's source and
-    tier arcs.  They fix it: an at-margin tier holding an object in supply
-    has a demand of at least 1, so every object in the part has an arc."""
-    return (
-        tuple(i for i in report.above if supplies[i] > 0),
-        tuple(i for i in report.at_margin if supplies[i] > 0),
-    )
-
-
 def _step_length(
     instance: Instance,
     network: flownet.FlowNetwork,
@@ -127,10 +110,10 @@ def _step_length(
         moved = False
         for j in [j for j, t in breakpoints.items() if t == step]:
             calls += 1
-            before = _network_part(reports[j], instance.supplies)
+            before = flownet.network_part(reports[j], instance.supplies)
             reports[j] = tier_report(instance, j, step_prices)
             breakpoints[j] = next_breakpoint(instance, j, network.prices, raised, step, reports[j])
-            moved = moved or _network_part(reports[j], instance.supplies) != before
+            moved = moved or flownet.network_part(reports[j], instance.supplies) != before
         if moved:
             return step, calls, flownet.build_demand_network(instance, step_prices, reports)
 
@@ -166,6 +149,10 @@ def price_raising(
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
         step, walk_calls, next_network = _step_length(instance, network, reports, cut.objects)
+        if opts.mode == "unit" and len(records) + step > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"unit mode would write {len(records) + step} records, beyond the budget of {DEFAULT_BUDGET}"
+            )
         calls += walk_calls
         if opts.warm_start:
             update = flownet.flow_update(network, best, next_network)
@@ -207,17 +194,13 @@ def price_raising(
 def allocate(instance: Instance, prices: PriceVector) -> Allocation:
     """Extract a stable, market-clearing allocation at the given prices.
 
-    The instance is balanced with a zero-value dummy, the allocation
-    network is saturated by a max flow, and the per-buyer quantities are
+    The allocation network, which balances the market with a zero-value
+    dummy, is saturated by a max flow, and the per-buyer quantities are
     read off the tier arcs.  ``prices`` must be the minimum competitive
     prices; at those a saturating flow exists, so failing to saturate
     signals a bug and raises :class:`AuctionError`.
     """
-    balanced = balance_instance(instance)
-    # A dummy object, missing from ``prices``, prices at 0.
-    network = flownet.build_allocation_network(
-        balanced, PriceVector.for_instance(balanced, prices.prices)
-    )
+    network = flownet.build_allocation_network(instance, prices)
     best = flownet.max_flow(network)
     if best.value != network.cap_s:
         raise AuctionError(

@@ -2,9 +2,12 @@
 min cuts, and the warm-start flow update.
 
 The networks are layered: source, one node per buyer payoff tier, one node
-per object, sink.  The demand network carries the above-margin and
-at-margin tiers; the allocation network adds the zero-payoff tier, which
-lets zero-payoff items be assigned.
+per object, sink.  A network's ``width`` is its number of tier nodes per
+buyer.  The demand network has width 2, the above-margin and at-margin
+tiers, and reads only the part of each tier report that ``network_part``
+names.  The allocation network has width 3: it adds the zero-payoff tier,
+which lets zero-payoff items be assigned.  It balances its own market, so
+it holds a zero-value dummy where supply and demand differ.
 
 A network numbers its nodes once: the source is 0, the tier nodes follow
 buyer by buyer in tier order, then the objects in canonical order, and the
@@ -18,7 +21,8 @@ in arc order, so the integral flow it returns is a deterministic function
 of the network.  Node labels appear only at the edges, and all come from
 ``FlowNetwork.label``: the network dump, the infeasible-flow messages and a
 cut's labels.  The tier flows an allocation is read from name buyers and
-objects by id.
+objects by id.  Every failure of this layer, a bug in its caller, raises
+:class:`FlowError`.
 
 An augmenting search stops as soon as it reaches an object whose arc into
 the sink has residual capacity, and takes that arc.  A search run until the
@@ -38,61 +42,41 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .model import Instance, PriceVector
+from .model import Instance, PriceVector, balance_instance
 from .tiers import TierReport, tier_report
-
-TIER_ABOVE = 1
-TIER_AT_MARGIN = 2
-TIER_ZERO = 3
-DEMAND_TIERS = (TIER_ABOVE, TIER_AT_MARGIN)
-ALLOCATION_TIERS = (TIER_ABOVE, TIER_AT_MARGIN, TIER_ZERO)
 
 
 class FlowError(RuntimeError):
-    """Base class for flow-layer failures."""
-
-
-class UnbalancedInstanceError(FlowError):
-    """Allocation networks require total supply to equal total demand."""
-
-
-class InfeasibleFlowError(FlowError):
-    """A supplied flow violates capacities or conservation."""
-
-
-class NotMaximumError(FlowError):
-    """A cut was requested for a flow that is not maximum."""
-
-
-class PriceStepError(FlowError):
-    """The new prices are not a uniform raise on a single object set."""
+    """A flow-layer precondition failed: an infeasible flow, a cut of a
+    flow that is not maximum, or a flow update between networks that do
+    not share their nodes or whose prices are not one uniform raise."""
 
 
 class FlowNetwork:
     """A layered s-t network with positive integer arc capacities.
 
-    ``tiers`` is ``DEMAND_TIERS`` or ``ALLOCATION_TIERS``, ``prices`` the
-    :class:`PriceVector` the network was built at.  ``arcs`` holds one
+    ``width`` is the number of tier nodes per buyer, 2 or 3, and ``prices``
+    the :class:`PriceVector` the network was built at.  ``arcs`` holds one
     (tail, head, capacity) triple of node ids per arc id.  Zero-capacity
     arcs are omitted, but every tier node has its id, so the numbering
-    depends only on the buyers, the tiers and the objects and stays the
+    depends only on the buyers, the width and the objects and stays the
     same across price changes.  ``sink_arc`` holds, per node id, the id of
     the node's arc into the sink, or -1 if it has none (only objects do).
     """
 
     def __init__(
         self,
-        tiers: tuple[int, ...],
+        width: int,
         buyers: tuple[str, ...],
         objects: tuple[str, ...],
         prices: PriceVector,
         arcs: list[tuple[int, int, int]],
     ):
-        self.tiers = tiers
+        self.width = width
         self.buyers = buyers
         self.objects = objects
         self.prices = prices
-        self.first_object = 1 + len(buyers) * len(tiers)
+        self.first_object = 1 + len(buyers) * width
         self.sink = self.first_object + len(objects)
         self.arcs: tuple[tuple[int, int, int], ...] = tuple(arcs)
         self.tail = [u for u, _, _ in self.arcs]
@@ -117,8 +101,8 @@ class FlowNetwork:
             return "t"
         if k >= self.first_object:
             return self.objects[k - self.first_object]
-        b, t = divmod(k - 1, len(self.tiers))
-        return self.buyers[b] + "'" * self.tiers[t]
+        b, t = divmod(k - 1, self.width)
+        return self.buyers[b] + "'" * (t + 1)
 
 
 @dataclass(frozen=True)
@@ -132,10 +116,9 @@ class IntegralFlow:
 
 @dataclass(frozen=True)
 class CutResult:
-    """The source side of an s-t cut: its node ids, its objects, and its
-    node labels in sorted order."""
+    """The source side of an s-t cut: its objects and its node labels in
+    sorted order."""
 
-    reached: tuple[int, ...]
     objects: frozenset[str]
     labels: tuple[str, ...]
 
@@ -149,25 +132,37 @@ class FlowUpdateResult:
     dropped: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
+def network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
+    """The part of a tier report that the demand network reads: the
+    above-margin and at-margin objects in supply.  It fixes the tier
+    demands (``demand_above`` is the first's supply, ``demand_at_margin``
+    the second's capped by the demand left) and so the buyer's source and
+    tier arcs.  They fix it: an at-margin tier holding an object in supply
+    has a demand of at least 1, so every object in the part has an arc."""
+    return (
+        tuple(i for i in report.above if supplies[i] > 0),
+        tuple(i for i in report.at_margin if supplies[i] > 0),
+    )
+
+
 def _build_network(
     instance: Instance,
     prices: PriceVector,
     reports: Mapping[str, TierReport],
-    tiers: tuple[int, ...],
+    zero_tier: bool,
 ) -> FlowNetwork:
-    """Build the layered network over ``tiers`` from one report per buyer.
+    """Build the layered network from one report per buyer, with the
+    zero-payoff tier when ``zero_tier`` holds.
 
     Source arcs carry the tier demands, tier arcs carry the supply visible
-    to the tier (capped by the tier demand for the at-margin tier), the
-    zero-payoff tier takes part only when ``TIER_ZERO`` is in ``tiers``,
-    and every object forwards its supply to the sink.  The arc order is
+    to the tier (capped by the tier demand for the at-margin tier), and
+    every object forwards its supply to the sink.  The arc order is
     canonical: the max-flow solver's path order depends on it.
     """
-    zero_tier = TIER_ZERO in tiers
     supplies = instance.supplies
     # Node ids as FlowNetwork numbers them; a buyer's tier nodes are
     # consecutive, above-margin first.
-    width = len(tiers)
+    width = 3 if zero_tier else 2
     first_object = 1 + len(instance.buyers) * width
     obj_id = {i: first_object + k for k, i in enumerate(instance.objects)}
     sink = first_object + len(instance.objects)
@@ -198,7 +193,7 @@ def _build_network(
     for i in instance.objects:
         if supplies[i] > 0:
             arcs.append((obj_id[i], sink, supplies[i]))
-    return FlowNetwork(tiers, instance.buyers, instance.objects, prices, arcs)
+    return FlowNetwork(width, instance.buyers, instance.objects, prices, arcs)
 
 
 def build_demand_network(
@@ -206,25 +201,24 @@ def build_demand_network(
 ) -> FlowNetwork:
     """Build the demand network (above-margin and at-margin tiers) from one
     tier report per buyer."""
-    return _build_network(instance, prices, reports, DEMAND_TIERS)
+    return _build_network(instance, prices, reports, zero_tier=False)
 
 
 def build_allocation_network(instance: Instance, prices: PriceVector) -> FlowNetwork:
     """Build the allocation network: the demand network plus the
-    zero-payoff tier.  Requires a balanced instance."""
-    if instance.total_supply != instance.total_demand:
-        raise UnbalancedInstanceError(
-            f"total supply {instance.total_supply} != total demand {instance.total_demand}"
-        )
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    return _build_network(instance, prices, reports, ALLOCATION_TIERS)
+    zero-payoff tier, over the market balanced by ``balance_instance``.
+    A dummy object, missing from ``prices``, prices at 0."""
+    balanced = balance_instance(instance)
+    prices = PriceVector.for_instance(balanced, prices.prices)
+    reports = {j: tier_report(balanced, j, prices) for j in balanced.buyers}
+    return _build_network(balanced, prices, reports, zero_tier=True)
 
 
 def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
-    """Raise :class:`InfeasibleFlowError` unless the flow has one amount
-    per arc, obeys capacities and conservation, and its value matches."""
+    """Raise :class:`FlowError` unless the flow has one amount per arc,
+    obeys capacities and conservation, and its value matches."""
     if len(flow.flows) != len(network.arcs):
-        raise InfeasibleFlowError(
+        raise FlowError(
             f"flow has {len(flow.flows)} amounts for a network of {len(network.arcs)} arcs"
         )
     balance = [0] * (network.sink + 1)
@@ -232,16 +226,16 @@ def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
         if amount == 0:
             continue
         if amount < 0 or amount > cap:
-            raise InfeasibleFlowError(
+            raise FlowError(
                 f"flow {amount} outside [0, {cap}] on {network.label(u)} -> {network.label(v)}"
             )
         balance[u] -= amount
         balance[v] += amount
     for k in range(1, network.sink):
         if balance[k] != 0:
-            raise InfeasibleFlowError(f"conservation violated at {network.label(k)}")
+            raise FlowError(f"conservation violated at {network.label(k)}")
     if flow.value != -balance[0]:
-        raise InfeasibleFlowError(f"declared value {flow.value} != source outflow {-balance[0]}")
+        raise FlowError(f"declared value {flow.value} != source outflow {-balance[0]}")
 
 
 def _residual_search(network: FlowNetwork, flows: list[int]) -> list[int | None]:
@@ -278,8 +272,8 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
     """Integral maximum flow via shortest augmenting paths.
 
     ``warm_start`` seeds the computation with an existing feasible flow;
-    it is validated and raises :class:`InfeasibleFlowError` if it does not
-    fit this network.
+    it is validated and raises :class:`FlowError` if it does not fit this
+    network.
     """
     cap, tail, head, sink = network.cap, network.tail, network.head, network.sink
     flows = [0] * len(cap)
@@ -312,11 +306,11 @@ def leftmost_min_cut(network: FlowNetwork, flow: IntegralFlow) -> CutResult:
     the residual graph of a maximum flow."""
     pred = _residual_search(network, flow.flows)
     if pred[network.sink] is not None:
-        raise NotMaximumError("sink reachable in residual graph; flow is not maximum")
-    reached = tuple(k for k, a in enumerate(pred) if a is not None)
+        raise FlowError("sink reachable in residual graph; flow is not maximum")
+    reached = [k for k, a in enumerate(pred) if a is not None]
     first = network.first_object
     objects = frozenset(network.objects[k - first] for k in reached if k >= first)
-    return CutResult(reached, objects, tuple(sorted(network.label(k) for k in reached)))
+    return CutResult(objects, tuple(sorted(network.label(k) for k in reached)))
 
 
 def flow_update(
@@ -330,21 +324,21 @@ def flow_update(
     if the object left both tiers.  The result is feasible in the new
     network whenever the raise happened on the left-most min cut's objects.
     It is checked once, by ``max_flow`` when warm started from it (or by
-    ``check_feasible``), whose :class:`InfeasibleFlowError` signals a bug.
+    ``check_feasible``), whose :class:`FlowError` signals a bug.
     """
-    nodes = (old_network.tiers, old_network.buyers, old_network.objects)
-    if nodes != (new_network.tiers, new_network.buyers, new_network.objects):
+    nodes = (old_network.width, old_network.buyers, old_network.objects)
+    if nodes != (new_network.width, new_network.buyers, new_network.objects):
         raise FlowError("the two networks do not share their nodes")
     deltas = {i: new_network.prices[i] - old_network.prices[i] for i in old_network.objects}
     raised = {i for i, d in deltas.items() if d != 0}
     if not raised:
-        raise PriceStepError("new prices equal old prices; nothing to update")
+        raise FlowError("new prices equal old prices; nothing to update")
     steps = {deltas[i] for i in raised}
     if len(steps) != 1 or min(steps) < 1:
-        raise PriceStepError(f"price changes {deltas} are not a uniform raise on one object set")
+        raise FlowError(f"price changes {deltas} are not a uniform raise on one object set")
 
     arc_id = {(u, v): a for a, (u, v, _) in enumerate(new_network.arcs)}
-    width, first, sink = len(new_network.tiers), new_network.first_object, new_network.sink
+    width, first, sink = new_network.width, new_network.first_object, new_network.sink
     flows = [0] * len(new_network.arcs)
     dropped: dict[tuple[str, str], int] = {}
     value = 0
@@ -371,7 +365,7 @@ def flow_update(
 def tier_flows(network: FlowNetwork, flow: IntegralFlow) -> list[tuple[str, str, int]]:
     """(buyer, object, amount) for every tier arc that carries flow, in
     canonical buyer, then object order."""
-    width, first, sink = len(network.tiers), network.first_object, network.sink
+    width, first, sink = network.width, network.first_object, network.sink
     carried = sorted(
         ((u - 1) // width, v, amount)
         for (u, v, _), amount in zip(network.arcs, flow.flows)

@@ -44,6 +44,15 @@ class PerturbationError(ValueError):
     """Two instances do not form a valid (demand up, supply down) pair."""
 
 
+def _unique_minimal(sets: list[frozenset[str]], what: str) -> frozenset[str]:
+    """The one inclusion-minimal set among ``sets``; raises
+    :class:`GuaranteeViolation` naming ``what`` if there is not exactly one."""
+    minimal = [s for s in sets if not any(o < s for o in sets)]
+    if len(minimal) != 1:
+        raise GuaranteeViolation(f"{what} is not unique: {minimal}")
+    return minimal[0]
+
+
 # ---------------------------------------------------------------------------
 # Bundle enumeration: the ground-truth demand oracle.
 
@@ -149,10 +158,8 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
         return True, None
     worst = max(excess for excess, _ in violations)
     candidates = [subset for excess, subset in violations if excess == worst]
-    minimal = [s for s in candidates if not any(o < s for o in candidates)]
-    if len(minimal) != 1:
-        raise GuaranteeViolation(f"minimal most overdemanded set is not unique: {minimal}")
-    return False, tuple(i for i in instance.objects if i in minimal[0])
+    minimal = _unique_minimal(candidates, "minimal most overdemanded set")
+    return False, tuple(i for i in instance.objects if i in minimal)
 
 
 def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
@@ -270,10 +277,7 @@ def steepest_descent_bruteforce(instance: Instance, prices: PriceVector) -> froz
             scored.append((lyapunov(instance, prices.raised(subset)), subset))
     best = min(score for score, _ in scored)
     minimizers = [subset for score, subset in scored if score == best]
-    minimal = [s for s in minimizers if not any(o < s for o in minimizers)]
-    if len(minimal) != 1:
-        raise GuaranteeViolation(f"minimal potential minimizer is not unique: {minimal}")
-    return minimal[0]
+    return _unique_minimal(minimizers, "minimal potential minimizer")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from flowauction.model import validate_instance
+from flowauction.verify import perturb_instance, random_instance
 
 
 @pytest.fixture
@@ -61,6 +62,18 @@ def price_pressure_pair(m=5):
     return base, bumped
 
 
+#: Two unit-supply objects and three unit-demand buyers with values near
+#: 10^9, as an instance file: the minimum prices are (10^9, 10^9 - 1).
+HUGE_VALUES = {
+    "objects": [{"id": "a", "supply": 1}, {"id": "b", "supply": 1}],
+    "buyers": [
+        {"id": "u", "demand": 1, "valuations": {"a": 10**9, "b": 10**9 - 1}},
+        {"id": "v", "demand": 1, "valuations": {"a": 10**9, "b": 10**9 - 3}},
+        {"id": "w", "demand": 1, "valuations": {"a": 10**9 - 2, "b": 10**9}},
+    ],
+}
+
+
 @pytest.fixture
 def m_example():
     return price_pressure_pair(5)
@@ -68,3 +81,13 @@ def m_example():
 
 def seeded_rng(seed=20240901):
     return random.Random(seed)
+
+
+def pinned_markets():
+    """The seeded sweep the pinned digests are taken over: 400 small
+    markets, each with a perturbed twin."""
+    rng = random.Random(2026)
+    for k in range(400):
+        base = random_instance(rng, max_objects=4, max_buyers=4, max_value=(6, 30, 300)[k % 3])
+        twin, _ = perturb_instance(rng, base)
+        yield base, twin

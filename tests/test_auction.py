@@ -14,22 +14,25 @@ from flowauction.auction import (
     solve,
     trace_records,
 )
-from flowauction.flow import build_demand_network, flow_update, leftmost_min_cut, max_flow
+from flowauction.flow import build_demand_network, flow_update, leftmost_min_cut, max_flow, network_part
 from flowauction.model import (
     InstanceError,
     IterationRecord,
     PriceVector,
     duplicate_instance,
+    instance_from_dict,
     validate_instance,
 )
 from flowauction.tiers import tier_report
 from flowauction.verify import (
+    BudgetExceededError,
     check_equilibrium,
     min_competitive_bruteforce,
     perturb_instance,
     random_instance,
     random_prices,
 )
+from conftest import HUGE_VALUES, pinned_markets
 
 
 def demand_network(instance, prices):
@@ -469,7 +472,7 @@ class TestBreakpointWalk:
             for prices in (random_prices(rng, inst), random_prices(rng, inst)):
                 reports = {j: tier_report(inst, j, prices) for j in inst.buyers}
                 network = build_demand_network(inst, prices, reports)
-                parts.append({j: auction._network_part(reports[j], inst.supplies) for j in inst.buyers})
+                parts.append({j: network_part(reports[j], inst.supplies) for j in inst.buyers})
                 # Buyer b's tier nodes are 1 + 2b and 2 + 2b; its source
                 # arcs enter them and its tier arcs leave them.
                 tiers = {j: (1 + 2 * b, 2 + 2 * b) for b, j in enumerate(inst.buyers)}
@@ -513,13 +516,19 @@ class TestBreakpointWalk:
         assert len(unit_calls) == 1
         assert len(unit_cold_calls) == 1
 
-
-def pinned_markets():
-    rng = random.Random(2026)
-    for k in range(400):
-        base = random_instance(rng, max_objects=4, max_buyers=4, max_value=(6, 30, 300)[k % 3])
-        twin, _ = perturb_instance(rng, base)
-        yield base, twin
+    def test_unit_mode_stops_at_the_record_budget(self):
+        """Values near 10^9 would take unit mode 10^9 records: it raises
+        before writing them, while adapted mode takes two."""
+        inst = instance_from_dict(HUGE_VALUES)
+        for warm in (True, False):
+            with pytest.raises(
+                BudgetExceededError,
+                match="^unit mode would write 1000000000 records, beyond the budget of 1000000$",
+            ):
+                price_raising(inst, SolveOptions(mode="unit", warm_start=warm))
+            prices, trace = price_raising(inst, SolveOptions(mode="adapted", warm_start=warm))
+            assert prices.as_dict() == {"a": 10**9, "b": 10**9 - 1}
+            assert len(trace.iterations) == 2
 
 
 PINNED_DIGESTS = {

@@ -1,11 +1,13 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
-from flowauction.auction import price_raising
-from flowauction.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, build_parser, run
-from flowauction.model import instance_from_dict
+from flowauction.auction import SolveOptions, price_raising
+from flowauction.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, build_parser, run, run_verification
+from flowauction.model import PriceVector, instance_from_dict
+from conftest import HUGE_VALUES, pinned_markets
 
 EXAMPLE1 = {
     "objects": [{"id": "alpha", "supply": 1}, {"id": "beta", "supply": 1}],
@@ -36,6 +38,13 @@ def example1_file(tmp_path):
 def fig1_file(tmp_path):
     path = tmp_path / "fig1.json"
     path.write_text(json.dumps(FIG1))
+    return str(path)
+
+
+@pytest.fixture
+def huge_value_file(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_VALUES))
     return str(path)
 
 
@@ -242,6 +251,14 @@ class TestSolve:
         assert f"error: the start prices in {start_path} are above the minimum competitive prices" in err
         assert "guarantee saturation" not in err
 
+    def test_unit_mode_beyond_the_record_budget_exits_three(self, huge_value_file, capsys):
+        assert run(["solve", huge_value_file]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unit mode would write 1000000000 records, beyond the budget of 1000000\n"
+        code, payload = run_json(capsys, ["solve", huge_value_file, "--mode", "adapted"])
+        assert code == EXIT_OK and payload["iterations"] == 2
+
     def test_budget_is_not_a_solve_argument(self, example1_file, capsys):
         assert run(["solve", example1_file, "--budget", "5"]) == EXIT_PARSE
 
@@ -399,6 +416,15 @@ class TestVerify:
         assert brute["passed"] is False
         assert brute["detail"] == "auction {'a': 998, 'b': 5, 'c': 0}, bruteforce {'a': 997, 'b': 5, 'c': 0}"
 
+    def test_unit_run_beyond_the_record_budget_is_skipped_or_exits_three(self, huge_value_file, capsys):
+        code, payload = run_json(capsys, ["verify", huge_value_file, "--mode", "adapted"])
+        assert code == EXIT_OK and payload["passed"] is True
+        (agreement,) = [c for c in payload["checks"] if c["name"] == "unit-adapted-agreement"]
+        assert agreement["passed"] is None and agreement["skipped"] is True
+        assert agreement["detail"] == "unit mode would write 1000000000 records, beyond the budget of 1000000"
+        assert run(["verify", huge_value_file, "--mode", "unit"]) == EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("error: unit mode would write")
+
     def test_skipped_hall_check_says_why(self, tmp_path, capsys):
         objects = [{"id": f"o{k}", "supply": 1} for k in range(17)]
         path = tmp_path / "wide.json"
@@ -527,3 +553,23 @@ class TestExitCodes:
         assert run(["verify", example1_file]) == EXIT_VERIFY
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is False
+
+
+PINNED_REPORT_DIGEST = "b68985ae8c3c7151"
+
+
+def test_verify_reports_are_pinned():
+    """A digest of ``run_verification`` reports as canonical JSON, in unit
+    and adapted mode with a grid budget of 3000, over the first 75 pairs of
+    the pinned sweep: each market from zero prices, then its twin restarted
+    from the market's prices.  A change that moves it changes what a check
+    reports; re-recording it needs a line in CHANGES.md saying why."""
+    digest = hashlib.sha256()
+    for base, twin in list(pinned_markets())[:75]:
+        for mode in ("unit", "adapted"):
+            start = None
+            for inst in (base, twin):
+                report = run_verification(inst, SolveOptions(mode=mode, start_prices=start), 3000)
+                digest.update(json.dumps(report, indent=2, sort_keys=True).encode())
+                start = PriceVector(report["prices"])
+    assert digest.hexdigest()[:16] == PINNED_REPORT_DIGEST
