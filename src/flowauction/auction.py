@@ -1,30 +1,24 @@
-"""The ascending auctions and allocation extraction.
+"""The ascending auction and allocation extraction.
 
 ``price_raising`` runs the ascending auction: while the demand network does
 not admit a saturating flow, raise prices on the objects of the left-most
-min cut, by one unit per iteration or, in adapted mode, by as many units as
-the cut's object set survives.  The final prices are the component-wise
-minimum competitive prices.  ``allocate`` then reads a stable,
-market-clearing assignment off a max flow in the allocation network, which
-balances the market with a zero-value dummy.
+min cut.  The final prices are the component-wise minimum competitive
+prices.  ``allocate`` then reads a stable, market-clearing assignment off a
+max flow in the allocation network, which balances the market with a
+zero-value dummy.
 
-The demand network depends on the prices only through the above-margin
-and at-margin parts of the buyers' tier reports (``flow.network_part``).
-So the auction raises the cut's objects from one network breakpoint to the
-next (``tiers.next_breakpoint``: a raise where some buyer's part can
+The demand network depends on the prices only through the above-margin and
+at-margin parts of the buyers' tier reports (``flow.network_part``).  So
+every mode and start raises the cut's objects from one network breakpoint
+to the next (``tiers.next_breakpoint``: a raise where some buyer's part can
 change) until the network changes (``_step_length``), recomputing only the
 reports of the buyers whose breakpoint it reaches; its oracle and flow work
-do not grow with the valuations.  Every mode and start takes this one
-advance.  A warm start carries the flow over to the changed network, a
-cold start computes a fresh max flow there.  The mode decides how the
-climb is recorded: unit mode writes one record per unit of the raise,
-adapted mode one per run of raises on the same object set.  A unit record
-is a named tuple whose prices are a fresh dict in canonical order: the
-run's start prices with the raised objects lifted by the units raised so
-far.  So a climb of ``v_max`` units writes ``v_max`` small records and
-does no other work per unit.  A unit climb that would write more than
-``verify.DEFAULT_BUDGET`` records raises ``verify.BudgetExceededError``
-before it writes them.
+do not grow with the valuations.  A warm start carries the flow over to the
+changed network, a cold start computes a fresh max flow there.  The trace
+keeps one record per walk, and the mode decides only how it is read
+(``AuctionTrace``): one record per unit raise, or one per run of raises on
+the same object set.  A unit climb beyond ``verify.DEFAULT_BUDGET`` units
+raises ``verify.BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -121,11 +115,8 @@ def _step_length(
 def price_raising(
     instance: Instance, options: SolveOptions | None = None
 ) -> tuple[PriceVector, AuctionTrace]:
-    """Run the ascending auction and return the minimum competitive prices.
-
-    Returns the final price vector and a trace with one record per price
-    raise.
-    """
+    """Run the ascending auction: the minimum competitive prices and the
+    trace of the climb."""
     opts = options or SolveOptions()
     if opts.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {opts.mode!r}")
@@ -136,23 +127,23 @@ def price_raising(
     reports = {j: tier_report(instance, j, first) for j in instance.buyers}
     network = flownet.build_demand_network(instance, first, reports)
     best = flownet.max_flow(network)
-    records: list[IterationRecord] = []
+    walks: list[IterationRecord] = []
+    raises = 0
 
     # Each raise lifts at least one price by at least one and prices stay
     # below the bound, so this limit is never hit unless something is wrong.
     for _ in range(len(instance.objects) * (price_bound + 1) + 1):
         if best.value == network.cap_s:
-            return network.prices, AuctionTrace(tuple(records), calls)
+            return network.prices, AuctionTrace(tuple(walks), calls, opts.mode)
         cut = flownet.leftmost_min_cut(network, best)
-        cut_nodes = cut.labels
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
         step, walk_calls, next_network = _step_length(instance, network, reports, cut.objects)
-        if opts.mode == "unit" and len(records) + step > DEFAULT_BUDGET:
-            raise BudgetExceededError(
-                f"unit mode would write {len(records) + step} records, beyond the budget of {DEFAULT_BUDGET}"
-            )
+        raises += step
+        if opts.mode == "unit" and raises > DEFAULT_BUDGET:
+            message = f"unit mode would write {raises} records, beyond the budget of {DEFAULT_BUDGET}"
+            raise BudgetExceededError(message)
         calls += walk_calls
         if opts.warm_start:
             update = flownet.flow_update(network, best, next_network)
@@ -162,31 +153,8 @@ def price_raising(
             next_best, handoff_gap = flownet.max_flow(next_network), None
         if any(next_network.prices[i] > price_bound for i in raised):
             raise AuctionError("price raised beyond the maximum valuation")
-        if opts.mode == "adapted" and records and records[-1].raised == raised:
-            # The cut kept its object set across the network change, so
-            # the jump goes on.
-            records[-1] = records[-1]._replace(step=records[-1].step + step, handoff_gap=handoff_gap)
-        else:
-            # Unit mode writes a record per unit raise.  Each but the last
-            # rebuilds this network and, warm, carries this flow over whole.
-            # The fields go in by position: keywords cost more per record.
-            runs = [1] * step if opts.mode == "unit" else [step]
-            last = len(runs) - 1
-            carried_gap = network.cap_s - best.value if opts.warm_start else None
-            base = network.prices.prices
-            for k, run in enumerate(runs):
-                records.append(
-                    IterationRecord(
-                        len(records),
-                        base | {i: base[i] + k for i in raised},
-                        raised,
-                        cut_nodes,
-                        best.value,
-                        network.cap_s,
-                        run,
-                        handoff_gap if k == last else carried_gap,
-                    )
-                )
+        state = (network.prices.prices, raised, cut.labels, best.value, network.cap_s)
+        walks.append(IterationRecord(len(walks), *state, step, handoff_gap))
         network, best = next_network, next_best
     raise AuctionError("auction failed to terminate within the price bound")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 #: Everything is checked to fit comfortably in signed 64-bit arithmetic so
@@ -304,12 +305,10 @@ class Allocation:
 
 
 class IterationRecord(NamedTuple):
-    """One price-raising step: the state inspected before the raise.
-
-    ``handoff_gap`` is only set on warm-started iterations: it is the gap
-    between the next network's source capacity and the value of the updated
-    (not yet re-augmented) flow carried over to it.
-    """
+    """One raise of the left-most cut's objects: the state inspected before
+    it.  ``handoff_gap``, set only on warm starts, is the next network's
+    source capacity less the value of the flow carried over to it, before
+    it is re-augmented."""
 
     index: int
     prices: dict[str, int]
@@ -323,5 +322,39 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class AuctionTrace:
-    iterations: tuple[IterationRecord, ...]
+    """A climb kept as one record per walk, a raise up to the next network
+    change.  ``iterations`` is the mode's view, built when first read: unit
+    mode reads a walk of step s as s records of step 1, the k-th at prices
+    raised by k and each but the last with the gap of a flow carried over
+    whole; adapted mode merges consecutive walks on one raised set.
+    ``record_count`` is the view's length, counted without building it."""
+
+    walks: tuple[IterationRecord, ...]
     oracle_calls: int
+    mode: str
+
+    @property
+    def record_count(self) -> int:
+        if self.mode == "unit":
+            return sum(walk.step for walk in self.walks)
+        return len(self.walks) - sum(a.raised == b.raised for a, b in zip(self.walks, self.walks[1:]))
+
+    @cached_property
+    def iterations(self) -> tuple[IterationRecord, ...]:
+        records: list[IterationRecord] = []
+        for walk in self.walks:
+            if self.mode == "unit":
+                base, raised, last = walk.prices, walk.raised, walk.step - 1
+                carried = None if walk.handoff_gap is None else walk.cap_s - walk.flow_value
+                # The fields go in by position: keywords cost more per record.
+                head = (raised, walk.cut_nodes, walk.flow_value, walk.cap_s)
+                for k in range(walk.step):
+                    prices = base | {i: base[i] + k for i in raised}
+                    gap = carried if k < last else walk.handoff_gap
+                    records.append(IterationRecord(len(records), prices, *head, 1, gap))
+            elif records and records[-1].raised == walk.raised:
+                merged = records[-1].step + walk.step
+                records[-1] = records[-1]._replace(step=merged, handoff_gap=walk.handoff_gap)
+            else:
+                records.append(walk._replace(index=len(records)))
+        return tuple(records)

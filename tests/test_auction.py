@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from flowauction import auction, flow
+from flowauction import auction, cli, flow
 from flowauction.auction import (
     AuctionError,
     SolveOptions,
@@ -500,17 +500,14 @@ class TestBreakpointWalk:
             assert warm.oracle_calls <= cold.oracle_calls
             calls.add(warm.oracle_calls)
             cold_calls.add(cold.oracle_calls)
-            # Unit mode still writes a record per unit raise, so its run
-            # grows with the values even where its oracle calls do not.
-            if factor <= 2000:
-                unit_prices, unit = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
-                assert unit_prices == warm_prices
-                unit_calls.add(unit.oracle_calls)
-                unit_cold_prices, unit_cold = price_raising(
-                    inst, SolveOptions(mode="unit", warm_start=False)
-                )
-                assert unit_cold_prices == warm_prices
-                unit_cold_calls.add(unit_cold.oracle_calls)
+            # Unit mode takes the same walks; only its view of them, built
+            # when read, grows with the values.
+            unit_prices, unit = price_raising(inst, SolveOptions(mode="unit", warm_start=True))
+            assert unit_prices == warm_prices
+            unit_calls.add(unit.oracle_calls)
+            unit_cold_prices, unit_cold = price_raising(inst, SolveOptions(mode="unit", warm_start=False))
+            assert unit_cold_prices == warm_prices
+            unit_cold_calls.add(unit_cold.oracle_calls)
         assert len(calls) == 1
         assert len(cold_calls) == 1
         assert len(unit_calls) == 1
@@ -529,6 +526,51 @@ class TestBreakpointWalk:
             prices, trace = price_raising(inst, SolveOptions(mode="adapted", warm_start=warm))
             assert prices.as_dict() == {"a": 10**9, "b": 10**9 - 1}
             assert len(trace.iterations) == 2
+
+
+class TestOneClimbTwoViews:
+    def test_a_unit_solve_builds_unit_records_only_when_read(self, monkeypatch):
+        """Values in the hundreds take unit mode hundreds of unit raises in
+        a few walks: the climb writes one record per walk, and the unit
+        records are built the first time ``iterations`` is read."""
+        inst = scaled(restart_fault_pair()[0], 100)
+        walk, walks, built = auction._step_length, [], []
+
+        def traced_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        def counted(*fields):
+            built.append(fields)
+            return IterationRecord(*fields)
+
+        monkeypatch.setattr(auction, "_step_length", traced_walk)
+        monkeypatch.setattr(auction, "IterationRecord", counted)
+        for warm in (True, False):
+            walks.clear()
+            built.clear()
+            equilibrium = solve(inst, SolveOptions(mode="unit", warm_start=warm))
+            trace = equilibrium.trace
+            assert equilibrium.prices.as_dict() == {"a": 500, "b": 400}
+            assert cli._final_payload(equilibrium)["iterations"] == trace.record_count == 500
+            assert len(built) <= len(walks) < 10
+            assert "iterations" not in vars(trace)
+            records = trace.iterations
+            assert len(records) == 500 and trace.iterations is records
+            assert [record.step for record in records] == [1] * 500
+            assert len(built) <= len(walks)
+
+    def test_the_count_and_the_views_agree(self):
+        for inst in walk_markets():
+            traces = {}
+            for mode, warm in CONFIGS:
+                _, trace = price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
+                assert trace.record_count == len(trace.iterations)
+                traces[mode, warm] = trace
+            for warm in (True, False):
+                unit, adapted = traces["unit", warm], traces["adapted", warm]
+                assert unit.walks == adapted.walks
+                assert len(unit.iterations) == sum(record.step for record in adapted.iterations)
 
 
 PINNED_DIGESTS = {

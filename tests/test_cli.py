@@ -323,12 +323,12 @@ class TestVerify:
 
         solve = cli.solve
 
-        def one_record_short(instance, options):
+        def one_walk_short(instance, options):
             equilibrium = solve(instance, options)
-            trace = replace(equilibrium.trace, iterations=equilibrium.trace.iterations[:-1])
+            trace = replace(equilibrium.trace, walks=equilibrium.trace.walks[:-1])
             return replace(equilibrium, trace=trace)
 
-        monkeypatch.setattr(cli, "solve", one_record_short)
+        monkeypatch.setattr(cli, "solve", one_walk_short)
         for mode, passed in (("unit", False), ("adapted", True)):
             code, payload = run_json(capsys, ["verify", fig1_file, "--mode", mode])
             (bound,) = [c for c in payload["checks"] if c["name"] == "iteration-bound"]
