@@ -17,8 +17,7 @@ do not grow with the valuations.  A warm start carries the flow over to the
 changed network, a cold start computes a fresh max flow there.  The trace
 keeps one record per walk, and the mode decides only how it is read
 (``AuctionTrace``): one record per unit raise, or one per run of raises on
-the same object set.  A unit climb beyond ``verify.DEFAULT_BUDGET`` units
-raises ``verify.BudgetExceededError``.
+the same object set.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from . import flow as flownet
 from .model import Allocation, AuctionTrace, Instance, IterationRecord, PriceVector
 from .tiers import TierReport, next_breakpoint, tier_report
-from .verify import DEFAULT_BUDGET, BudgetExceededError
 
 MODES = ("unit", "adapted")
 
@@ -128,7 +126,6 @@ def price_raising(
     network = flownet.build_demand_network(instance, first, reports)
     best = flownet.max_flow(network)
     walks: list[IterationRecord] = []
-    raises = 0
 
     # Each raise lifts at least one price by at least one and prices stay
     # below the bound, so this limit is never hit unless something is wrong.
@@ -140,10 +137,6 @@ def price_raising(
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
         step, walk_calls, next_network = _step_length(instance, network, reports, cut.objects)
-        raises += step
-        if opts.mode == "unit" and raises > DEFAULT_BUDGET:
-            message = f"unit mode would write {raises} records, beyond the budget of {DEFAULT_BUDGET}"
-            raise BudgetExceededError(message)
         calls += walk_calls
         if opts.warm_start:
             update = flownet.flow_update(network, best, next_network)
@@ -189,19 +182,3 @@ def solve(instance: Instance, options: SolveOptions | None = None) -> Equilibriu
     allocation = allocate(instance, prices)
     return Equilibrium(prices, allocation, trace)
 
-
-def trace_records(trace: AuctionTrace) -> list[dict]:
-    """Iteration records in the documented JSON layout."""
-    return [
-        {
-            "iter": record.index,
-            "prices": record.prices,
-            "raised_set": list(record.raised),
-            "cut_nodes": list(record.cut_nodes),
-            "alpha": record.step,
-            "flow_value": record.flow_value,
-            "cap_s": record.cap_s,
-            "handoff_gap": record.handoff_gap,
-        }
-        for record in trace.iterations
-    ]

@@ -327,7 +327,8 @@ class AuctionTrace:
     mode reads a walk of step s as s records of step 1, the k-th at prices
     raised by k and each but the last with the gap of a flow carried over
     whole; adapted mode merges consecutive walks on one raised set.
-    ``record_count`` is the view's length, counted without building it."""
+    ``record_count`` is the view's length, counted without building it;
+    reading ``iterations`` is not bounded, only the CLI's trace file is."""
 
     walks: tuple[IterationRecord, ...]
     oracle_calls: int

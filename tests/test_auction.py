@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,6 @@ from flowauction.auction import (
     first_prices,
     price_raising,
     solve,
-    trace_records,
 )
 from flowauction.flow import build_demand_network, flow_update, leftmost_min_cut, max_flow, network_part
 from flowauction.model import (
@@ -25,7 +26,6 @@ from flowauction.model import (
 )
 from flowauction.tiers import tier_report
 from flowauction.verify import (
-    BudgetExceededError,
     check_equilibrium,
     min_competitive_bruteforce,
     perturb_instance,
@@ -513,19 +513,19 @@ class TestBreakpointWalk:
         assert len(unit_calls) == 1
         assert len(unit_cold_calls) == 1
 
-    def test_unit_mode_stops_at_the_record_budget(self):
-        """Values near 10^9 would take unit mode 10^9 records: it raises
-        before writing them, while adapted mode takes two."""
+    def test_unit_mode_counts_a_billion_raises_without_writing_them(self):
+        """Values near 10^9 take unit mode 10^9 raises: it climbs them in
+        the walks adapted mode takes, and counts its records without
+        building them."""
         inst = instance_from_dict(HUGE_VALUES)
         for warm in (True, False):
-            with pytest.raises(
-                BudgetExceededError,
-                match="^unit mode would write 1000000000 records, beyond the budget of 1000000$",
-            ):
-                price_raising(inst, SolveOptions(mode="unit", warm_start=warm))
-            prices, trace = price_raising(inst, SolveOptions(mode="adapted", warm_start=warm))
-            assert prices.as_dict() == {"a": 10**9, "b": 10**9 - 1}
-            assert len(trace.iterations) == 2
+            prices, trace = price_raising(inst, SolveOptions(mode="unit", warm_start=warm))
+            adapted_prices, adapted = price_raising(inst, SolveOptions(mode="adapted", warm_start=warm))
+            assert prices.as_dict() == adapted_prices.as_dict() == {"a": 10**9, "b": 10**9 - 1}
+            assert trace.record_count == 10**9
+            assert trace.walks == adapted.walks
+            assert trace.oracle_calls == adapted.oracle_calls
+            assert "iterations" not in trace.__dict__
 
 
 class TestOneClimbTwoViews:
@@ -600,10 +600,27 @@ def test_solve_outputs_are_pinned():
                 output = [
                     equilibrium.prices.as_dict(),
                     list(equilibrium.allocation.quantities.items()),
-                    trace_records(equilibrium.trace),
+                    cli.trace_records(equilibrium.trace),
                     equilibrium.trace.oracle_calls,
                 ]
                 digest.update(json.dumps(output).encode())
                 start = equilibrium.prices
         digests[(mode, warm)] = digest.hexdigest()[:16]
     assert digests == PINNED_DIGESTS
+
+
+def test_the_solver_imports_no_oracle_or_frontend():
+    """The solver layer (model, tiers, flow, auction) imports nothing from
+    the oracles in ``verify`` or the frontend in ``cli``."""
+    package = Path(auction.__file__).parent
+    for name in ("model", "tiers", "flow", "auction"):
+        path = package / f"{name}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+        forbidden = imported & {"verify", "cli"}
+        assert not forbidden, f"{name}.py imports {sorted(forbidden)}"

@@ -251,11 +251,17 @@ class TestSolve:
         assert f"error: the start prices in {start_path} are above the minimum competitive prices" in err
         assert "guarantee saturation" not in err
 
-    def test_unit_mode_beyond_the_record_budget_exits_three(self, huge_value_file, capsys):
-        assert run(["solve", huge_value_file]) == EXIT_BUDGET
+    def test_a_unit_trace_beyond_the_record_budget_exits_three(self, huge_value_file, tmp_path, capsys):
+        """A unit solve of 10^9 raises reports them; only writing its trace
+        stops at the record budget, before the file is opened."""
+        code, payload = run_json(capsys, ["solve", huge_value_file])
+        assert code == EXIT_OK and payload["iterations"] == 1000000000
+        trace_path = tmp_path / "trace.json"
+        assert run(["solve", huge_value_file, "--trace", str(trace_path)]) == EXIT_BUDGET
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: unit mode would write 1000000000 records, beyond the budget of 1000000\n"
+        assert captured.err == "error: the trace would hold 1000000000 records, beyond the budget of 1000000\n"
+        assert not trace_path.exists()
         code, payload = run_json(capsys, ["solve", huge_value_file, "--mode", "adapted"])
         assert code == EXIT_OK and payload["iterations"] == 2
 
@@ -416,14 +422,23 @@ class TestVerify:
         assert brute["passed"] is False
         assert brute["detail"] == "auction {'a': 998, 'b': 5, 'c': 0}, bruteforce {'a': 997, 'b': 5, 'c': 0}"
 
-    def test_unit_run_beyond_the_record_budget_is_skipped_or_exits_three(self, huge_value_file, capsys):
-        code, payload = run_json(capsys, ["verify", huge_value_file, "--mode", "adapted"])
-        assert code == EXIT_OK and payload["passed"] is True
-        (agreement,) = [c for c in payload["checks"] if c["name"] == "unit-adapted-agreement"]
-        assert agreement["passed"] is None and agreement["skipped"] is True
-        assert agreement["detail"] == "unit mode would write 1000000000 records, beyond the budget of 1000000"
-        assert run(["verify", huge_value_file, "--mode", "unit"]) == EXIT_BUDGET
-        assert capsys.readouterr().err.startswith("error: unit mode would write")
+    def test_unit_runs_beyond_the_record_budget_verify_and_duplicate(self, huge_value_file, capsys):
+        """Unit runs of 10^9 raises write no trace, so no budget stops them."""
+        bounds = {}
+        for mode in ("unit", "adapted"):
+            code, payload = run_json(capsys, ["verify", huge_value_file, "--mode", mode])
+            assert code == EXIT_OK and payload["passed"] is True
+            checks = {c["name"]: c for c in payload["checks"]}
+            agreement = checks["unit-adapted-agreement"]
+            assert agreement["passed"] is True and "skipped" not in agreement
+            bounds[mode] = checks["iteration-bound"]["detail"]
+        assert bounds == {
+            "unit": "1000000000 raises, largest increase 1000000000",
+            "adapted": "2 raises, largest increase 1000000000",
+        }
+        code, payload = run_json(capsys, ["duplicate-demo", huge_value_file, "--mode", "unit"])
+        assert code == EXIT_OK
+        assert payload["duplicated"]["prices"] == {"a#1": 10**9, "b#1": 10**9 - 1}
 
     def test_skipped_hall_check_says_why(self, tmp_path, capsys):
         objects = [{"id": f"o{k}", "supply": 1} for k in range(17)]
