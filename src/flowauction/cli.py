@@ -17,7 +17,6 @@ from dataclasses import replace
 from . import flow as flownet
 from .auction import MODES, AuctionError, SolveOptions, first_prices, price_raising, solve
 from .model import AuctionTrace, Instance, InstanceError, PriceVector, duplicate_instance, load_instance, read_json
-from .tiers import tier_report
 from .verify import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -137,19 +136,14 @@ def trace_records(trace: AuctionTrace) -> list[dict]:
     ]
 
 
-def _write_trace(path: str, equilibrium) -> None:
-    payload = {
-        "iterations": trace_records(equilibrium.trace),
-        "final": _final_payload(equilibrium),
-    }
+def _write_trace(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def _write_network_dump(path: str, instance: Instance, prices: PriceVector) -> None:
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    network = flownet.build_demand_network(instance, prices, reports)
+    network = flownet.build_demand_network(instance, prices)
     best = flownet.max_flow(network)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(flownet.dump_network(network, best))
@@ -165,12 +159,15 @@ def _cmd_solve(args) -> int:
             "competitive prices; use the verify command to check the result",
             file=sys.stderr,
         )
+    equilibrium = solve(instance, options)
+    final = _final_payload(equilibrium)
+    # The records are built, and their budget checked, before any file is written.
+    records = trace_records(equilibrium.trace) if args.trace else None
     if args.dump_network:
         _write_network_dump(args.dump_network, instance, first)
-    equilibrium = solve(instance, options)
     if args.trace:
-        _write_trace(args.trace, equilibrium)
-    _emit(_final_payload(equilibrium))
+        _write_trace(args.trace, {"iterations": records, "final": final})
+    _emit(final)
     return EXIT_OK
 
 
@@ -186,10 +183,10 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
     equilibrium = solve(instance, options)
     prices = equilibrium.prices
 
-    # Both modes run one climb: this run tests that the mode changes only the view.
+    # The mode enters only the view of the climb, never the climb, so one
+    # run in the other mode and the other warm setting checks both.
     other_mode = "adapted" if options.mode == "unit" else "unit"
-    cross_mode, _ = price_raising(instance, replace(options, mode=other_mode))
-    cross_warm, _ = price_raising(instance, replace(options, warm_start=not options.warm_start))
+    cross, _ = price_raising(instance, replace(options, mode=other_mode, warm_start=not options.warm_start))
 
     checks: list[dict] = []
 
@@ -243,12 +240,12 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
     record(
         "unit-adapted-agreement",
         "unit-step and adapted-step modes return identical prices",
-        cross_mode == prices,
+        cross == prices,
     )
     record(
         "warm-cold-agreement",
         "warm-started and cold-started runs return identical prices",
-        cross_warm == prices,
+        cross == prices,
     )
     raises = equilibrium.trace.record_count
     first = first_prices(instance, options.start_prices)

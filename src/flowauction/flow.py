@@ -197,10 +197,14 @@ def _build_network(
 
 
 def build_demand_network(
-    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport]
+    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport] | None = None
 ) -> FlowNetwork:
-    """Build the demand network (above-margin and at-margin tiers) from one
-    tier report per buyer."""
+    """Build the demand network (above-margin and at-margin tiers) at
+    ``prices`` from one tier report per buyer.  Omitted ``reports`` are
+    computed at ``prices``; the walk passes its own, current in the part
+    the network reads (``network_part``)."""
+    if reports is None:
+        reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
     return _build_network(instance, prices, reports, zero_tier=False)
 
 

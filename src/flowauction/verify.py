@@ -3,11 +3,14 @@
 Competitiveness is decided by exhaustive bundle enumeration, by the
 Hall-style counting condition or by the flow criterion, minimum prices by
 enumerating the price grid, and descent sets by evaluating the potential on
-every object subset.  The checks share ``tier_report``,
-``build_demand_network`` and, through ``is_competitive_flowcheck``,
-``max_flow`` with the solver, but not its search path: ``next_breakpoint``,
-``_step_length`` and ``flow_update``.  The checkers are desk-scale by design
-and each raises :class:`BudgetExceededError` beyond its enumeration budget.
+every object subset.  The Hall condition and the flow criterion both read
+``build_demand_network``, the one place that states the network's arc
+rules: the first counts each subset's overdemand off its tier arcs, the
+second runs ``max_flow`` on it.  Bundle enumeration and the descent
+potential do not read the network, so they check those rules.  No check
+shares the solver's search path: ``next_breakpoint``, ``_step_length`` and
+``flow_update``.  The checkers are desk-scale by design and each raises
+:class:`BudgetExceededError` beyond its enumeration budget.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .flow import build_demand_network, max_flow
 from .model import Allocation, Instance, InstanceError, PriceVector, validate_instance
-from .tiers import indirect_utility, tier_report
+from .tiers import indirect_utility
 
 
 DEFAULT_BUDGET = 1_000_000
@@ -87,25 +90,16 @@ def best_bundle_payoff(instance: Instance, buyer: str, prices: PriceVector) -> i
 def _tier_arc_table(
     instance: Instance, prices: PriceVector
 ) -> list[tuple[int, dict[str, int]]]:
-    """Per tier node of the demand network: its demand and its arc
-    capacities to objects."""
-    table = []
-    for j in instance.buyers:
-        report = tier_report(instance, j, prices)
-        table.append(
-            (report.demand_above, {i: instance.supplies[i] for i in report.above if instance.supplies[i] > 0})
+    """Per tier node of the demand network: its demand, which is its source
+    arc's capacity (0 without one), and its arc capacities to objects."""
+    network = build_demand_network(instance, prices)
+    return [
+        (
+            sum(network.cap[a] for a, _ in network.into[k]),
+            {network.label(v): network.cap[a] for a, v in network.out[k]},
         )
-        table.append(
-            (
-                report.demand_at_margin,
-                {
-                    i: min(instance.supplies[i], report.demand_at_margin)
-                    for i in report.at_margin
-                    if min(instance.supplies[i], report.demand_at_margin) > 0
-                },
-            )
-        )
-    return table
+        for k in range(1, network.first_object)
+    ]
 
 
 def _overdemand_from_table(
@@ -164,8 +158,7 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
 
 def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
     """Competitiveness via the demand network: max flow saturates the source."""
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    network = build_demand_network(instance, prices, reports)
+    network = build_demand_network(instance, prices)
     return max_flow(network).value == network.cap_s
 
 

@@ -15,7 +15,6 @@ from flowauction.auction import SolveOptions, price_raising, solve
 from flowauction.cli import run
 from flowauction.flow import build_demand_network, dump_network
 from flowauction.model import Instance, PriceVector, validate_instance
-from flowauction.tiers import tier_report
 from flowauction.verify import (
     check_equilibrium,
     check_monotonicity_pair,
@@ -134,8 +133,7 @@ def test_criterion_02_three_buyer_market(three_buyers, capsys):
 def test_criterion_03_network_construction(fig1, capsys):
     started = time.monotonic()
     prices = PriceVector.zero(fig1)
-    reports = {j: tier_report(fig1, j, prices) for j in fig1.buyers}
-    network = build_demand_network(fig1, prices, reports)
+    network = build_demand_network(fig1, prices)
     ok = dump_network(network) == FIG1_GOLDEN_DUMP
     _, trace = price_raising(fig1)
     ok = ok and trace.iterations[0].raised == ("beta",)

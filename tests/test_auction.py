@@ -35,13 +35,8 @@ from flowauction.verify import (
 from conftest import HUGE_VALUES, pinned_markets
 
 
-def demand_network(instance, prices):
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    return build_demand_network(instance, prices, reports)
-
-
 def cut_and_flow(instance, prices):
-    network = demand_network(instance, prices)
+    network = build_demand_network(instance, prices)
     best = max_flow(network)
     return leftmost_min_cut(network, best), best
 
@@ -62,7 +57,7 @@ def unit_walk_records(instance, per_unit=False):
     object set changes; ``per_unit`` writes one record per unit step, as
     unit mode does."""
     prices = PriceVector.zero(instance)
-    network = demand_network(instance, prices)
+    network = build_demand_network(instance, prices)
     best = max_flow(network)
     records = []
     while best.value < network.cap_s:
@@ -72,7 +67,7 @@ def unit_walk_records(instance, per_unit=False):
         while True:
             step += 1
             step_prices = prices.raised(raised, step)
-            next_network = demand_network(instance, step_prices)
+            next_network = build_demand_network(instance, step_prices)
             update = flow_update(step_network, step_best, next_network)
             step_network = next_network
             step_best = max_flow(next_network, warm_start=update.flow)
@@ -102,7 +97,7 @@ def unit_cold_records(instance):
     the left-most cut are computed afresh, and no flow is handed over.
     Returns the prices, the records and the tier-oracle calls made."""
     prices = PriceVector.zero(instance)
-    network = demand_network(instance, prices)
+    network = build_demand_network(instance, prices)
     best = max_flow(network)
     calls = len(instance.buyers)
     records = []
@@ -122,7 +117,7 @@ def unit_cold_records(instance):
             )
         )
         prices = prices.raised(raised, 1)
-        network = demand_network(instance, prices)
+        network = build_demand_network(instance, prices)
         best = max_flow(network)
         calls += len(instance.buyers)
     return prices, tuple(records), calls
@@ -370,6 +365,10 @@ class TestModeAndWarmEquivalence:
                     runs[(mode, warm)] = (prices, trace)
             baseline = runs[("unit", True)][0]
             assert all(prices == baseline for prices, _ in runs.values())
+            # The mode decides only how the climb is read, never the climb.
+            for warm in (True, False):
+                unit, adapted = (runs[(mode, warm)][1] for mode in ("unit", "adapted"))
+                assert (unit.walks, unit.oracle_calls) == (adapted.walks, adapted.oracle_calls)
             unit_iters = len(runs[("unit", True)][1].iterations)
             adapted_iters = len(runs[("adapted", True)][1].iterations)
             assert adapted_iters <= unit_iters

@@ -265,6 +265,15 @@ class TestSolve:
         code, payload = run_json(capsys, ["solve", huge_value_file, "--mode", "adapted"])
         assert code == EXIT_OK and payload["iterations"] == 2
 
+    def test_a_run_stopped_by_the_record_budget_writes_no_file(self, huge_value_file, tmp_path, capsys):
+        """The network dump is written only after the solve and the trace's
+        budget check, so a run that exits 3 leaves neither file."""
+        dump_path, trace_path = tmp_path / "net.txt", tmp_path / "trace.json"
+        argv = ["solve", huge_value_file, "--dump-network", str(dump_path), "--trace", str(trace_path)]
+        assert run(argv) == EXIT_BUDGET
+        assert capsys.readouterr().out == ""
+        assert not dump_path.exists() and not trace_path.exists()
+
     def test_budget_is_not_a_solve_argument(self, example1_file, capsys):
         assert run(["solve", example1_file, "--budget", "5"]) == EXIT_PARSE
 
@@ -341,6 +350,29 @@ class TestVerify:
             assert (bound["passed"], payload["passed"]) == (passed, passed)
             assert bound["detail"] == "0 raises, largest increase 1"
             assert code == (EXIT_OK if passed else EXIT_VERIFY)
+
+    def test_one_climb_besides_the_solve_backs_both_agreement_checks(self, fig1_file, capsys, monkeypatch):
+        """The mode enters only the view of a climb, so verify runs one
+        climb besides the solve's, in the other mode and warm setting."""
+        import flowauction.auction as auction
+        import flowauction.cli as cli
+
+        climb = auction.price_raising
+        calls = []
+
+        def counted(instance, options):
+            calls.append((options.mode, options.warm_start))
+            return climb(instance, options)
+
+        monkeypatch.setattr(auction, "price_raising", counted)
+        monkeypatch.setattr(cli, "price_raising", counted)
+        for mode, other in (("unit", "adapted"), ("adapted", "unit")):
+            for warm in (True, False):
+                calls.clear()
+                flag = "--warm-start" if warm else "--no-warm-start"
+                code, payload = run_json(capsys, ["verify", fig1_file, "--mode", mode, flag])
+                assert code == EXIT_OK and payload["passed"]
+                assert calls == [(mode, warm), (other, not warm)]
 
     def test_iteration_bound_counts_an_unsupplied_object_from_zero(self, tmp_path, capsys):
         """An object without supply starts at 0 whatever the start prices say."""

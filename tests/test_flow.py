@@ -19,7 +19,6 @@ from flowauction.flow import (
     max_flow,
 )
 from flowauction.model import DUMMY_BUYER, DUMMY_OBJECT, PriceVector, validate_instance
-from flowauction.tiers import tier_report
 from flowauction.verify import random_instance, random_prices
 from conftest import pinned_markets
 
@@ -36,11 +35,6 @@ alpha -> t [1, 0]
 beta -> t [1, 0]
 gamma -> t [4, 0]
 """
-
-
-def demand_network(instance, prices):
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    return build_demand_network(instance, prices, reports)
 
 
 def node_labels(network):
@@ -96,7 +90,7 @@ def enumerate_min_cuts(network):
 class TestBuildDemandNetwork:
     def test_fig1_capacities(self, fig1):
         zero = PriceVector.zero(fig1)
-        network = demand_network(fig1, zero)
+        network = build_demand_network(fig1, zero)
         # The network keeps the prices it was built at, not a copy.
         assert network.prices is zero
         cap = capacities(network)
@@ -115,17 +109,17 @@ class TestBuildDemandNetwork:
         assert network.cap_s == 5
 
     def test_fig1_golden_dump(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         assert dump_network(network) == FIG1_DUMP
 
     def test_no_buyers(self):
         inst = validate_instance({"a": 2}, {}, {})
-        network = demand_network(inst, PriceVector.zero(inst))
+        network = build_demand_network(inst, PriceVector.zero(inst))
         assert network.cap_s == 0
         assert set(capacities(network)) == {("a", "t")}
 
     def test_example1(self, example1):
-        network = demand_network(example1, PriceVector.zero(example1))
+        network = build_demand_network(example1, PriceVector.zero(example1))
         cap = capacities(network)
         assert cap[("s", "b1'")] == 1
         assert cap[("s", "b1''")] == 1
@@ -159,7 +153,8 @@ class TestBuildAllocationNetwork:
             {"u": {"x": 2, "y": 1}, "w": {"x": 1, "y": 2}},
         )
         allocation = build_allocation_network(fixed, PriceVector.zero(fixed))
-        assert labelled_arcs(allocation) == labelled_arcs(demand_network(fixed, PriceVector.zero(fixed)))
+        demand = build_demand_network(fixed, PriceVector.zero(fixed))
+        assert labelled_arcs(allocation) == labelled_arcs(demand)
         assert "u'''" in node_labels(allocation)
         rng = random.Random(29)
         balanced = with_zero_tier = 0
@@ -169,7 +164,7 @@ class TestBuildAllocationNetwork:
                 continue
             balanced += 1
             prices = random_prices(rng, inst)
-            demand = demand_network(inst, prices)
+            demand = build_demand_network(inst, prices)
             allocation = build_allocation_network(inst, prices)
             zero_nodes = {j + "'''" for j in inst.buyers}
             arcs = labelled_arcs(allocation)
@@ -222,25 +217,25 @@ class TestBuildAllocationNetwork:
 
 class TestMaxFlow:
     def test_fig1_value(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         assert max_flow(network).value == 4
 
     def test_empty_network(self):
         inst = validate_instance({"a": 1}, {}, {})
-        network = demand_network(inst, PriceVector.zero(inst))
+        network = build_demand_network(inst, PriceVector.zero(inst))
         assert max_flow(network).value == 0
 
     def test_example1_saturates(self, example1):
-        network = demand_network(example1, PriceVector.zero(example1))
+        network = build_demand_network(example1, PriceVector.zero(example1))
         best = max_flow(network)
         assert best.value == 2 == network.cap_s
 
     def test_deterministic(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         assert max_flow(network).flows == max_flow(network).flows
 
     def test_warm_start_resumes(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         partial = flow_of(
             network,
             {("s", "j1'"): 1, ("j1'", "alpha"): 1, ("alpha", "t"): 1},
@@ -249,7 +244,7 @@ class TestMaxFlow:
         assert max_flow(network, warm_start=partial).value == 4
 
     def test_warm_start_must_be_feasible(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         overfull = flow_of(network, {("s", "j1'"): 5}, 5)
         with pytest.raises(FlowError, match=r"^flow 5 outside \[0, 2\] on s -> j1'$"):
             max_flow(network, warm_start=overfull)
@@ -268,7 +263,7 @@ class TestMaxFlow:
         for _ in range(50):
             inst = random_instance(rng)
             prices = random_prices(rng, inst)
-            network = demand_network(inst, prices)
+            network = build_demand_network(inst, prices)
             best = max_flow(network)
             balance = {}
             for (u, v, cap), amount in zip(labelled_arcs(network), best.flows):
@@ -284,7 +279,7 @@ class TestMaxFlow:
         # At zero flow the search reaches j1', j1'' and j2'' from the source,
         # then alpha from j1'; alpha's arc into the sink has residual
         # capacity, so beta and gamma, which come later, are never reached.
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         pred = _residual_search(network, [0] * len(network.arcs))
         assert network.label(network.tail[pred[network.sink]]) == "alpha"
         assert {network.label(k) for k, a in enumerate(pred) if a is not None} == {
@@ -299,25 +294,25 @@ class TestMaxFlow:
 
 class TestLeftmostMinCut:
     def test_fig1(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         cut = leftmost_min_cut(network, max_flow(network))
         assert cut.labels == ("beta", "j1'", "j2''", "s")
         assert cut.objects == frozenset({"beta"})
         assert side_capacity(network, cut_side(network, cut)) == 4
 
     def test_saturating_flow_gives_source_only(self, example1):
-        network = demand_network(example1, PriceVector.zero(example1))
+        network = build_demand_network(example1, PriceVector.zero(example1))
         cut = leftmost_min_cut(network, max_flow(network))
         assert cut.labels == ("s",)
         assert cut.objects == frozenset()
 
     def test_three_buyers_at_zero(self, three_buyers):
-        network = demand_network(three_buyers, PriceVector.zero(three_buyers))
+        network = build_demand_network(three_buyers, PriceVector.zero(three_buyers))
         cut = leftmost_min_cut(network, max_flow(network))
         assert cut.objects == frozenset({"alpha"})
 
     def test_rejects_non_maximum_flow(self, fig1):
-        network = demand_network(fig1, PriceVector.zero(fig1))
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
         zero = IntegralFlow([0] * len(network.arcs), 0)
         with pytest.raises(FlowError, match="^sink reachable in residual graph; flow is not maximum$"):
             leftmost_min_cut(network, zero)
@@ -328,7 +323,7 @@ class TestLeftmostMinCut:
         for _ in range(60):
             inst = random_instance(rng, max_objects=2, max_buyers=2)
             prices = random_prices(rng, inst)
-            network = demand_network(inst, prices)
+            network = build_demand_network(inst, prices)
             best = max_flow(network)
             cut = leftmost_min_cut(network, best)
             min_cap, sides = enumerate_min_cuts(network)
@@ -342,11 +337,11 @@ class TestLeftmostMinCut:
 class TestFlowUpdate:
     def test_tier_change_reroutes(self, fig1):
         zero = PriceVector.zero(fig1)
-        old = demand_network(fig1, zero)
+        old = build_demand_network(fig1, zero)
         old_flow = max_flow(old)
         assert amounts(old, old_flow)[("j1'", "beta")] == 1
         raised = zero.raised(["beta"])
-        new = demand_network(fig1, raised)
+        new = build_demand_network(fig1, raised)
         result = flow_update(old, old_flow, new)
         check_feasible(new, result.flow)
         assert result.dropped == {}
@@ -358,10 +353,10 @@ class TestFlowUpdate:
 
     def test_unchanged_tiers_keep_flow(self, contested_single):
         zero = PriceVector.zero(contested_single)
-        old = demand_network(contested_single, zero)
+        old = build_demand_network(contested_single, zero)
         old_flow = max_flow(old)
         raised = zero.raised(["item"])
-        new = demand_network(contested_single, raised)
+        new = build_demand_network(contested_single, raised)
         result = flow_update(old, old_flow, new)
         check_feasible(new, result.flow)
         assert result.flow.value == old_flow.value
@@ -373,11 +368,11 @@ class TestFlowUpdate:
     def test_dropped_units_recorded_and_gap_kept(self):
         inst = validate_instance({"x": 1}, {"j": 1}, {"j": {"x": 1}})
         zero = PriceVector.zero(inst)
-        old = demand_network(inst, zero)
+        old = build_demand_network(inst, zero)
         old_flow = max_flow(old)
         assert old_flow.value == 1
         raised = zero.raised(["x"])
-        new = demand_network(inst, raised)
+        new = build_demand_network(inst, raised)
         result = flow_update(old, old_flow, new)
         check_feasible(new, result.flow)
         assert result.dropped == {("j", "x"): 1}
@@ -388,28 +383,28 @@ class TestFlowUpdate:
 
     def test_rejects_non_uniform_raise(self, fig1):
         zero = PriceVector.zero(fig1)
-        old = demand_network(fig1, zero)
+        old = build_demand_network(fig1, zero)
         old_flow = max_flow(old)
         crooked = {"alpha": 1, "beta": 2, "gamma": 0}
-        new = demand_network(fig1, PriceVector.for_instance(fig1, crooked))
+        new = build_demand_network(fig1, PriceVector.for_instance(fig1, crooked))
         with pytest.raises(FlowError, match="^price changes .* are not a uniform raise on one object set$"):
             flow_update(old, old_flow, new)
 
     def test_rejects_unchanged_prices(self, fig1):
         zero = PriceVector.zero(fig1)
-        network = demand_network(fig1, zero)
+        network = build_demand_network(fig1, zero)
         best = max_flow(network)
         with pytest.raises(FlowError, match="^new prices equal old prices; nothing to update$"):
             flow_update(network, best, network)
 
     def test_rejects_networks_with_other_nodes(self, fig1, example1):
         zero = PriceVector.zero(fig1)
-        network = demand_network(fig1, zero)
+        network = build_demand_network(fig1, zero)
         best = max_flow(network)
         # Other tiers, then other objects and buyers.
         others = (
             build_allocation_network(fig1, zero.raised(["beta"])),
-            demand_network(example1, PriceVector.zero(example1)),
+            build_demand_network(example1, PriceVector.zero(example1)),
         )
         for other in others:
             with pytest.raises(FlowError, match="^the two networks do not share their nodes$"):
@@ -523,7 +518,7 @@ class TestAgainstTheDictReference:
                 rng, max_objects=4, max_buyers=4, max_supply=4, max_demand=4, max_value=6
             )
             prices = random_prices(rng, inst) if k % 2 else PriceVector.zero(inst)
-            network = demand_network(inst, prices)
+            network = build_demand_network(inst, prices)
             best = max_flow(network)
             expected = reference_max_flow(network)
             assert amounts(network, best) == expected
@@ -536,7 +531,7 @@ class TestAgainstTheDictReference:
                 if not cut.objects:
                     break
                 prices = prices.raised(cut.objects)
-                raised = demand_network(inst, prices)
+                raised = build_demand_network(inst, prices)
                 update = flow_update(network, best, raised)
                 check_feasible(raised, update.flow)
                 carried, dropped = reference_flow_update(raised, expected)
@@ -565,6 +560,6 @@ def test_network_dumps_are_pinned():
     digest = hashlib.sha256()
     for base, twin in pinned_markets():
         for inst, start in ((base, None), (twin, random_prices(rng, twin))):
-            network = demand_network(inst, first_prices(inst, start))
+            network = build_demand_network(inst, first_prices(inst, start))
             digest.update(dump_network(network, max_flow(network)).encode())
     assert digest.hexdigest()[:16] == PINNED_DUMP_DIGEST
