@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import replace
@@ -136,17 +137,38 @@ def trace_records(trace: AuctionTrace) -> list[dict]:
     ]
 
 
-def _write_trace(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_network_dump(path: str, instance: Instance, prices: PriceVector) -> None:
-    network = flownet.build_demand_network(instance, prices)
-    best = flownet.max_flow(network)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(flownet.dump_network(network, best))
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path so that a run whose writes fail changes
+    no regular file.  A path that resolves to a regular file, or to nothing
+    yet, is written under a temporary name beside the file it resolves to,
+    and these are moved into place only once every write has succeeded.
+    Any other path (a device such as /dev/null, or a pipe) is written in
+    place before the moves; a directory fails there."""
+    moves: list[tuple[str, str]] = []
+    in_place: list[tuple[str, str]] = []
+    try:
+        for n, (path, text) in enumerate(texts.items()):
+            real = os.path.realpath(path)
+            if os.path.exists(real) and not os.path.isfile(real):
+                in_place.append((path, text))
+                continue
+            temp = f"{real}.{os.getpid()}.{n}.tmp"
+            try:
+                with open(temp, "x", encoding="utf-8") as handle:
+                    moves.append((temp, real))
+                    handle.write(text)
+            except OSError as exc:
+                exc.filename = path  # name the file asked for, not the temporary one
+                raise
+        for path, text in in_place:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        while moves:
+            os.replace(*moves[0])
+            moves.pop(0)
+    finally:
+        for temp, _ in moves:
+            os.remove(temp)
 
 
 def _cmd_solve(args) -> int:
@@ -163,10 +185,14 @@ def _cmd_solve(args) -> int:
     final = _final_payload(equilibrium)
     # The records are built, and their budget checked, before any file is written.
     records = trace_records(equilibrium.trace) if args.trace else None
+    texts: dict[str, str] = {}
     if args.dump_network:
-        _write_network_dump(args.dump_network, instance, first)
+        network = flownet.build_demand_network(instance, first)
+        texts[args.dump_network] = flownet.dump_network(network, flownet.max_flow(network))
     if args.trace:
-        _write_trace(args.trace, {"iterations": records, "final": final})
+        payload = {"iterations": records, "final": final}
+        texts[args.trace] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_files(texts)
     _emit(final)
     return EXIT_OK
 

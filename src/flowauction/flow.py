@@ -9,20 +9,21 @@ names.  The allocation network has width 3: it adds the zero-payoff tier,
 which lets zero-payoff items be assigned.  It balances its own market, so
 it holds a zero-value dummy where supply and demand differ.
 
-A network numbers its nodes once: the source is 0, the tier nodes follow
-buyer by buyer in tier order, then the objects in canonical order, and the
-sink comes last.  Arcs are numbered in the canonical order the builder
-emits them in, and the network keeps each arc's tail, head and capacity in
-lists indexed by arc id, with one list of outgoing and one of incoming
-(arc id, neighbour) pairs per node.  A flow is a list of amounts by arc id.
-Capacities are integers, and the solver (shortest augmenting paths,
-Edmonds-Karp) scans a node's outgoing arcs and then its incoming arcs, each
-in arc order, so the integral flow it returns is a deterministic function
-of the network.  Node labels appear only at the edges, and all come from
-``FlowNetwork.label``: the network dump, the infeasible-flow messages and a
-cut's labels.  The tier flows an allocation is read from name buyers and
-objects by id.  Every failure of this layer, a bug in its caller, raises
-:class:`FlowError`.
+``FlowNetwork`` alone numbers the nodes and lays the arcs.  The source is
+0, the tier nodes follow buyer by buyer in tier order, then the objects in
+canonical order, and the sink comes last.  The arcs come in one block per
+buyer, each tier's source arc followed by that tier's arcs to objects in
+object order, and the object-to-sink arcs close the list.  A network keeps
+each arc's (tail, head, capacity) by arc id, with one list of outgoing and
+one of incoming (arc id, neighbour) pairs per node.  A flow is a list of
+amounts by arc id.  Capacities are integers, and the solver (shortest
+augmenting paths, Edmonds-Karp) scans a node's outgoing arcs and then its
+incoming arcs, each in arc order, so the integral flow it returns is a
+deterministic function of the network.  Node labels appear only at the
+edges, and all come from ``FlowNetwork.label``: the network dump, the
+infeasible-flow messages and a cut's labels.  The tier flows an allocation
+is read from name buyers and objects by id.  Every failure of this layer, a
+bug in its caller, raises :class:`FlowError`.
 
 An augmenting search stops as soon as it reaches an object whose arc into
 the sink has residual capacity, and takes that arc.  A search run until the
@@ -53,44 +54,64 @@ class FlowError(RuntimeError):
 
 
 class FlowNetwork:
-    """A layered s-t network with positive integer arc capacities.
+    """The layered s-t network at ``prices`` with ``width`` tier nodes per
+    buyer (2 or 3), from one tier report per buyer.
 
-    ``width`` is the number of tier nodes per buyer, 2 or 3, and ``prices``
-    the :class:`PriceVector` the network was built at.  ``arcs`` holds one
-    (tail, head, capacity) triple of node ids per arc id.  Zero-capacity
-    arcs are omitted, but every tier node has its id, so the numbering
-    depends only on the buyers, the width and the objects and stays the
-    same across price changes.  ``sink_arc`` holds, per node id, the id of
-    the node's arc into the sink, or -1 if it has none (only objects do).
+    Source arcs carry the tier demands, tier arcs the supply the tier sees
+    (capped by the tier demand for the at-margin tier), and every object
+    forwards its supply to the sink.  A tier without demand gets no arcs.
+    ``arcs`` holds one (tail, head, capacity) triple of node ids per arc id,
+    and ``cap`` the capacities.  Zero-capacity arcs are omitted, but every
+    tier node has its id, so the numbering depends only on the buyers, the
+    width and the objects.  Each node's ``out`` and ``into`` arcs come in
+    tier, then object order: the solver's path order depends on that order,
+    not on arc ids.  ``sink_arc`` holds, per node id, the id of the node's
+    arc into the sink, or -1 if it has none (only objects do).
     """
 
     def __init__(
-        self,
-        width: int,
-        buyers: tuple[str, ...],
-        objects: tuple[str, ...],
-        prices: PriceVector,
-        arcs: list[tuple[int, int, int]],
+        self, instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport], width: int
     ):
+        supplies = instance.supplies
         self.width = width
-        self.buyers = buyers
-        self.objects = objects
+        self.buyers = instance.buyers
+        self.objects = instance.objects
         self.prices = prices
-        self.first_object = 1 + len(buyers) * width
-        self.sink = self.first_object + len(objects)
+        self.first_object = 1 + len(self.buyers) * width
+        self.sink = sink = self.first_object + len(self.objects)
+        obj_id = {i: self.first_object + k for k, i in enumerate(self.objects)}
+        arcs: list[tuple[int, int, int]] = []
+        node = 0
+        for j in self.buyers:
+            r = reports[j]
+            # (objects, demand, whether the demand caps the tier's arcs)
+            tiers = (
+                (r.above, r.demand_above, False),
+                (r.at_margin, r.demand_at_margin, True),
+                (r.zero, r.demand_zero, False),
+            )
+            for objects, demand, capped in tiers[:width]:
+                node += 1
+                if demand > 0:
+                    arcs.append((0, node, demand))
+                    for i in objects:
+                        cap = min(supplies[i], demand) if capped else supplies[i]
+                        if cap > 0:
+                            arcs.append((node, obj_id[i], cap))
+        for i in self.objects:
+            if supplies[i] > 0:
+                arcs.append((obj_id[i], sink, supplies[i]))
         self.arcs: tuple[tuple[int, int, int], ...] = tuple(arcs)
-        self.tail = [u for u, _, _ in self.arcs]
-        self.head = [v for _, v, _ in self.arcs]
-        self.cap = [c for _, _, c in self.arcs]
-        self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.sink + 1)]
-        self.into: list[list[tuple[int, int]]] = [[] for _ in range(self.sink + 1)]
-        self.sink_arc = [-1] * (self.sink + 1)
-        for a, (u, v, _) in enumerate(self.arcs):
+        self.cap = [c for _, _, c in arcs]
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
+        self.into: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
+        self.sink_arc = [-1] * (sink + 1)
+        for a, (u, v, _) in enumerate(arcs):
             self.out[u].append((a, v))
             self.into[v].append((a, u))
-            if v == self.sink:
+            if v == sink:
                 self.sink_arc[u] = a
-        self.cap_s = sum(c for u, _, c in self.arcs if u == 0)
+        self.cap_s = sum(c for u, _, c in arcs if u == 0)
 
     def label(self, k: int) -> str:
         """Node ``k``'s label: ``s``, ``t``, the object id, or the buyer id
@@ -145,57 +166,6 @@ def network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
     )
 
 
-def _build_network(
-    instance: Instance,
-    prices: PriceVector,
-    reports: Mapping[str, TierReport],
-    zero_tier: bool,
-) -> FlowNetwork:
-    """Build the layered network from one report per buyer, with the
-    zero-payoff tier when ``zero_tier`` holds.
-
-    Source arcs carry the tier demands, tier arcs carry the supply visible
-    to the tier (capped by the tier demand for the at-margin tier), and
-    every object forwards its supply to the sink.  The arc order is
-    canonical: the max-flow solver's path order depends on it.
-    """
-    supplies = instance.supplies
-    # Node ids as FlowNetwork numbers them; a buyer's tier nodes are
-    # consecutive, above-margin first.
-    width = 3 if zero_tier else 2
-    first_object = 1 + len(instance.buyers) * width
-    obj_id = {i: first_object + k for k, i in enumerate(instance.objects)}
-    sink = first_object + len(instance.objects)
-    arcs: list[tuple[int, int, int]] = []
-    for b, j in enumerate(instance.buyers):
-        report = reports[j]
-        above = 1 + b * width
-        if report.demand_above > 0:
-            arcs.append((0, above, report.demand_above))
-        if report.demand_at_margin > 0:
-            arcs.append((0, above + 1, report.demand_at_margin))
-        if zero_tier and report.demand_zero > 0:
-            arcs.append((0, above + 2, report.demand_zero))
-    for b, j in enumerate(instance.buyers):
-        report = reports[j]
-        above = 1 + b * width
-        for i in report.above:
-            if supplies[i] > 0:
-                arcs.append((above, obj_id[i], supplies[i]))
-        for i in report.at_margin:
-            cap = min(supplies[i], report.demand_at_margin)
-            if cap > 0:
-                arcs.append((above + 1, obj_id[i], cap))
-        if zero_tier and report.demand_zero > 0:
-            for i in report.zero:
-                if supplies[i] > 0:
-                    arcs.append((above + 2, obj_id[i], supplies[i]))
-    for i in instance.objects:
-        if supplies[i] > 0:
-            arcs.append((obj_id[i], sink, supplies[i]))
-    return FlowNetwork(width, instance.buyers, instance.objects, prices, arcs)
-
-
 def build_demand_network(
     instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport] | None = None
 ) -> FlowNetwork:
@@ -205,7 +175,7 @@ def build_demand_network(
     the network reads (``network_part``)."""
     if reports is None:
         reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    return _build_network(instance, prices, reports, zero_tier=False)
+    return FlowNetwork(instance, prices, reports, 2)
 
 
 def build_allocation_network(instance: Instance, prices: PriceVector) -> FlowNetwork:
@@ -215,7 +185,7 @@ def build_allocation_network(instance: Instance, prices: PriceVector) -> FlowNet
     balanced = balance_instance(instance)
     prices = PriceVector.for_instance(balanced, prices.prices)
     reports = {j: tier_report(balanced, j, prices) for j in balanced.buyers}
-    return _build_network(balanced, prices, reports, zero_tier=True)
+    return FlowNetwork(balanced, prices, reports, 3)
 
 
 def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
@@ -279,7 +249,7 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
     it is validated and raises :class:`FlowError` if it does not fit this
     network.
     """
-    cap, tail, head, sink = network.cap, network.tail, network.head, network.sink
+    arcs, cap, sink = network.arcs, network.cap, network.sink
     flows = [0] * len(cap)
     value = 0
     if warm_start is not None:
@@ -295,7 +265,7 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
         while v != 0:
             a = pred[v]
             path.append(a)
-            v = tail[a] if a >= 0 else head[~a]
+            v = arcs[a][0] if a >= 0 else arcs[~a][1]
         bottleneck = min(cap[a] - flows[a] if a >= 0 else flows[~a] for a in path)
         for a in path:
             if a >= 0:
@@ -395,7 +365,8 @@ def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:
         return f"{labels[u]} -> {labels[v]} [{cap}, {amount}]"
 
     lines = [line(0, k) for k in range(1, first)]
-    # The builder emits tier arcs buyer by buyer, tier by tier, in object order.
+    # Without its source arc, each buyer's block lists its tier arcs tier
+    # by tier, in object order.
     lines.extend(line(u, v) for u, v, _ in network.arcs if u != 0 and v != sink)
     lines.extend(line(k, sink) for k in range(first, sink))
     return "\n".join(lines) + "\n"

@@ -4,12 +4,12 @@ Competitiveness is decided by exhaustive bundle enumeration, by the
 Hall-style counting condition or by the flow criterion, minimum prices by
 enumerating the price grid, and descent sets by evaluating the potential on
 every object subset.  The Hall condition and the flow criterion both read
-``build_demand_network``, the one place that states the network's arc
-rules: the first counts each subset's overdemand off its tier arcs, the
-second runs ``max_flow`` on it.  Bundle enumeration and the descent
-potential do not read the network, so they check those rules.  No check
-shares the solver's search path: ``next_breakpoint``, ``_step_length`` and
-``flow_update``.  The checkers are desk-scale by design and each raises
+``build_demand_network``, whose arcs ``FlowNetwork`` alone lays: the first
+counts each subset's overdemand off its tier arcs, the second runs
+``max_flow`` on it.  Bundle enumeration and the descent potential do not
+read the network, so they check those rules.  No check shares the solver's
+search path: ``next_breakpoint``, ``_step_length`` and ``flow_update``.
+The checkers are desk-scale by design and each raises
 :class:`BudgetExceededError` beyond its enumeration budget.
 """
 

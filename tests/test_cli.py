@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 from dataclasses import replace
 
 import pytest
@@ -273,6 +275,58 @@ class TestSolve:
         assert run(argv) == EXIT_BUDGET
         assert capsys.readouterr().out == ""
         assert not dump_path.exists() and not trace_path.exists()
+
+    @pytest.mark.parametrize("bad", ["--dump-network", "--trace"])
+    def test_a_file_that_cannot_be_written_leaves_the_other_unwritten(self, tmp_path, capsys, bad):
+        """A run whose dump or trace cannot be written exits 1 and creates
+        neither file, and leaves no temporary file behind."""
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({
+            "objects": [{"id": "a", "supply": 1}],
+            "buyers": [{"id": j, "demand": 1, "valuations": {"a": 3}} for j in ("x", "y")],
+        }))
+        good, missing = tmp_path / "out.txt", tmp_path / "nodir" / "out.txt"
+        argv = ["solve", str(path)]
+        for flag in ("--dump-network", "--trace"):
+            argv += [flag, str(missing if flag == bad else good)]
+        assert run(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["market.json"]
+
+    def test_a_directory_in_place_of_a_file_changes_neither(self, fig1_file, tmp_path, capsys):
+        """A trace path that names a directory fails before the dump is
+        moved into place, so an existing dump keeps its bytes."""
+        dump_path, trace_dir = tmp_path / "net.txt", tmp_path / "trace"
+        dump_path.write_text("old\n")
+        trace_dir.mkdir()
+        assert run(["solve", fig1_file, "--dump-network", str(dump_path), "--trace", str(trace_dir)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{trace_dir}'\n"
+        assert dump_path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.json", "net.txt", "trace"]
+
+    def test_a_trace_through_a_symlink_reaches_its_target(self, fig1_file, tmp_path, capsys):
+        """A trace path that is a symlink stays a link, and the file it
+        points to gets the trace."""
+        direct, target, link = tmp_path / "direct.json", tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run(["solve", fig1_file, "--trace", str(direct)]) == EXIT_OK
+        assert run(["solve", fig1_file, "--trace", str(link)]) == EXIT_OK
+        capsys.readouterr()
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == direct.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.json", "fig1.json", "link.json", "target.json"]
+
+    def test_a_dump_to_the_null_device_leaves_it_a_device(self, fig1_file, tmp_path, capsys):
+        """A path that is not a regular file is written in place."""
+        trace_path = tmp_path / "trace.json"
+        assert run(["solve", fig1_file, "--dump-network", os.devnull, "--trace", str(trace_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+        assert json.loads(trace_path.read_text())["final"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.json", "trace.json"]
 
     def test_budget_is_not_a_solve_argument(self, example1_file, capsys):
         assert run(["solve", example1_file, "--budget", "5"]) == EXIT_PARSE

@@ -18,7 +18,8 @@ from flowauction.flow import (
     leftmost_min_cut,
     max_flow,
 )
-from flowauction.model import DUMMY_BUYER, DUMMY_OBJECT, PriceVector, validate_instance
+from flowauction.model import DUMMY_BUYER, DUMMY_OBJECT, PriceVector, balance_instance, validate_instance
+from flowauction.tiers import tier_report
 from flowauction.verify import random_instance, random_prices
 from conftest import pinned_markets
 
@@ -85,6 +86,27 @@ def enumerate_min_cuts(network):
         cuts.append((side_capacity(network, side), side))
     best = min(cap for cap, _ in cuts)
     return best, [side for cap, side in cuts if cap == best]
+
+
+def two_pass_arcs(instance, reports, width):
+    """The arcs by node label in a two-pass emission order: every source
+    arc, buyer by buyer in tier order, then every tier arc, buyer by buyer,
+    tier by tier, in object order, then every sink arc."""
+    supplies = instance.supplies
+    arcs = []
+    for j in instance.buyers:
+        demands = (reports[j].demand_above, reports[j].demand_at_margin, reports[j].demand_zero)
+        arcs += [("s", j + "'" * (t + 1), d) for t, d in enumerate(demands[:width]) if d > 0]
+    for j in instance.buyers:
+        report = reports[j]
+        arcs += [(j + "'", i, supplies[i]) for i in report.above if supplies[i] > 0]
+        for i in report.at_margin:
+            cap = min(supplies[i], report.demand_at_margin)
+            if cap > 0:
+                arcs.append((j + "''", i, cap))
+        if width == 3 and report.demand_zero > 0:
+            arcs += [(j + "'''", i, supplies[i]) for i in report.zero if supplies[i] > 0]
+    return arcs + [(i, "t", supplies[i]) for i in instance.objects if supplies[i] > 0]
 
 
 class TestBuildDemandNetwork:
@@ -182,23 +204,53 @@ class TestBuildAllocationNetwork:
         assert ("s", "j1'''") not in cap
 
     def test_fig1_arc_order(self, fig1):
-        # Max-flow path order, and so the allocation, follows the arc order.
+        # One block per buyer, each tier's source arc before its arcs to
+        # objects.  Max-flow path order, and so the allocation, follows
+        # each node's arc order.
         network = build_allocation_network(fig1, PriceVector({"alpha": 0, "beta": 1, "gamma": 0}))
         assert [f"{u} -> {v} [{c}]" for u, v, c in labelled_arcs(network)] == [
             "s -> j1' [1]",
-            "s -> j1'' [3]",
-            "s -> j2'' [1]",
-            "s -> j2''' [1]",
             "j1' -> alpha [1]",
+            "s -> j1'' [3]",
             "j1'' -> beta [1]",
             "j1'' -> gamma [3]",
+            "s -> j2'' [1]",
             "j2'' -> beta [1]",
+            "s -> j2''' [1]",
             "j2''' -> alpha [1]",
             "j2''' -> gamma [4]",
             "alpha -> t [1]",
             "beta -> t [1]",
             "gamma -> t [4]",
         ]
+        labels = node_labels(network)
+        assert [labels[v] for _, v in network.out[0]] == ["j1'", "j1''", "j2''", "j2'''"]
+
+    def test_every_node_keeps_the_two_pass_arc_order(self):
+        """Each node's outgoing and incoming arcs, by label and capacity,
+        come in the order of a two-pass emission that lays every source
+        arc, then every tier arc, then every sink arc: the order the
+        solver's paths, flows and cuts were pinned on."""
+        rng = random.Random(41)
+        checked = 0
+        for k in range(400):
+            inst = random_instance(rng, max_objects=4, max_buyers=4)
+            prices = random_prices(rng, inst) if k % 2 else PriceVector.zero(inst)
+            balanced = balance_instance(inst)
+            for market, network in (
+                (inst, build_demand_network(inst, prices)),
+                (balanced, build_allocation_network(inst, prices)),
+            ):
+                reports = {j: tier_report(market, j, network.prices) for j in market.buyers}
+                arcs = two_pass_arcs(market, reports, network.width)
+                labels = node_labels(network)
+                for node, label in enumerate(labels):
+                    out = [(labels[v], network.cap[a]) for a, v in network.out[node]]
+                    into = [(labels[u], network.cap[a]) for a, u in network.into[node]]
+                    assert out == [(v, c) for u, v, c in arcs if u == label]
+                    assert into == [(u, c) for u, v, c in arcs if v == label]
+                checked += 1
+        assert checked == 800
 
     def test_an_unbalanced_market_gets_a_dummy(self):
         """The network balances its own market: a zero-value dummy buyer
@@ -281,7 +333,7 @@ class TestMaxFlow:
         # capacity, so beta and gamma, which come later, are never reached.
         network = build_demand_network(fig1, PriceVector.zero(fig1))
         pred = _residual_search(network, [0] * len(network.arcs))
-        assert network.label(network.tail[pred[network.sink]]) == "alpha"
+        assert network.label(network.arcs[pred[network.sink]][0]) == "alpha"
         assert {network.label(k) for k, a in enumerate(pred) if a is not None} == {
             "s",
             "j1'",
