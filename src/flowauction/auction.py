@@ -8,12 +8,13 @@ max flow in the allocation network, which balances the market with a
 zero-value dummy.
 
 The demand network depends on the prices only through the above-margin and
-at-margin parts of the buyers' tier reports (``flow.network_part``).  So
-every mode and start raises the cut's objects from one network breakpoint
-to the next (``tiers.next_breakpoint``: a raise where some buyer's part can
-change) until the network changes (``_step_length``), recomputing only the
-reports of the buyers whose breakpoint it reaches; its oracle and flow work
-do not grow with the valuations.  A warm start carries the flow over to the
+at-margin tiers of the buyers' reports, which name only objects in supply,
+and each change to them moves an arc.  So every mode and start raises the
+cut's objects in one jump to the first network breakpoint
+(``tiers.next_breakpoint``: a raise where some buyer's tiers change), where
+the network changes (``_step_length``), and recomputes only the reports of
+the buyers whose breakpoint that is; its oracle and flow work do not grow
+with the valuations.  A warm start carries the flow over to the
 changed network, a cold start computes a fresh max flow there.  The trace
 keeps one record per walk, and the mode decides only how it is read
 (``AuctionTrace``): one record per unit raise, or one per run of raises on
@@ -63,9 +64,10 @@ def first_prices(instance: Instance, start: PriceVector | None) -> PriceVector:
     checked against the instance, with every object without supply at 0.
 
     No feasible bundle holds an object without supply, so its minimum
-    competitive price is 0 whatever the start prices say; the auction never
-    lowers a price, so it has to start there.  So a previous equilibrium
-    stays a sound start after a supply cut to zero.
+    competitive price is 0 whatever the start prices say.  No network reads
+    that price, and the auction never raises it, so zeroing it only makes
+    the answer the minimum.  So a previous equilibrium stays a sound start
+    after a supply cut to zero.
     """
     checked = PriceVector.for_instance(instance, start.prices if start is not None else {})
     return PriceVector({i: p if instance.supplies[i] else 0 for i, p in checked.prices.items()})
@@ -80,34 +82,27 @@ def _step_length(
     """Smallest raise of ``raised`` at which the demand network's arcs change.
 
     ``network`` is the demand network at the current prices, and ``reports``
-    holds every buyer's tier report there.  The raise advances from one
-    network breakpoint to the next, and only the buyers whose breakpoint it
-    is recompute their report, in place in ``reports``.  So at the returned
-    prices the parts the network reads are current, while a zero tier and
-    its demand may be out of date.  Every smaller raise builds the same
+    holds every buyer's tier report there.  The raise is the smallest of
+    the buyers' network breakpoints.  Every smaller raise builds the same
     network, with the same left-most cut, so the auction may jump by this
-    step in one go; the first breakpoint where a network part changed moves
-    an arc, so the network is built there, once.  Returns the raise, the
-    tier-oracle calls made and the network at the raised prices.
+    step in one go; at it, each buyer whose breakpoint it is changes its
+    above-margin or at-margin tier, and so an arc.  Only those buyers
+    recompute their report, in place in ``reports``.  So at the returned
+    prices the tiers the network reads are current, while a zero tier and
+    its demand may be out of date.  Returns the raise, the tier-oracle
+    calls made and the network at the raised prices.
     """
     breakpoints = {
         j: next_breakpoint(instance, j, network.prices, raised, 0, reports[j]) for j in instance.buyers
     }
-    calls = 0
-    while True:
-        step = min((t for t in breakpoints.values() if t is not None), default=None)
-        if step is None:
-            raise AuctionError("demand network did not change within the valuation bound")
-        step_prices = network.prices.raised(raised, step)
-        moved = False
-        for j in [j for j, t in breakpoints.items() if t == step]:
-            calls += 1
-            before = flownet.network_part(reports[j], instance.supplies)
-            reports[j] = tier_report(instance, j, step_prices)
-            breakpoints[j] = next_breakpoint(instance, j, network.prices, raised, step, reports[j])
-            moved = moved or flownet.network_part(reports[j], instance.supplies) != before
-        if moved:
-            return step, calls, flownet.build_demand_network(instance, step_prices, reports)
+    step = min((t for t in breakpoints.values() if t is not None), default=None)
+    if step is None:
+        raise AuctionError("demand network did not change within the valuation bound")
+    step_prices = network.prices.raised(raised, step)
+    due = [j for j, t in breakpoints.items() if t == step]
+    for j in due:
+        reports[j] = tier_report(instance, j, step_prices)
+    return step, len(due), flownet.build_demand_network(instance, step_prices, reports)
 
 
 def price_raising(

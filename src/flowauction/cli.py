@@ -172,6 +172,11 @@ def _write_files(texts: dict[str, str]) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.trace and args.dump_network:
+        real = os.path.realpath(args.trace)
+        same = real == os.path.realpath(args.dump_network)
+        if same and (os.path.isfile(real) or not os.path.exists(real)):
+            raise CliParseError(f"--trace and --dump-network name the same file: {real}")
     instance = load_instance(args.instance)
     options = _options(args, instance)
     first = first_prices(instance, options.start_prices)
@@ -354,7 +359,7 @@ def run(argv: list[str]) -> int:
         return EXIT_PARSE
     try:
         return args.handler(args)
-    except (InstanceError, OSError, AuctionError) as exc:
+    except (CliParseError, InstanceError, OSError, AuctionError) as exc:
         message = str(exc)
         if isinstance(exc, AuctionError) and getattr(args, "start_prices", None):
             # From start prices at most the minimum competitive prices the

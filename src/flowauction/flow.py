@@ -4,8 +4,8 @@ min cuts, and the warm-start flow update.
 The networks are layered: source, one node per buyer payoff tier, one node
 per object, sink.  A network's ``width`` is its number of tier nodes per
 buyer.  The demand network has width 2, the above-margin and at-margin
-tiers, and reads only the part of each tier report that ``network_part``
-names.  The allocation network has width 3: it adds the zero-payoff tier,
+tiers, and reads only those two tiers of each report and their demands.
+The allocation network has width 3: it adds the zero-payoff tier,
 which lets zero-payoff items be assigned.  It balances its own market, so
 it holds a zero-value dummy where supply and demand differ.
 
@@ -59,14 +59,16 @@ class FlowNetwork:
 
     Source arcs carry the tier demands, tier arcs the supply the tier sees
     (capped by the tier demand for the at-margin tier), and every object
-    forwards its supply to the sink.  A tier without demand gets no arcs.
-    ``arcs`` holds one (tail, head, capacity) triple of node ids per arc id,
-    and ``cap`` the capacities.  Zero-capacity arcs are omitted, but every
-    tier node has its id, so the numbering depends only on the buyers, the
-    width and the objects.  Each node's ``out`` and ``into`` arcs come in
-    tier, then object order: the solver's path order depends on that order,
-    not on arc ids.  ``sink_arc`` holds, per node id, the id of the node's
-    arc into the sink, or -1 if it has none (only objects do).
+    forwards its supply to the sink.  A tier without demand gets no arcs,
+    and a report's tiers name only objects in supply, so an object lacks
+    an arc only when it has no supply: its sink arc.  No arc has capacity
+    0.  ``arcs`` holds one (tail, head, capacity) triple of node ids per
+    arc id, and ``cap`` the capacities.  Every tier node has its id, so
+    the numbering depends only on the buyers, the width and the objects.
+    Each node's ``out`` and ``into`` arcs come in tier, then object order:
+    the solver's path order depends on that order, not on arc ids.
+    ``sink_arc`` holds, per node id, the id of the node's arc into the
+    sink, or -1 if it has none (only objects do).
     """
 
     def __init__(
@@ -96,8 +98,7 @@ class FlowNetwork:
                     arcs.append((0, node, demand))
                     for i in objects:
                         cap = min(supplies[i], demand) if capped else supplies[i]
-                        if cap > 0:
-                            arcs.append((node, obj_id[i], cap))
+                        arcs.append((node, obj_id[i], cap))
         for i in self.objects:
             if supplies[i] > 0:
                 arcs.append((obj_id[i], sink, supplies[i]))
@@ -153,26 +154,13 @@ class FlowUpdateResult:
     dropped: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
-def network_part(report: TierReport, supplies: dict[str, int]) -> tuple:
-    """The part of a tier report that the demand network reads: the
-    above-margin and at-margin objects in supply.  It fixes the tier
-    demands (``demand_above`` is the first's supply, ``demand_at_margin``
-    the second's capped by the demand left) and so the buyer's source and
-    tier arcs.  They fix it: an at-margin tier holding an object in supply
-    has a demand of at least 1, so every object in the part has an arc."""
-    return (
-        tuple(i for i in report.above if supplies[i] > 0),
-        tuple(i for i in report.at_margin if supplies[i] > 0),
-    )
-
-
 def build_demand_network(
     instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport] | None = None
 ) -> FlowNetwork:
     """Build the demand network (above-margin and at-margin tiers) at
     ``prices`` from one tier report per buyer.  Omitted ``reports`` are
-    computed at ``prices``; the walk passes its own, current in the part
-    the network reads (``network_part``)."""
+    computed at ``prices``; the walk passes its own, current in the
+    above-margin and at-margin tiers."""
     if reports is None:
         reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
     return FlowNetwork(instance, prices, reports, 2)

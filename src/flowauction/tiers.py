@@ -1,13 +1,13 @@
 """The tier oracle: greedy bundle construction and payoff-tier reports.
 
-For a buyer at given prices, the objects split into three tiers relative to
-the marginal payoff (the payoff of the last object the greedy bundle
-construction touches): objects strictly above the margin, objects exactly at
-the margin, and objects with payoff exactly zero.  Every query reads one
-payoff list per buyer (value minus price, in canonical object order) and
-runs the one greedy on it.  The auction queries one report per buyer per
-price vector it tries, and ``next_breakpoint`` tells it how far a raise can
-go before the part of a report that the demand network reads can change;
+For a buyer at given prices, the objects in supply split into three tiers
+relative to the marginal payoff, the payoff of the last object in supply
+that the greedy bundle construction takes from: objects strictly above the
+margin, exactly at it, and with payoff exactly zero.  No bundle holds an
+object without supply, so it is in no tier.  Every query reads one payoff
+list per buyer (value minus price, in canonical object order) and runs the
+one greedy on it.  ``next_breakpoint`` tells the auction how far a raise
+can go before the part of a report that the demand network reads changes;
 everything here is a pure function of the instance and the prices.
 """
 
@@ -21,11 +21,11 @@ from .model import Instance, PriceVector
 class TierReport(NamedTuple):
     """A buyer's demand, split by payoff tier.
 
-    ``above`` holds the objects with payoff strictly above the marginal
-    payoff (the payoff of the object the greedy bundle construction
-    selects last), ``at_margin`` those exactly at it, and ``zero`` those
-    with payoff exactly 0.  The three demand figures are the amounts the
-    buyer wants from each tier.
+    ``above`` holds the objects in supply with payoff strictly above the
+    margin (the payoff of the last object the greedy bundle construction
+    takes from), ``at_margin`` those exactly at it, and ``zero`` those with
+    payoff exactly 0.  The three demand figures are the amounts the buyer
+    wants from each tier.
     """
 
     above: tuple[str, ...]
@@ -56,9 +56,10 @@ def _greedy(
         if residual <= 0 or payoffs[k] <= 0:
             break
         take = min(supplies[objects[k]], residual)
-        visits.append((k, take))
-        residual -= take
-        last = k
+        if take:  # an object without supply is skipped
+            visits.append((k, take))
+            residual -= take
+            last = k
     return visits, last
 
 
@@ -67,15 +68,16 @@ def preferred_bundle(
 ) -> tuple[dict[str, int], str | None]:
     """Construct a minimal preferred bundle greedily.
 
-    Objects are visited in order of non-increasing payoff (canonical order
-    on ties); each visit takes ``min(supply, residual demand)`` units while
-    the residual demand and the payoff stay positive.  Returns the bundle
-    (object to positive units) and the last object visited, or ``None`` if
-    no object has positive payoff or the demand is 0.
+    The objects in supply are visited in order of non-increasing payoff
+    (canonical order on ties); each visit takes ``min(supply, residual
+    demand)`` units while the residual demand and the payoff stay positive.
+    Returns the bundle (object to positive units) and the last object
+    visited, or ``None`` if no object in supply has positive payoff or the
+    demand is 0.
     """
     visits, last = _greedy(instance, buyer, _payoffs(instance, buyer, prices))
     objects = instance.objects
-    bundle = {objects[k]: take for k, take in visits if take > 0}
+    bundle = {objects[k]: take for k, take in visits}
     return bundle, None if last is None else objects[last]
 
 
@@ -84,7 +86,7 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
 
     Buyers with zero demand report empty tiers.  The zero-payoff tier is
     reported even when the demand is already met, so its demand figure may
-    be 0.
+    be 0.  Every tier names only objects in supply.
     """
     demand = instance.demands[buyer]
     if demand == 0:
@@ -93,15 +95,15 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
     objects, supplies = instance.objects, instance.supplies
     payoffs = _payoffs(instance, buyer, prices)
     _, last = _greedy(instance, buyer, payoffs)
-    zero = tuple(i for i, g in zip(objects, payoffs) if g == 0)
+    zero = tuple(i for i, g in zip(objects, payoffs) if g == 0 and supplies[i])
     if last is None:
         above: tuple[str, ...] = ()
         at_margin: tuple[str, ...] = ()
         d_above = d_margin = 0
     else:
         margin = payoffs[last]
-        above = tuple(i for i, g in zip(objects, payoffs) if g > margin)
-        at_margin = tuple(i for i, g in zip(objects, payoffs) if g == margin)
+        above = tuple(i for i, g in zip(objects, payoffs) if g > margin and supplies[i])
+        at_margin = tuple(i for i, g in zip(objects, payoffs) if g == margin and supplies[i])
         d_above = sum(supplies[i] for i in above)
         d_margin = min(sum(supplies[i] for i in at_margin), demand - d_above)
     d_zero = min(sum(supplies[i] for i in zero), demand - d_above - d_margin)
@@ -117,7 +119,7 @@ def next_breakpoint(
     report: TierReport,
 ) -> int | None:
     """Smallest raise above ``t`` at which the part of the buyer's tier
-    report that the demand network reads can change.
+    report that the demand network reads changes.
 
     ``report`` is the buyer's report at ``prices`` with the objects in
     ``raised`` raised by ``t``.  The network reads ``above``,
@@ -127,15 +129,16 @@ def next_breakpoint(
     - if the margin's objects are not raised, the margin stays put until a
       raised object above it comes down to it;
     - if they are raised, the margin falls with them until it reaches 0 or
-      the highest payoff in ``[0, margin)`` of an object not raised;
+      the highest payoff in ``[0, margin)`` of an unraised object in supply;
     - if the margin holds both kinds, they part at the next raise.
 
-    One of those fields differs at the returned raise.  ``None`` means
-    that they never change again, as when nothing has positive payoff.
+    One of those fields differs at the returned raise, and with it an arc
+    of the demand network.  ``None`` means that they never change again,
+    as when nothing in supply has positive payoff.
     """
     if not report.at_margin:
         return None
-    values, price = instance.valuations, prices.prices
+    values, price, supplies = instance.valuations, prices.prices, instance.supplies
     falls = [i in raised for i in report.at_margin]
     if any(falls) != all(falls):
         return t + 1
@@ -143,7 +146,7 @@ def next_breakpoint(
     # ``top - t`` if its objects are raised and ``top`` if not.
     top = values[(report.at_margin[0], buyer)] - price[report.at_margin[0]]
     if falls[0]:
-        fixed = (values[(i, buyer)] - price[i] for i in instance.objects if i not in raised)
+        fixed = (values[(i, buyer)] - price[i] for i, b in supplies.items() if b and i not in raised)
         return top - max((g for g in fixed if 0 <= g < top - t), default=0)
     falling = (values[(i, buyer)] - price[i] for i in report.above if i in raised)
     return min((g - top for g in falling), default=None)

@@ -15,7 +15,7 @@ from flowauction.auction import (
     price_raising,
     solve,
 )
-from flowauction.flow import build_demand_network, flow_update, leftmost_min_cut, max_flow, network_part
+from flowauction.flow import build_demand_network, flow_update, leftmost_min_cut, max_flow
 from flowauction.model import (
     InstanceError,
     IterationRecord,
@@ -429,9 +429,9 @@ class TestBreakpointWalk:
         assert fewer > 50
 
     def test_every_network_built_in_the_walk_is_new(self, monkeypatch):
-        """The walk builds a network only where some buyer's report
-        changed in a part the network reads, and such a change moves an
-        arc; an object without supply takes no part in it."""
+        """The walk builds a network only at a breakpoint, where some
+        buyer's above-margin or at-margin tier changed, and such a change
+        moves an arc; an object without supply is in no tier."""
         walk, build = auction._step_length, flow.build_demand_network
         handed, walks = [], 0
 
@@ -459,10 +459,44 @@ class TestBreakpointWalk:
                     price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
         assert walks > 100 and unsupplied > 50
 
-    def test_a_network_part_changes_exactly_where_its_arcs_do(self):
-        """The walk stops at the first breakpoint where some buyer's
-        network part changed, which is sound only if the part and the
-        buyer's source and tier arcs fix each other."""
+    def test_the_walk_is_one_jump_to_the_first_breakpoint(self, monkeypatch):
+        """Every breakpoint moves an arc, so the walk asks each buyer for
+        its breakpoint once and recomputes the reports of exactly the
+        buyers whose breakpoint is the raise it returns."""
+        walk, breakpoint, report = auction._step_length, auction.next_breakpoint, auction.tier_report
+        asked, recomputed, walks = [], [], 0
+
+        def counted_breakpoint(instance, buyer, *args):
+            asked.append((buyer, breakpoint(instance, buyer, *args)))
+            return asked[-1][1]
+
+        def counted_report(instance, buyer, prices):
+            recomputed.append(buyer)
+            return report(instance, buyer, prices)
+
+        def traced_walk(instance, *args):
+            nonlocal walks
+            asked.clear()
+            recomputed.clear()
+            step, calls, network = walk(instance, *args)
+            assert [j for j, _ in asked] == list(instance.buyers)
+            assert recomputed == [j for j, t in asked if t == step]
+            assert calls == len(recomputed)
+            walks += 1
+            return step, calls, network
+
+        monkeypatch.setattr(auction, "_step_length", traced_walk)
+        monkeypatch.setattr(auction, "next_breakpoint", counted_breakpoint)
+        monkeypatch.setattr(auction, "tier_report", counted_report)
+        for inst in walk_markets():
+            for mode, warm in CONFIGS:
+                price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
+        assert walks > 100
+
+    def test_the_tiers_change_exactly_where_their_arcs_do(self):
+        """The walk stops at the first breakpoint, where some buyer's
+        above-margin or at-margin tier changed, which is sound only if those
+        tiers and the buyer's source and tier arcs fix each other."""
         rng = random.Random(43)
         pairs = unequal = 0
         for _ in range(2000):
@@ -471,7 +505,7 @@ class TestBreakpointWalk:
             for prices in (random_prices(rng, inst), random_prices(rng, inst)):
                 reports = {j: tier_report(inst, j, prices) for j in inst.buyers}
                 network = build_demand_network(inst, prices, reports)
-                parts.append({j: network_part(reports[j], inst.supplies) for j in inst.buyers})
+                parts.append({j: (reports[j].above, reports[j].at_margin) for j in inst.buyers})
                 # Buyer b's tier nodes are 1 + 2b and 2 + 2b; its source
                 # arcs enter them and its tier arcs leave them.
                 tiers = {j: (1 + 2 * b, 2 + 2 * b) for b, j in enumerate(inst.buyers)}
@@ -573,10 +607,10 @@ class TestOneClimbTwoViews:
 
 
 PINNED_DIGESTS = {
-    ("unit", True): "d450d13b78127d23",
-    ("unit", False): "59b914b060d9fb4f",
-    ("adapted", True): "c390f7662e0a7b3a",
-    ("adapted", False): "f7391359782a4373",
+    ("unit", True): "cafaf1683d02069c",
+    ("unit", False): "9099c2c544534725",
+    ("adapted", True): "09dcdee448fd39a6",
+    ("adapted", False): "fb4adfdb6be1683d",
 }
 
 

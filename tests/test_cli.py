@@ -128,8 +128,7 @@ class TestSolve:
     def test_start_price_on_an_unsupplied_object_neither_warns_nor_moves_the_dump(self, tmp_path, capsys):
         """The auction starts an object without supply at 0, so a start
         price on it alone is a zero start: no warning, and the dump shows
-        the network the auction starts from (at Z = 5, A would be j's
-        margin object instead)."""
+        the network the auction starts from."""
         path = tmp_path / "unsupplied.json"
         path.write_text(json.dumps({
             "objects": [{"id": "A", "supply": 1}, {"id": "Z", "supply": 0}],
@@ -147,8 +146,8 @@ class TestSolve:
         assert zero["prices"] == {"A": 0, "Z": 0} and zero["iterations"] == 0
         assert captured.err == ""
         assert start_dump.read_text() == zero_dump.read_text()
-        assert "s -> j' [1, 1]" in zero_dump.read_text()
-        assert "j' -> A [1, 1]" in zero_dump.read_text()
+        assert "s -> j'' [1, 1]" in zero_dump.read_text()
+        assert "j'' -> A [1, 1]" in zero_dump.read_text()
 
     def test_network_dump_golden(self, fig1_file, tmp_path, capsys):
         dump_path = tmp_path / "net.txt"
@@ -318,6 +317,25 @@ class TestSolve:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_text() == direct.read_text()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.json", "fig1.json", "link.json", "target.json"]
+
+    @pytest.mark.parametrize("through_link", [False, True])
+    def test_a_trace_and_a_dump_to_one_file_are_an_input_error(self, fig1_file, tmp_path, capsys, through_link):
+        """Two files at one regular or new path would leave only the one
+        written last, so the run exits 1 before it solves and writes
+        nothing."""
+        out = tmp_path / "out.txt"
+        trace = tmp_path / "link.txt" if through_link else out
+        if through_link:
+            trace.symlink_to(out)
+        assert run(["solve", fig1_file, "--trace", str(trace), "--dump-network", str(out)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trace and --dump-network name the same file: {os.path.realpath(out)}\n"
+        assert not out.exists()
+
+    def test_a_trace_and_a_dump_both_to_the_null_device_solve(self, fig1_file, capsys):
+        assert run(["solve", fig1_file, "--trace", os.devnull, "--dump-network", os.devnull]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["prices"] == {"alpha": 0, "beta": 1, "gamma": 0}
 
     def test_a_dump_to_the_null_device_leaves_it_a_device(self, fig1_file, tmp_path, capsys):
         """A path that is not a regular file is written in place."""

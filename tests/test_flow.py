@@ -134,6 +134,14 @@ class TestBuildDemandNetwork:
         network = build_demand_network(fig1, PriceVector.zero(fig1))
         assert dump_network(network) == FIG1_DUMP
 
+    def test_an_unsupplied_price_shapes_no_network(self):
+        """An object without supply is in no tier, so its price moves no
+        arc: at Z = 5, as at Z = 0, A is j's margin object."""
+        inst = validate_instance({"A": 1, "Z": 0}, {"j": 3}, {"j": {"A": 5, "Z": 3}})
+        network = build_demand_network(inst, PriceVector({"A": 0, "Z": 0}))
+        assert build_demand_network(inst, PriceVector({"A": 0, "Z": 5})).arcs == network.arcs
+        assert labelled_arcs(network) == [("s", "j''", 1), ("j''", "A", 1), ("A", "t", 1)]
+
     def test_no_buyers(self):
         inst = validate_instance({"a": 2}, {}, {})
         network = build_demand_network(inst, PriceVector.zero(inst))
@@ -230,7 +238,8 @@ class TestBuildAllocationNetwork:
         """Each node's outgoing and incoming arcs, by label and capacity,
         come in the order of a two-pass emission that lays every source
         arc, then every tier arc, then every sink arc: the order the
-        solver's paths, flows and cuts were pinned on."""
+        solver's paths, flows and cuts were pinned on.  No arc has
+        capacity 0."""
         rng = random.Random(41)
         checked = 0
         for k in range(400):
@@ -241,6 +250,7 @@ class TestBuildAllocationNetwork:
                 (inst, build_demand_network(inst, prices)),
                 (balanced, build_allocation_network(inst, prices)),
             ):
+                assert 0 not in network.cap
                 reports = {j: tier_report(market, j, network.prices) for j in market.buyers}
                 arcs = two_pass_arcs(market, reports, network.width)
                 labels = node_labels(network)
@@ -599,7 +609,7 @@ class TestAgainstTheDictReference:
         assert cold == 1200 and warm >= 500
 
 
-PINNED_DUMP_DIGEST = "32c6fbe2ba34f529"
+PINNED_DUMP_DIGEST = "66b1e480c8392547"
 
 
 def test_network_dumps_are_pinned():

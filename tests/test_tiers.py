@@ -122,9 +122,10 @@ def test_report_invariants(data):
 
 
 def shuffled_greedy(instance, buyer, prices, rng):
-    """Greedy construction under a random payoff-monotone tie-break order."""
+    """Greedy construction over the objects in supply under a random
+    payoff-monotone tie-break order."""
     ranked = sorted(
-        instance.objects,
+        (i for i in instance.objects if instance.supplies[i]),
         key=lambda i: (-instance.payoff(i, buyer, prices), rng.random()),
     )
     residual = instance.demands[buyer]
@@ -149,12 +150,9 @@ def test_tiers_independent_of_tie_breaking(data, seed):
             assert report.above == report.at_margin == ()
             continue
         margin = inst.payoff(last, j, prices)
-        assert set(report.above) == {
-            i for i in inst.objects if inst.payoff(i, j, prices) > margin
-        }
-        assert set(report.at_margin) == {
-            i for i in inst.objects if inst.payoff(i, j, prices) == margin
-        }
+        supplied = [i for i in inst.objects if inst.supplies[i]]
+        assert set(report.above) == {i for i in supplied if inst.payoff(i, j, prices) > margin}
+        assert set(report.at_margin) == {i for i in supplied if inst.payoff(i, j, prices) == margin}
 
 
 def network_fields(report):
