@@ -14,9 +14,14 @@ cut's objects in one jump to the first network breakpoint
 (``tiers.next_breakpoint``: a raise where some buyer's tiers change), where
 the network changes (``_step_length``), and recomputes only the reports of
 the buyers whose breakpoint that is; its oracle and flow work do not grow
-with the valuations.  A warm start carries the flow over to the
-changed network, a cold start computes a fresh max flow there.  The trace
-keeps one record per walk, and the mode decides only how it is read
+with the valuations.  While the cut stays the same, the other buyers keep
+their breakpoints, less the step, so a walk asks only the buyers that the
+walk before recomputed; a new cut asks every buyer again.  That saves
+breakpoint questions, not tier reports: ``oracle_calls`` is the same as
+if every buyer were asked on every walk.  A warm start carries the flow
+over to the changed network, a cold start computes a fresh max flow there;
+either way the cut is read off the search that ended the max flow.  The
+trace keeps one record per walk, and the mode decides only how it is read
 (``AuctionTrace``): one record per unit raise, or one per run of raises on
 the same object set.
 """
@@ -78,6 +83,7 @@ def _step_length(
     network: flownet.FlowNetwork,
     reports: dict[str, TierReport],
     raised: frozenset[str],
+    breakpoints: dict[str, int | None],
 ) -> tuple[int, int, flownet.FlowNetwork]:
     """Smallest raise of ``raised`` at which the demand network's arcs change.
 
@@ -89,19 +95,32 @@ def _step_length(
     above-margin or at-margin tier, and so an arc.  Only those buyers
     recompute their report, in place in ``reports``.  So at the returned
     prices the tiers the network reads are current, while a zero tier and
-    its demand may be out of date.  Returns the raise, the tier-oracle
-    calls made and the network at the raised prices.
+    its demand may be out of date.
+
+    ``breakpoints`` holds the breakpoints carried over from the previous
+    walk, as raises from ``network``'s prices, and only a buyer without one
+    is asked; the caller clears it whenever the cut changes.  On return it
+    holds, as raises from the returned network's prices, ``t - step`` for
+    every buyer that was not due, and nothing for the due ones.  That is
+    exactly what ``next_breakpoint`` would say on the same cut: such a
+    buyer keeps its report, and either its margin falls by ``step`` with no
+    unraised payoff in the gap it crossed, or its margin stays and every
+    raised payoff above it falls by ``step``.  Returns the raise, the
+    tier-oracle calls made and the network at the raised prices.
     """
-    breakpoints = {
-        j: next_breakpoint(instance, j, network.prices, raised, 0, reports[j]) for j in instance.buyers
-    }
+    for j in instance.buyers:
+        if j not in breakpoints:
+            breakpoints[j] = next_breakpoint(instance, j, network.prices, raised, reports[j])
     step = min((t for t in breakpoints.values() if t is not None), default=None)
     if step is None:
         raise AuctionError("demand network did not change within the valuation bound")
     step_prices = network.prices.raised(raised, step)
-    due = [j for j, t in breakpoints.items() if t == step]
+    due = [j for j in instance.buyers if breakpoints[j] == step]
     for j in due:
         reports[j] = tier_report(instance, j, step_prices)
+        del breakpoints[j]
+    for j, t in breakpoints.items():
+        breakpoints[j] = None if t is None else t - step
     return step, len(due), flownet.build_demand_network(instance, step_prices, reports)
 
 
@@ -121,6 +140,9 @@ def price_raising(
     network = flownet.build_demand_network(instance, first, reports)
     best = flownet.max_flow(network)
     walks: list[IterationRecord] = []
+    # The breakpoints carried over between walks on one cut.
+    breakpoints: dict[str, int | None] = {}
+    held: frozenset[str] = frozenset()
 
     # Each raise lifts at least one price by at least one and prices stay
     # below the bound, so this limit is never hit unless something is wrong.
@@ -131,7 +153,12 @@ def price_raising(
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
-        step, walk_calls, next_network = _step_length(instance, network, reports, cut.objects)
+        if cut.objects != held:
+            breakpoints.clear()
+            held = cut.objects
+        step, walk_calls, next_network = _step_length(
+            instance, network, reports, cut.objects, breakpoints
+        )
         calls += walk_calls
         if opts.warm_start:
             update = flownet.flow_update(network, best, next_network)

@@ -19,11 +19,15 @@ one of incoming (arc id, neighbour) pairs per node.  A flow is a list of
 amounts by arc id.  Capacities are integers, and the solver (shortest
 augmenting paths, Edmonds-Karp) scans a node's outgoing arcs and then its
 incoming arcs, each in arc order, so the integral flow it returns is a
-deterministic function of the network.  Node labels appear only at the
-edges, and all come from ``FlowNetwork.label``: the network dump, the
-infeasible-flow messages and a cut's labels.  The tier flows an allocation
-is read from name buyers and objects by id.  Every failure of this layer, a
-bug in its caller, raises :class:`FlowError`.
+deterministic function of the network.  It returns that flow with the
+residual search that found no more augmenting path, and the left-most min
+cut is read off that search rather than a second one.  ``flow_update``
+finds each carried unit's arcs in the new network through its per-node arc
+lists.  Node labels appear only at the edges, and all come from
+``FlowNetwork.label``: the network dump, the infeasible-flow messages and a
+cut's labels.  The tier flows an allocation is read from name buyers and
+objects by id.  Every failure of this layer, a bug in its caller, raises
+:class:`FlowError`.
 
 An augmenting search stops as soon as it reaches an object whose arc into
 the sink has residual capacity, and takes that arc.  A search run until the
@@ -130,10 +134,16 @@ class FlowNetwork:
 @dataclass(frozen=True)
 class IntegralFlow:
     """An integral flow: the amount on each arc, by arc id of the network
-    it was computed in, plus the value leaving the source."""
+    it was computed in, plus the value leaving the source.
+
+    ``search`` is the residual search that ended ``max_flow`` on that
+    network, kept for ``leftmost_min_cut``; it is ``None`` for a flow from
+    anywhere else and takes no part in equality.
+    """
 
     flows: list[int]
     value: int
+    search: list[int | None] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,7 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
     while True:
         pred = _residual_search(network, flows)
         if pred[sink] is None:
-            return IntegralFlow(flows, value)
+            return IntegralFlow(flows, value, pred)
         path = []
         v = sink
         while v != 0:
@@ -265,8 +275,14 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
 
 def leftmost_min_cut(network: FlowNetwork, flow: IntegralFlow) -> CutResult:
     """The inclusion-wise minimal min cut: all nodes the source reaches in
-    the residual graph of a maximum flow."""
-    pred = _residual_search(network, flow.flows)
+    the residual graph of a maximum flow.
+
+    A flow from ``max_flow`` on ``network`` carries the search that ended
+    it, which found no augmenting path and so reached exactly these nodes;
+    the cut reads that search.  Any other flow, such as a hand-built one or
+    one from ``flow_update``, is searched here.
+    """
+    pred = flow.search if flow.search is not None else _residual_search(network, flow.flows)
     if pred[network.sink] is not None:
         raise FlowError("sink reachable in residual graph; flow is not maximum")
     reached = [k for k, a in enumerate(pred) if a is not None]
@@ -283,8 +299,12 @@ def flow_update(
 
     Every unit a buyer received of an object is rerouted through the tier
     the object now sits in (above-margin first, then at-margin) and dropped
-    if the object left both tiers.  The result is feasible in the new
-    network whenever the raise happened on the left-most min cut's objects.
+    if the object left both tiers.  The new arcs are read off the new
+    network's per-node arc lists, one buyer at a time: the tier arcs leave
+    the buyer's tier nodes, each tier node's source arc is its one incoming
+    arc, and each object has its sink arc.  The result is feasible in the
+    new network whenever the raise happened on the left-most min cut's
+    objects.
     It is checked once, by ``max_flow`` when warm started from it (or by
     ``check_feasible``), whose :class:`FlowError` signals a bug.
     """
@@ -299,26 +319,29 @@ def flow_update(
     if len(steps) != 1 or min(steps) < 1:
         raise FlowError(f"price changes {deltas} are not a uniform raise on one object set")
 
-    arc_id = {(u, v): a for a, (u, v, _) in enumerate(new_network.arcs)}
     width, first, sink = new_network.width, new_network.first_object, new_network.sink
+    out, into, sink_arc = new_network.out, new_network.into, new_network.sink_arc
     flows = [0] * len(new_network.arcs)
     dropped: dict[tuple[str, str], int] = {}
     value = 0
+    block, tier_arcs = -1, {}
     for (u, obj, _), carried in zip(old_network.arcs, old_flow.flows):
         # Only tier arcs, buyer tier to object, say who received what.
         if carried == 0 or u == 0 or obj == sink:
             continue
         above = u - (u - 1) % width
-        tier_arc = arc_id.get((above, obj))
-        tier_node = above
-        if tier_arc is None:
-            tier_arc = arc_id.get((above + 1, obj))
-            tier_node = above + 1
-        if tier_arc is None:
+        if above != block:
+            # The buyer's (source arc, tier arc) in the new network by
+            # object: a tier node's one incoming arc is its source arc, and
+            # a report's tiers are disjoint.
+            block = above
+            tier_arcs = {v: (into[k][0][0], a) for k in (above, above + 1) for a, v in out[k]}
+        arcs = tier_arcs.get(obj)
+        if arcs is None:
             key = (new_network.buyers[(u - 1) // width], new_network.objects[obj - first])
             dropped[key] = dropped.get(key, 0) + carried
             continue
-        for a in (arc_id[(0, tier_node)], tier_arc, arc_id[(obj, sink)]):
+        for a in (*arcs, sink_arc[obj]):
             flows[a] += carried
         value += carried
     return FlowUpdateResult(IntegralFlow(flows, value), dropped)

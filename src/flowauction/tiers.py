@@ -115,16 +115,14 @@ def next_breakpoint(
     buyer: str,
     prices: PriceVector,
     raised: Collection[str],
-    t: int,
     report: TierReport,
 ) -> int | None:
-    """Smallest raise above ``t`` at which the part of the buyer's tier
-    report that the demand network reads changes.
+    """Smallest positive raise of ``raised`` at which the part of the
+    buyer's tier report that the demand network reads changes.
 
-    ``report`` is the buyer's report at ``prices`` with the objects in
-    ``raised`` raised by ``t``.  The network reads ``above``,
-    ``at_margin`` and their demands, and these stay fixed as long as the
-    margin keeps its place among the payoffs:
+    ``report`` is the buyer's report at ``prices``.  The network reads
+    ``above``, ``at_margin`` and their demands, and these stay fixed as
+    long as the margin keeps its place among the payoffs:
 
     - if the margin's objects are not raised, the margin stays put until a
       raised object above it comes down to it;
@@ -141,13 +139,11 @@ def next_breakpoint(
     values, price, supplies = instance.valuations, prices.prices, instance.supplies
     falls = [i in raised for i in report.at_margin]
     if any(falls) != all(falls):
-        return t + 1
-    # Payoffs are taken at ``prices``: at raise ``t`` the margin is
-    # ``top - t`` if its objects are raised and ``top`` if not.
+        return 1
     top = values[(report.at_margin[0], buyer)] - price[report.at_margin[0]]
     if falls[0]:
         fixed = (values[(i, buyer)] - price[i] for i, b in supplies.items() if b and i not in raised)
-        return top - max((g for g in fixed if 0 <= g < top - t), default=0)
+        return top - max((g for g in fixed if 0 <= g < top), default=0)
     falling = (values[(i, buyer)] - price[i] for i in report.above if i in raised)
     return min((g - top for g in falling), default=None)
 

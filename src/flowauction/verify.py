@@ -8,7 +8,8 @@ every object subset.  The Hall condition and the flow criterion both read
 counts each subset's overdemand off its tier arcs, the second runs
 ``max_flow`` on it.  Bundle enumeration and the descent potential do not
 read the network, so they check those rules.  No check shares the solver's
-search path: ``next_breakpoint``, ``_step_length`` and ``flow_update``.
+search path: ``next_breakpoint``, the breakpoints ``_step_length`` carries
+from walk to walk on one cut, and ``flow_update``.
 The checkers are desk-scale by design and each raises
 :class:`BudgetExceededError` beyond its enumeration budget.
 """

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowauction import auction, tiers
 from flowauction.model import validate_instance
 from flowauction.verify import perturb_instance, random_instance
 
@@ -91,3 +92,40 @@ def pinned_markets():
         base = random_instance(rng, max_objects=4, max_buyers=4, max_value=(6, 30, 300)[k % 3])
         twin, _ = perturb_instance(rng, base)
         yield base, twin
+
+
+def check_carried_breakpoints(monkeypatch, markets):
+    """Solve each (instance, start prices) pair in every configuration twice:
+    as the solver does, with every breakpoint a walk carries over checked
+    against a fresh ``next_breakpoint`` on a fresh report at the walk's
+    prices, and once more with nothing carried, so that every walk asks
+    every buyer.  The prices, allocation, walks and ``oracle_calls`` of the
+    two climbs must be equal.  Returns the number of carried breakpoints
+    checked."""
+    walk = auction._step_length
+    carry = True
+    checked = 0
+
+    def checked_walk(instance, network, reports, raised, breakpoints):
+        nonlocal checked
+        if not carry:
+            breakpoints.clear()
+        for j, t in breakpoints.items():
+            report = tiers.tier_report(instance, j, network.prices)
+            assert t == tiers.next_breakpoint(instance, j, network.prices, raised, report)
+            checked += 1
+        return walk(instance, network, reports, raised, breakpoints)
+
+    monkeypatch.setattr(auction, "_step_length", checked_walk)
+    for instance, start in markets:
+        for mode in ("unit", "adapted"):
+            for warm in (True, False):
+                outputs = []
+                for carry in (True, False):
+                    options = auction.SolveOptions(mode=mode, warm_start=warm, start_prices=start)
+                    equilibrium = auction.solve(instance, options)
+                    allocation = list(equilibrium.allocation.quantities.items())
+                    trace = equilibrium.trace
+                    outputs.append((equilibrium.prices, allocation, trace.walks, trace.oracle_calls))
+                assert outputs[0] == outputs[1]
+    return checked

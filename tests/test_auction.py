@@ -32,7 +32,7 @@ from flowauction.verify import (
     random_instance,
     random_prices,
 )
-from conftest import HUGE_VALUES, pinned_markets
+from conftest import HUGE_VALUES, check_carried_breakpoints, pinned_markets
 
 
 def cut_and_flow(instance, prices):
@@ -460,38 +460,63 @@ class TestBreakpointWalk:
         assert walks > 100 and unsupplied > 50
 
     def test_the_walk_is_one_jump_to_the_first_breakpoint(self, monkeypatch):
-        """Every breakpoint moves an arc, so the walk asks each buyer for
-        its breakpoint once and recomputes the reports of exactly the
-        buyers whose breakpoint is the raise it returns."""
+        """Every breakpoint moves an arc, so the walk recomputes the reports
+        of exactly the buyers whose breakpoint, carried or fresh, is the
+        raise it returns.  It asks each buyer for its breakpoint at most
+        once: on a new cut every buyer, and on the previous walk's cut only
+        the buyers it recomputed, since the others carry theirs."""
         walk, breakpoint, report = auction._step_length, auction.next_breakpoint, auction.tier_report
-        asked, recomputed, walks = [], [], 0
+        asked, recomputed, walks, carried_walks = {}, [], 0, 0
+        previous = None
 
         def counted_breakpoint(instance, buyer, *args):
-            asked.append((buyer, breakpoint(instance, buyer, *args)))
-            return asked[-1][1]
+            assert buyer not in asked
+            asked[buyer] = breakpoint(instance, buyer, *args)
+            return asked[buyer]
 
         def counted_report(instance, buyer, prices):
             recomputed.append(buyer)
             return report(instance, buyer, prices)
 
-        def traced_walk(instance, *args):
-            nonlocal walks
+        def traced_walk(instance, network, reports, raised, breakpoints):
+            nonlocal walks, carried_walks, previous
+            carried = dict(breakpoints)
             asked.clear()
             recomputed.clear()
-            step, calls, network = walk(instance, *args)
-            assert [j for j, _ in asked] == list(instance.buyers)
-            assert recomputed == [j for j, t in asked if t == step]
+            step, calls, step_network = walk(instance, network, reports, raised, breakpoints)
+            if previous is not None and previous[0] == raised:
+                assert list(asked) == previous[1]
+                carried_walks += 1
+            else:
+                assert list(asked) == list(instance.buyers)
+            assert recomputed == [j for j in instance.buyers if {**carried, **asked}[j] == step]
             assert calls == len(recomputed)
+            previous = (raised, list(recomputed))
             walks += 1
-            return step, calls, network
+            return step, calls, step_network
 
         monkeypatch.setattr(auction, "_step_length", traced_walk)
         monkeypatch.setattr(auction, "next_breakpoint", counted_breakpoint)
         monkeypatch.setattr(auction, "tier_report", counted_report)
         for inst in walk_markets():
             for mode, warm in CONFIGS:
+                previous = None
                 price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
-        assert walks > 100
+        assert walks > 100 and carried_walks > 100
+
+    def test_carried_breakpoints_are_fresh_ones(self, monkeypatch):
+        """A buyer that was not due keeps its breakpoint, less the step,
+        while the cut stays: on 1500 seeded markets, some of them with
+        objects without supply, each carried breakpoint equals a fresh one,
+        and the climb gives what a climb that carries none gives."""
+        rng = random.Random(47)
+        markets = [
+            random_instance(rng, max_objects=5, max_buyers=5, max_value=1000 if k % 5 == 0 else 8)
+            for k in range(1500)
+        ]
+        checked = check_carried_breakpoints(monkeypatch, [(inst, None) for inst in markets])
+        assert sum(not all(inst.supplies.values()) for inst in markets) > 600
+        assert checked > 4000
 
     def test_the_tiers_change_exactly_where_their_arcs_do(self):
         """The walk stops at the first breakpoint, where some buyer's

@@ -379,6 +379,40 @@ class TestLeftmostMinCut:
         with pytest.raises(FlowError, match="^sink reachable in residual graph; flow is not maximum$"):
             leftmost_min_cut(network, zero)
 
+    def test_the_kept_search_gives_the_cut_of_a_fresh_search(self):
+        """``max_flow`` keeps the search that ended it, and the cut read off
+        it equals the cut of a fresh search of the same flows, cold and
+        warm.  A flow without a kept search is searched afresh, so a
+        hand-built flow that is not maximum is still rejected, and flows
+        compare equal whether or not they keep one."""
+        rng = random.Random(23)
+        cold = warm = rejected = 0
+        for k in range(400):
+            inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=6)
+            prices = random_prices(rng, inst) if k % 2 else PriceVector.zero(inst)
+            network = build_demand_network(inst, prices)
+            best = max_flow(network)
+            cold += 1
+            if best.value:
+                with pytest.raises(FlowError, match="^sink reachable"):
+                    leftmost_min_cut(network, IntegralFlow([0] * len(network.arcs), 0))
+                rejected += 1
+            while True:
+                bare = IntegralFlow(list(best.flows), best.value)
+                assert bare.search is None and bare == best
+                assert best.search == _residual_search(network, best.flows)
+                cut = leftmost_min_cut(network, best)
+                assert cut == leftmost_min_cut(network, bare)
+                if not cut.objects:
+                    break
+                prices = prices.raised(cut.objects)
+                raised = build_demand_network(inst, prices)
+                update = flow_update(network, best, raised)
+                assert update.flow.search is None
+                network, best = raised, max_flow(raised, warm_start=update.flow)
+                warm += 1
+        assert cold == 400 and warm > 300 and rejected > 200
+
     def test_minimality_against_enumeration(self):
         rng = random.Random(5)
         checked = 0

@@ -20,7 +20,9 @@ import pytest
 
 import flowauction
 import flowauction.verify  # noqa: F401  (the market builders read flowauction.verify)
+from flowauction import auction, flow
 from flowauction.auction import SolveOptions, solve
+from conftest import check_carried_breakpoints
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CONFIGS = [(mode, warm) for mode in ("unit", "adapted") for warm in (True, False)]
@@ -52,6 +54,40 @@ def test_every_configuration_passes_the_benchmark_checks(workload):
             prices, quantities = equilibrium.prices.as_dict(), dict(equilibrium.allocation.quantities)
             errors = checks.answer_errors(market, reference, prices, quantities)
             assert errors == [], (market.name, mode, warm)
+
+
+def test_carried_breakpoints_on_the_dense_market(monkeypatch):
+    """The check of ``check_carried_breakpoints`` on the ``dense`` market,
+    where most walks raise the cut of the walk before."""
+    (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
+    assert check_carried_breakpoints(monkeypatch, [(market.instance, market.start)]) > 100
+
+
+def test_a_dense_walk_redoes_work_only_for_the_buyers_who_changed(monkeypatch):
+    """An adapted-warm solve of the ``dense`` market (68 buyers, 10 walks,
+    then the allocation).  A walk on the previous walk's cut asks only the
+    buyers that walk recomputed for their breakpoint: 173 questions, where
+    asking every buyer on every walk takes 680.  Each cut reads the search
+    that ended its max flow: 123 residual searches, where searching again
+    takes 133.  The tier-oracle calls stay 154."""
+    counts = {"breakpoints": 0, "searches": 0}
+    breakpoint, search = auction.next_breakpoint, flow._residual_search
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(auction, "next_breakpoint", counted("breakpoints", breakpoint))
+    monkeypatch.setattr(flow, "_residual_search", counted("searches", search))
+    (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
+    options = SolveOptions(mode="adapted", warm_start=True, start_prices=market.start)
+    trace = solve(market.instance, options).trace
+    assert len(trace.walks) == 10 and trace.oracle_calls == 154
+    assert counts["breakpoints"] <= 200
+    assert counts["searches"] <= 123
 
 
 def test_the_tracer_still_fits_the_solver():

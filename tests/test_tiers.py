@@ -169,10 +169,12 @@ def test_report_constant_up_to_next_breakpoint(data, draw):
     # Beyond v_max + 1 every raised object is priced out, so fields that
     # never change again are checked over that whole range.
     horizon = inst.max_valuation + 2
+    start = prices.raised(raised, t0)
     for j in inst.buyers:
-        report = tier_report(inst, j, prices.raised(raised, t0))
-        stop = next_breakpoint(inst, j, prices, raised, t0, report)
-        assert stop is None or stop > t0
+        report = tier_report(inst, j, start)
+        step = next_breakpoint(inst, j, start, raised, report)
+        assert step is None or step > 0
+        stop = None if step is None else t0 + step
         fields = network_fields(report)
         for t in range(t0, horizon if stop is None else stop):
             assert network_fields(tier_report(inst, j, prices.raised(raised, t))) == fields
@@ -183,11 +185,11 @@ def test_report_constant_up_to_next_breakpoint(data, draw):
 def breakpoints(inst, buyer, prices, raised):
     points = [0]
     while True:
-        report = tier_report(inst, buyer, prices.raised(raised, points[-1]))
-        t = next_breakpoint(inst, buyer, prices, raised, points[-1], report)
+        at = prices.raised(raised, points[-1])
+        t = next_breakpoint(inst, buyer, at, raised, tier_report(inst, buyer, at))
         if t is None:
             return points
-        points.append(t)
+        points.append(points[-1] + t)
 
 
 def test_breakpoints_are_payoff_crossings():
