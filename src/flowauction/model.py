@@ -47,6 +47,12 @@ class Instance:
     ``objects`` and ``buyers`` fix the canonical ordering used for all
     tie-breaking and for deterministic output.  ``valuations`` is fully
     populated: every (object, buyer) pair has an entry.
+
+    ``value_rows`` (each buyer's values) and ``supply_row`` (the supplies)
+    lay the same data out in canonical object order, for the tier oracle
+    to read by index.  Each is computed when first read and kept; neither
+    is a field, so equality, ``repr`` and ``dataclasses.replace`` see only
+    the five fields, and a replaced instance computes its own rows.
     """
 
     objects: tuple[str, ...]
@@ -57,6 +63,15 @@ class Instance:
 
     def payoff(self, obj: str, buyer: str, prices: "PriceVector") -> int:
         return self.valuations[(obj, buyer)] - prices[obj]
+
+    @cached_property
+    def value_rows(self) -> dict[str, tuple[int, ...]]:
+        values = self.valuations
+        return {j: tuple(values[(i, j)] for i in self.objects) for j in self.buyers}
+
+    @cached_property
+    def supply_row(self) -> tuple[int, ...]:
+        return tuple(self.supplies[i] for i in self.objects)
 
     @property
     def total_supply(self) -> int:

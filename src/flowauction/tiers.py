@@ -4,10 +4,13 @@ For a buyer at given prices, the objects in supply split into three tiers
 relative to the marginal payoff, the payoff of the last object in supply
 that the greedy bundle construction takes from: objects strictly above the
 margin, exactly at it, and with payoff exactly zero.  No bundle holds an
-object without supply, so it is in no tier.  Every query reads one payoff
-list per buyer (value minus price, in canonical object order) and runs the
-one greedy on it.  ``next_breakpoint`` tells the auction how far a raise
-can go before the part of a report that the demand network reads changes;
+object without supply, so it is in no tier.  A report, a bundle or a
+utility reads the buyer's value row and the supply row, both kept by
+``Instance`` in canonical object order, subtracts the prices from the
+value row to get one payoff list, and runs the one greedy on it.
+``next_breakpoint``, which reads a few payoffs, looks them up in
+``valuations`` instead.  It tells the auction how far a raise can go
+before the part of a report that the demand network reads changes;
 everything here is a pure function of the instance and the prices.
 """
 
@@ -38,8 +41,8 @@ class TierReport(NamedTuple):
 
 def _payoffs(instance: Instance, buyer: str, prices: PriceVector) -> list[int]:
     """The buyer's payoff for each object, in canonical object order."""
-    values, price = instance.valuations, prices.prices
-    return [values[(i, buyer)] - price[i] for i in instance.objects]
+    price = prices.prices
+    return [v - price[i] for i, v in zip(instance.objects, instance.value_rows[buyer])]
 
 
 def _greedy(
@@ -48,14 +51,14 @@ def _greedy(
     """The greedy of :func:`preferred_bundle` on a payoff list: the
     (object index, units taken) visits and the last index visited."""
     residual = instance.demands[buyer]
-    objects, supplies = instance.objects, instance.supplies
+    supplies = instance.supply_row
     visits: list[tuple[int, int]] = []
     last: int | None = None
     # A reversed sort is still stable, so ties keep canonical order.
     for k in sorted(range(len(payoffs)), key=payoffs.__getitem__, reverse=True):
         if residual <= 0 or payoffs[k] <= 0:
             break
-        take = min(supplies[objects[k]], residual)
+        take = min(supplies[k], residual)
         if take:  # an object without supply is skipped
             visits.append((k, take))
             residual -= take
@@ -92,22 +95,31 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
     if demand == 0:
         return TierReport((), (), (), 0, 0, 0)
 
-    objects, supplies = instance.objects, instance.supplies
     payoffs = _payoffs(instance, buyer, prices)
     _, last = _greedy(instance, buyer, payoffs)
-    zero = tuple(i for i, g in zip(objects, payoffs) if g == 0 and supplies[i])
-    if last is None:
-        above: tuple[str, ...] = ()
-        at_margin: tuple[str, ...] = ()
-        d_above = d_margin = 0
-    else:
-        margin = payoffs[last]
-        above = tuple(i for i, g in zip(objects, payoffs) if g > margin and supplies[i])
-        at_margin = tuple(i for i, g in zip(objects, payoffs) if g == margin and supplies[i])
-        d_above = sum(supplies[i] for i in above)
-        d_margin = min(sum(supplies[i] for i in at_margin), demand - d_above)
-    d_zero = min(sum(supplies[i] for i in zero), demand - d_above - d_margin)
-    return TierReport(above, at_margin, zero, d_above, d_margin, d_zero)
+    # The greedy stops at payoff 0, so a margin is positive.  Without one
+    # no object in supply has a positive payoff, and a margin of 1 leaves
+    # the first two tiers empty.
+    margin = 1 if last is None else payoffs[last]
+    above: list[str] = []
+    at_margin: list[str] = []
+    zero: list[str] = []
+    d_above = margin_supply = zero_supply = 0
+    for i, g, b in zip(instance.objects, payoffs, instance.supply_row):
+        if not b:
+            continue
+        if g > margin:
+            above.append(i)
+            d_above += b
+        elif g == margin:
+            at_margin.append(i)
+            margin_supply += b
+        elif g == 0:
+            zero.append(i)
+            zero_supply += b
+    d_margin = min(margin_supply, demand - d_above)
+    d_zero = min(zero_supply, demand - d_above - d_margin)
+    return TierReport(tuple(above), tuple(at_margin), tuple(zero), d_above, d_margin, d_zero)
 
 
 def next_breakpoint(

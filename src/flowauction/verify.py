@@ -6,10 +6,17 @@ enumerating the price grid, and descent sets by evaluating the potential on
 every object subset.  The Hall condition and the flow criterion both read
 ``build_demand_network``, whose arcs ``FlowNetwork`` alone lays: the first
 counts each subset's overdemand off its tier arcs, the second runs
-``max_flow`` on it.  Bundle enumeration and the descent potential do not
-read the network, so they check those rules.  No check shares the solver's
-search path: ``next_breakpoint``, the breakpoints ``_step_length`` carries
-from walk to walk on one cut, and ``flow_update``.
+``max_flow`` on it.  The flow criterion reads the tier reports first:
+their summed above-margin and at-margin demand is the network's source
+capacity, and every unit of flow leaves through an object's sink arc,
+which holds that object's supply.  A source capacity above total supply
+can therefore not be saturated, and such prices are rejected, exactly,
+before any network is built.  Bundle enumeration and the descent
+potential do not read the network, so they check those rules.  The flow
+criterion shares only ``tier_report`` and ``build_demand_network`` with
+the solver, and no check shares its search path: ``next_breakpoint``, the
+breakpoints ``_step_length`` carries from walk to walk on one cut, and
+``flow_update``.
 The checkers are desk-scale by design and each raises
 :class:`BudgetExceededError` beyond its enumeration budget.
 """
@@ -24,7 +31,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .flow import build_demand_network, max_flow
 from .model import Allocation, Instance, InstanceError, PriceVector, validate_instance
-from .tiers import indirect_utility
+from .tiers import indirect_utility, tier_report
 
 
 DEFAULT_BUDGET = 1_000_000
@@ -158,8 +165,20 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
 
 
 def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
-    """Competitiveness via the demand network: max flow saturates the source."""
-    network = build_demand_network(instance, prices)
+    """Competitiveness via the demand network: max flow saturates the source.
+
+    The buyers' tier reports come first.  Their above-margin and at-margin
+    demands sum to the network's source capacity, and every unit of flow
+    leaves through an object's sink arc, which holds that object's supply,
+    so no flow exceeds total supply.  Prices at which the tier demand
+    exceeds total supply are therefore not competitive, and are rejected
+    exactly without building the network.  Otherwise the network is built
+    from those reports and its max flow decides.
+    """
+    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
+    if sum(r.demand_above + r.demand_at_margin for r in reports.values()) > instance.total_supply:
+        return False
+    network = build_demand_network(instance, prices, reports)
     return max_flow(network).value == network.cap_s
 
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import re
 
 import pytest
@@ -8,6 +11,7 @@ from flowauction.model import (
     DUMMY_BUYER,
     DUMMY_OBJECT,
     Allocation,
+    Instance,
     InstanceError,
     PriceVector,
     balance_instance,
@@ -193,6 +197,64 @@ class TestBalance:
         twice = balance_instance(once)
         assert twice is once
         assert twice == once
+
+
+def rows(inst):
+    return inst.value_rows, inst.supply_row
+
+
+class TestRows:
+    """``value_rows`` and ``supply_row`` are cached, not fields."""
+
+    def test_the_fields_are_unchanged(self):
+        names = [f.name for f in dataclasses.fields(Instance)]
+        assert names == ["objects", "supplies", "buyers", "demands", "valuations"]
+
+    def test_rows_in_canonical_object_order(self, fig1):
+        assert fig1.value_rows == {"j1": (3, 2, 1), "j2": (0, 2, 0)}
+        assert fig1.supply_row == (1, 1, 4)
+
+    def test_computed_rows_change_nothing_else(self, fig1):
+        fresh = dataclasses.replace(fig1)
+        assert "value_rows" not in vars(fresh) and "supply_row" not in vars(fresh)
+        computed = dataclasses.replace(fig1)
+        expected = rows(computed)
+        assert "value_rows" in vars(computed) and "supply_row" in vars(computed)
+        assert fresh == computed and computed == fresh
+        assert repr(fresh) == repr(computed)
+        assert dataclasses.replace(computed) == dataclasses.replace(fresh) == fig1
+        for copied in (copy.copy(computed), copy.copy(fresh)):
+            assert copied == fig1 and rows(copied) == expected
+        for loaded in (pickle.loads(pickle.dumps(computed)), pickle.loads(pickle.dumps(fresh))):
+            assert loaded == fig1 and repr(loaded) == repr(fig1) and rows(loaded) == expected
+        assert "value_rows" not in vars(fresh) and "supply_row" not in vars(fresh)
+
+    def test_a_replaced_instance_computes_its_own_rows(self, fig1):
+        rows(fig1)
+        cut = dataclasses.replace(fig1, supplies={"alpha": 0, "beta": 1, "gamma": 2})
+        assert cut.supply_row == (0, 1, 2)
+        assert cut.value_rows == fig1.value_rows
+
+    def test_rows_follow_the_objects(self, fig1):
+        rows(fig1)
+        order = ("gamma", "alpha", "beta")
+        valuations = {j: {i: fig1.valuations[(i, j)] for i in order} for j in fig1.buyers}
+        permuted = validate_instance({i: fig1.supplies[i] for i in order}, fig1.demands, valuations)
+        assert permuted.value_rows == {"j1": (1, 3, 2), "j2": (0, 0, 2)}
+        assert permuted.supply_row == (4, 1, 1)
+
+    def test_a_balanced_instance_has_its_own_rows(self):
+        short = validate_instance({"alpha": 2}, {"b1": 5, "b2": 1}, {"b1": {"alpha": 3}})
+        rows(short)
+        balanced = balance_instance(short)
+        assert balanced.value_rows == {"b1": (3, 0), "b2": (0, 0)}
+        assert balanced.supply_row == (2, 4)
+        assert rows(short) == ({"b1": (3,), "b2": (0,)}, (2,))
+        surplus = validate_instance({"alpha": 5, "beta": 1}, {"b1": 2}, {"b1": {"alpha": 1}})
+        rows(surplus)
+        balanced = balance_instance(surplus)
+        assert balanced.value_rows == {"b1": (1, 0), DUMMY_BUYER: (0, 0)}
+        assert balanced.supply_row == (5, 1)
 
 
 class TestDuplicate:

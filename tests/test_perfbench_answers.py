@@ -12,6 +12,7 @@ re-executes itself and is never imported.
 
 import importlib
 import importlib.util
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ import flowauction
 import flowauction.verify  # noqa: F401  (the market builders read flowauction.verify)
 from flowauction import auction, flow
 from flowauction.auction import SolveOptions, solve
+from flowauction.model import PriceVector
+from flowauction.verify import min_competitive_bruteforce
 from conftest import check_carried_breakpoints
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -54,6 +57,24 @@ def test_every_configuration_passes_the_benchmark_checks(workload):
             prices, quantities = equilibrium.prices.as_dict(), dict(equilibrium.allocation.quantities)
             errors = checks.answer_errors(market, reference, prices, quantities)
             assert errors == [], (market.name, mode, warm)
+
+
+def test_supply_bound_keeps_the_certify_grid_minima():
+    """On every ``certify`` twin the grid minimum, over the whole grid and
+    over the box below the solver's prices, equals the minimum this test
+    enumerates with the max flow alone, without the supply bound."""
+    for market in markets.WORKLOADS["certify"](flowauction, random.Random(1)):
+        inst = market.instance
+        competitive = []
+        grid = range(inst.max_valuation + 2)
+        for combo in itertools.product(grid, repeat=len(inst.objects)):
+            network = flow.build_demand_network(inst, PriceVector(dict(zip(inst.objects, combo))))
+            if flow.max_flow(network).value == network.cap_s:
+                competitive.append(combo)
+        minimum = PriceVector(dict(zip(inst.objects, map(min, zip(*competitive)))))
+        upper = solve(inst, SolveOptions(start_prices=market.start)).prices
+        assert min_competitive_bruteforce(inst) == minimum, market.name
+        assert min_competitive_bruteforce(inst, upper=upper) == minimum, market.name
 
 
 def test_carried_breakpoints_on_the_dense_market(monkeypatch):

@@ -4,8 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowauction.model import PriceVector, validate_instance
-from flowauction.tiers import indirect_utility, next_breakpoint, preferred_bundle, tier_report
-from flowauction.verify import best_bundle_payoff
+from flowauction.tiers import (
+    TierReport,
+    indirect_utility,
+    next_breakpoint,
+    preferred_bundle,
+    tier_report,
+)
+from flowauction.verify import (
+    BudgetExceededError,
+    best_bundle_payoff,
+    random_instance,
+    random_prices,
+)
 
 
 @st.composite
@@ -201,3 +212,62 @@ def test_breakpoints_are_payoff_crossings():
     assert breakpoints(inst, "x", prices, {"a"}) == [0, 1, 2]
     zero_demand = validate_instance({"a": 1}, {"x": 0}, {"x": {"a": 5}})
     assert breakpoints(zero_demand, "x", PriceVector.zero(zero_demand), {"a"}) == [0]
+
+
+def reference_report(instance, buyer, prices):
+    """A tier report by its definition: rank the objects in supply by
+    payoff, ties in canonical order, walk the greedy to find the margin,
+    then compare every object in supply with it."""
+    demand = instance.demands[buyer]
+    if demand == 0:
+        return TierReport((), (), (), 0, 0, 0), None
+    payoff = {i: instance.valuations[(i, buyer)] - prices[i] for i in instance.objects}
+    supply = instance.supplies
+    supplied = [i for i in instance.objects if supply[i] > 0]
+    ranked = sorted(supplied, key=lambda i: (-payoff[i], instance.objects.index(i)))
+    residual, last = demand, None
+    for i in ranked:
+        if residual == 0 or payoff[i] <= 0:
+            break
+        residual -= min(supply[i], residual)
+        last = i
+    margin = None if last is None else payoff[last]
+    above = tuple(i for i in supplied if margin is not None and payoff[i] > margin)
+    at_margin = tuple(i for i in supplied if payoff[i] == margin)
+    zero = tuple(i for i in supplied if payoff[i] == 0)
+    d_above = sum(supply[i] for i in above)
+    d_margin = min(sum(supply[i] for i in at_margin), demand - d_above)
+    d_zero = min(sum(supply[i] for i in zero), demand - d_above - d_margin)
+    return TierReport(above, at_margin, zero, d_above, d_margin, d_zero), last
+
+
+def test_tier_oracle_sweep_matches_the_reference():
+    """``tier_report`` equals the definition on 1800 seeded markets and
+    prices, and the greedy bundle is payoff-maximal on them."""
+    rng = random.Random(71)
+    seen = dict.fromkeys(
+        ("unsupplied object", "zero demand", "tie at the margin", "no positive payoff"), 0
+    )
+    enumerated = 0
+    for k in range(1800):
+        inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=(4, 30, 300)[k % 3])
+        prices = random_prices(rng, inst)
+        seen["unsupplied object"] += 0 in inst.supplies.values()
+        for j in inst.buyers:
+            expected, last = reference_report(inst, j, prices)
+            report = tier_report(inst, j, prices)
+            bundle, bundle_last = preferred_bundle(inst, j, prices)
+            assert report == expected, (inst, prices, j)
+            assert bundle_last == last
+            seen["zero demand"] += inst.demands[j] == 0
+            seen["tie at the margin"] += len(report.at_margin) > 1
+            seen["no positive payoff"] += inst.demands[j] > 0 and last is None
+            try:
+                best = best_bundle_payoff(inst, j, prices)
+            except BudgetExceededError:
+                continue
+            assert bundle_payoff(inst, j, prices, bundle) == best
+            assert indirect_utility(inst, j, prices) == best
+            enumerated += 1
+    assert all(count > 0 for count in seen.values()), seen
+    assert enumerated > 1500

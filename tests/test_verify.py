@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flowauction.auction import SolveOptions, price_raising, solve
+from flowauction.flow import build_demand_network, max_flow
 from flowauction.model import Allocation, InstanceError, PriceVector, validate_instance
 from flowauction.tiers import tier_report
 from flowauction import verify
@@ -124,6 +125,42 @@ class TestCompetitiveChecks:
             assert is_competitive_flowcheck(inst, prices) == is_competitive_bruteforce(
                 inst, prices
             )
+
+    def test_supply_bound_sweep_agrees_with_the_flow_and_the_bundles(self, monkeypatch):
+        """The flow criterion rejects prices whose tier demand exceeds
+        total supply without building a network, and agrees with the max
+        flow on the demand network and with bundle enumeration."""
+        built = []
+
+        def counted(instance, prices, reports=None):
+            built.append(prices)
+            return build_demand_network(instance, prices, reports)
+
+        monkeypatch.setattr(verify, "build_demand_network", counted)
+        rng = random.Random(73)
+        decided = {"bound": 0, "flow accepts": 0, "flow rejects": 0}
+        enumerated = 0
+        for k in range(1800):
+            inst = random_instance(rng, max_value=(4, 30, 300)[k % 3])
+            prices = random_prices(rng, inst)
+            network = build_demand_network(inst, prices)
+            saturated = max_flow(network).value == network.cap_s
+            built.clear()
+            assert is_competitive_flowcheck(inst, prices) == saturated, (inst, prices)
+            if network.cap_s > inst.total_supply:
+                assert not saturated and built == []
+                decided["bound"] += 1
+            else:
+                assert built == [prices]
+                decided["flow accepts" if saturated else "flow rejects"] += 1
+            try:
+                brute = is_competitive_bruteforce(inst, prices)
+            except BudgetExceededError:
+                continue
+            assert brute == saturated, (inst, prices)
+            enumerated += 1
+        assert all(count > 0 for count in decided.values()), decided
+        assert enumerated > 1500
 
     def test_hall_matches_flowcheck(self):
         rng = random.Random(23)
