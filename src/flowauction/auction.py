@@ -19,9 +19,10 @@ their breakpoints, less the step, so a walk asks only the buyers that the
 walk before recomputed; a new cut asks every buyer again.  That saves
 breakpoint questions, not tier reports: ``oracle_calls`` is the same as
 if every buyer were asked on every walk.  A warm start carries the flow
-over to the changed network, a cold start computes a fresh max flow there;
-either way the cut is read off the search that ended the max flow.  The
-trace keeps one record per walk, and the mode decides only how it is read
+over to the changed network, a cold start computes a fresh max flow there,
+which ``max_flow`` starts from the network's direct paths; either way the
+cut is read off the search that ended the max flow.  The trace keeps one
+record per walk, and the mode decides only how it is read
 (``AuctionTrace``): one record per unit raise, or one per run of raises on
 the same object set.
 """

@@ -39,6 +39,19 @@ search pops nodes in the order it reaches them, so that object is the
 first one reached with a residual sink arc, and every node reached before
 it, with its predecessor, is the same in both searches.  So every
 augmenting path, and with it every flow, cut and allocation, is the same.
+
+``max_flow`` starts from ``direct_flow``, one greedy pass along the direct
+source -> tier -> object -> sink paths, unless it is given a warm start.
+That seed is where Edmonds-Karp gets to from zero before its first longer
+path: a search pops every tier node before any object, so while a direct
+path is left it takes the first tier node in source-arc order that has
+one, and that node's first such arc in object order, by the least residual
+of the three arcs, which is what the seed pushes there; augmenting a
+direct path only adds flow, so a tier node left without one stays so.
+The seeded max flow is therefore the zero-start one, arc for arc, and the
+seed saves only searches.  Even without that argument the value and the
+left-most min cut would not depend on the seed, since every maximum flow
+has them.
 """
 
 from __future__ import annotations
@@ -240,20 +253,49 @@ def _residual_search(network: FlowNetwork, flows: list[int]) -> list[int | None]
     return pred
 
 
+def direct_flow(network: FlowNetwork) -> IntegralFlow:
+    """A feasible flow along the direct source -> tier -> object -> sink
+    paths, in one greedy pass.
+
+    The source arcs are taken in arc order, and each tier node pushes its
+    demand along its tier arcs in object order, each up to what is left of
+    the object's sink arc.  No unit is rerouted, so the flow need not be
+    maximum; ``max_flow`` starts from it and augments it.
+    """
+    cap, out, sink_arc = network.cap, network.out, network.sink_arc
+    flows = [0] * len(cap)
+    value = 0
+    for source_arc, tier in out[0]:
+        left = cap[source_arc]
+        for a, obj in out[tier]:
+            if left == 0:
+                break
+            t = sink_arc[obj]
+            amount = min(left, cap[a], cap[t] - flows[t])
+            if amount > 0:
+                flows[a] = amount
+                flows[t] += amount
+                left -= amount
+        flows[source_arc] = cap[source_arc] - left
+        value += flows[source_arc]
+    return IntegralFlow(flows, value)
+
+
 def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> IntegralFlow:
     """Integral maximum flow via shortest augmenting paths.
 
     ``warm_start`` seeds the computation with an existing feasible flow;
     it is validated and raises :class:`FlowError` if it does not fit this
-    network.
+    network.  Without one the computation starts from ``direct_flow``,
+    feasible by construction, and returns the flow it would reach from
+    zero (see the module docstring).
     """
     arcs, cap, sink = network.arcs, network.cap, network.sink
-    flows = [0] * len(cap)
-    value = 0
-    if warm_start is not None:
+    if warm_start is None:
+        warm_start = direct_flow(network)
+    else:
         check_feasible(network, warm_start)
-        flows = list(warm_start.flows)
-        value = warm_start.value
+    flows, value = list(warm_start.flows), warm_start.value
     while True:
         pred = _residual_search(network, flows)
         if pred[sink] is None:

@@ -303,12 +303,19 @@ class Allocation:
         return sum(self.quantities.values())
 
     def is_feasible(self, instance: Instance) -> bool:
+        """Whether every quantity is a nonnegative amount of a known object
+        for a known buyer, within every supply and demand; one pass sums
+        them."""
+        sold = dict.fromkeys(instance.supplies, 0)
+        bought = dict.fromkeys(instance.demands, 0)
         for (i, j), q in self.quantities.items():
-            if q < 0 or i not in instance.supplies or j not in instance.demands:
+            if q < 0 or i not in sold or j not in bought:
                 return False
-        return all(
-            self.sold_of(i) <= instance.supplies[i] for i in instance.objects
-        ) and all(self.bought_by(j) <= instance.demands[j] for j in instance.buyers)
+            sold[i] += q
+            bought[j] += q
+        return all(q <= instance.supplies[i] for i, q in sold.items()) and all(
+            q <= instance.demands[j] for j, q in bought.items()
+        )
 
     def to_nested(self) -> dict[str, dict[str, int]]:
         """``{object: {buyer: quantity}}`` with positive quantities only."""

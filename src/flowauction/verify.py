@@ -13,8 +13,12 @@ which holds that object's supply.  A source capacity above total supply
 can therefore not be saturated, and such prices are rejected, exactly,
 before any network is built.  Bundle enumeration and the descent
 potential do not read the network, so they check those rules.  The flow
-criterion shares only ``tier_report`` and ``build_demand_network`` with
-the solver, and no check shares its search path: ``next_breakpoint``, the
+criterion shares ``tier_report``, ``build_demand_network`` and
+``max_flow`` with the solver, and with it the max flow's start along the
+direct paths, ``direct_flow``.  That start does not weaken it: a feasible
+flow that is not maximum is augmented until no augmenting path is left,
+so the value decided on is the max-flow value whatever the start.  No
+check shares the solver's search path: ``next_breakpoint``, the
 breakpoints ``_step_length`` carries from walk to walk on one cut, and
 ``flow_update``.
 The checkers are desk-scale by design and each raises
@@ -326,22 +330,25 @@ def check_equilibrium(
     result, never raised.
     """
     feasible = allocation.is_feasible(instance)
+    # One pass: each buyer's bundle of known objects, and what is sold of
+    # each object, to any buyer.
+    bundles: dict[str, dict[str, int]] = {j: {} for j in instance.buyers}
+    sold = dict.fromkeys(instance.objects, 0)
+    for (i, j), q in allocation.quantities.items():
+        if i in sold:
+            sold[i] += q
+            if j in bundles:
+                bundles[j][i] = q
     stable: dict[str, bool] = {}
-    for j in instance.buyers:
-        bought = {i: allocation.quantity(i, j) for i in instance.objects}
-        ok = sum(bought.values()) <= instance.demands[j] and all(
-            q <= instance.supplies[i] for i, q in bought.items()
+    for j, bundle in bundles.items():
+        ok = sum(bundle.values()) <= instance.demands[j] and all(
+            q <= instance.supplies[i] for i, q in bundle.items()
         )
-        payoff = sum(instance.payoff(i, j, prices) * q for i, q in bought.items())
+        payoff = sum(instance.payoff(i, j, prices) * q for i, q in bundle.items())
         stable[j] = ok and payoff == indirect_utility(instance, j, prices)
-    sold = allocation.total
     expected = min(instance.total_supply, instance.total_demand)
-    sellout = all(
-        allocation.sold_of(i) == instance.supplies[i]
-        for i in instance.objects
-        if prices[i] > 0
-    )
-    return EquilibriumReport(feasible, stable, sold, expected, sellout)
+    sellout = all(q == instance.supplies[i] for i, q in sold.items() if prices[i] > 0)
+    return EquilibriumReport(feasible, stable, allocation.total, expected, sellout)
 
 
 def check_monotonicity_pair(

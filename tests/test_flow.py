@@ -13,6 +13,7 @@ from flowauction.flow import (
     build_allocation_network,
     build_demand_network,
     check_feasible,
+    direct_flow,
     dump_network,
     flow_update,
     leftmost_min_cut,
@@ -352,6 +353,58 @@ class TestMaxFlow:
             "alpha",
             "t",
         }
+
+
+def from_zero(network):
+    """Edmonds-Karp from the zero flow, handed in as a warm start."""
+    return max_flow(network, warm_start=IntegralFlow([0] * len(network.arcs), 0))
+
+
+class TestDirectFlow:
+    def test_fig1_direct_paths_are_maximum(self, fig1):
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
+        seed = direct_flow(network)
+        assert amounts(network, seed) == {
+            ("s", "j1'"): 2, ("s", "j1''"): 2, ("s", "j2''"): 0,
+            ("j1'", "alpha"): 1, ("j1'", "beta"): 1, ("j1''", "gamma"): 2, ("j2''", "beta"): 0,
+            ("alpha", "t"): 1, ("beta", "t"): 1, ("gamma", "t"): 2,
+        }
+        assert seed.value == 4 == max_flow(network).value
+
+    def test_a_seed_that_is_not_maximum_is_augmented(self):
+        # a takes x first, so b, who wants only x, gets nothing from the seed.
+        inst = validate_instance(
+            {"x": 1, "y": 1}, {"a": 1, "b": 1}, {"a": {"x": 5, "y": 5}, "b": {"x": 5, "y": 0}}
+        )
+        network = build_demand_network(inst, PriceVector.zero(inst))
+        seed = direct_flow(network)
+        check_feasible(network, seed)
+        assert seed.value == 1 and amounts(network, seed)[("a''", "x")] == 1
+        seeded, zero = max_flow(network), from_zero(network)
+        assert seeded.value == 2 and amounts(network, seeded)[("b''", "x")] == 1
+        assert seeded == zero
+        assert leftmost_min_cut(network, seeded) == leftmost_min_cut(network, zero)
+
+    def test_seed_sweep_keeps_the_flow_and_the_cut(self):
+        """On seeded random markets at random prices, in the demand and the
+        allocation network: the direct flow, which ``max_flow`` starts from
+        unchecked, is feasible, and the max flow from it is the one from
+        zero, arc for arc, with the same left-most cut.  Some seeds are not
+        maximum, so augmenting from a seed is exercised."""
+        rng = random.Random(67)
+        networks = short = 0
+        for _ in range(1500):
+            inst = random_instance(rng, max_objects=4, max_buyers=4, max_supply=4, max_demand=4)
+            prices = random_prices(rng, inst)
+            for network in (build_demand_network(inst, prices), build_allocation_network(inst, prices)):
+                seed = direct_flow(network)
+                check_feasible(network, seed)
+                seeded, zero = max_flow(network), from_zero(network)
+                assert seeded.flows == zero.flows and seeded.value == zero.value
+                assert leftmost_min_cut(network, seeded) == leftmost_min_cut(network, zero)
+                networks += 1
+                short += seed.value < zero.value
+        assert networks == 3000 and short >= 50
 
 
 class TestLeftmostMinCut:

@@ -111,6 +111,36 @@ def test_a_dense_walk_redoes_work_only_for_the_buyers_who_changed(monkeypatch):
     assert counts["searches"] <= 123
 
 
+def test_every_max_flow_starts_from_the_direct_paths(monkeypatch):
+    """The climbs of the ``dense`` market, 10 walks over 11 networks.
+    ``max_flow`` starts each flow it is not handed from the network's
+    direct paths, which are maximum on every one of these networks, so a
+    cold climb runs one residual search per network, to confirm the flow
+    and read its cut: 11, where starting from zero takes 240.  A warm
+    climb starts its first flow so and augments each carried one: 24
+    searches, where 47 with a first flow from zero.  ``allocate`` runs 5,
+    where 76 from zero."""
+    searches = 0
+    search = flow._residual_search
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    monkeypatch.setattr(flow, "_residual_search", counted)
+    (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
+    for mode, warm in CONFIGS:
+        searches = 0
+        options = SolveOptions(mode=mode, warm_start=warm, start_prices=market.start)
+        prices, trace = auction.price_raising(market.instance, options)
+        assert len(trace.walks) == 10
+        assert searches == (24 if warm else 11), (mode, warm, searches)
+    searches = 0
+    auction.allocate(market.instance, prices)
+    assert searches == 5
+
+
 def test_the_tracer_still_fits_the_solver():
     """Install the tracer on a fresh import of the package, as ``run.py``
     does, and solve one ``dense`` market in every configuration: the

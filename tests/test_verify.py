@@ -7,10 +7,11 @@ import pytest
 from flowauction.auction import SolveOptions, price_raising, solve
 from flowauction.flow import build_demand_network, max_flow
 from flowauction.model import Allocation, InstanceError, PriceVector, validate_instance
-from flowauction.tiers import tier_report
+from flowauction.tiers import indirect_utility, tier_report
 from flowauction import verify
 from flowauction.verify import (
     BudgetExceededError,
+    EquilibriumReport,
     GuaranteeViolation,
     PerturbationError,
     best_bundle_payoff,
@@ -302,6 +303,53 @@ class TestSteepestDescent:
                 assert after < before
 
 
+def reference_is_feasible(allocation, instance):
+    """``Allocation.is_feasible`` as it was, summing per object and buyer."""
+    for (i, j), q in allocation.quantities.items():
+        if q < 0 or i not in instance.supplies or j not in instance.demands:
+            return False
+    return all(
+        allocation.sold_of(i) <= instance.supplies[i] for i in instance.objects
+    ) and all(allocation.bought_by(j) <= instance.demands[j] for j in instance.buyers)
+
+
+def reference_check_equilibrium(instance, prices, allocation):
+    """``check_equilibrium`` as it was, looking up every buyer x object pair."""
+    feasible = reference_is_feasible(allocation, instance)
+    stable = {}
+    for j in instance.buyers:
+        bought = {i: allocation.quantity(i, j) for i in instance.objects}
+        ok = sum(bought.values()) <= instance.demands[j] and all(
+            q <= instance.supplies[i] for i, q in bought.items()
+        )
+        payoff = sum(instance.payoff(i, j, prices) * q for i, q in bought.items())
+        stable[j] = ok and payoff == indirect_utility(instance, j, prices)
+    sold = allocation.total
+    expected = min(instance.total_supply, instance.total_demand)
+    sellout = all(
+        allocation.sold_of(i) == instance.supplies[i]
+        for i in instance.objects
+        if prices[i] > 0
+    )
+    return EquilibriumReport(feasible, stable, sold, expected, sellout)
+
+
+def random_allocation(rng, instance, base):
+    """``base``'s quantities, each kept or redrawn, plus random entries;
+    now and then one of a negative amount or for an unknown object or
+    buyer, in shuffled order."""
+    objects = [*instance.objects, "ghost"]
+    buyers = [*instance.buyers, "stranger"]
+    quantities = {key: q if rng.random() < 0.8 else rng.randint(0, 3) for key, q in base.items()}
+    for _ in range(rng.randint(0, 2)):
+        i = rng.choice(objects) if rng.random() < 0.1 else rng.choice(instance.objects)
+        j = rng.choice(buyers) if rng.random() < 0.1 else rng.choice(instance.buyers)
+        quantities[(i, j)] = rng.randint(-1, 3) if rng.random() < 0.2 else rng.randint(0, 3)
+    keys = list(quantities)
+    rng.shuffle(keys)
+    return Allocation({key: quantities[key] for key in keys})
+
+
 class TestCheckEquilibrium:
     def test_example1_passes(self, example1):
         eq = solve(example1)
@@ -322,6 +370,31 @@ class TestCheckEquilibrium:
         )
         assert not report.feasible
         assert not report.overall
+
+    def test_one_pass_equals_the_pair_by_pair_definition(self):
+        """On random allocations, at the minimum prices or at random ones,
+        ``check_equilibrium`` and ``Allocation.is_feasible`` equal their
+        old definitions, ``stable`` in the same order.  The allocations
+        start from the solver's and are varied, so the sweep meets
+        equilibria and every kind of infeasibility."""
+        rng = random.Random(71)
+        seen = dict.fromkeys(("overall", "unknown", "negative", "oversold", "overbought"), 0)
+        for k in range(1600):
+            inst = random_instance(rng, max_objects=4, max_buyers=4)
+            eq = solve(inst)
+            prices = eq.prices if k % 2 else random_prices(rng, inst)
+            allocation = random_allocation(rng, inst, eq.allocation.quantities)
+            report = check_equilibrium(inst, prices, allocation)
+            expected = reference_check_equilibrium(inst, prices, allocation)
+            assert report == expected and list(report.stable) == list(expected.stable)
+            assert allocation.is_feasible(inst) == expected.feasible
+            items = allocation.quantities.items()
+            seen["overall"] += report.overall
+            seen["unknown"] += any(i not in inst.supplies or j not in inst.demands for (i, j), _ in items)
+            seen["negative"] += any(q < 0 for q in allocation.quantities.values())
+            seen["oversold"] += any(allocation.sold_of(i) > inst.supplies[i] for i in inst.objects)
+            seen["overbought"] += any(allocation.bought_by(j) > inst.demands[j] for j in inst.buyers)
+        assert min(seen.values()) >= 50, seen
 
     def test_three_buyers_clauses(self, three_buyers):
         eq = solve(three_buyers)
