@@ -65,33 +65,36 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="flowauction", description=__doc__)
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name: str, handler, solves: bool = True) -> argparse.ArgumentParser:
-        """A verb's parser; one that solves takes the solver options."""
+    solver_flags = {
+        "--mode": {"choices": MODES},
+        "--warm-start": {
+            "action": argparse.BooleanOptionalAction,
+            "help": "reuse the previous iteration's flow (default on)",
+        },
+        "--start-prices": {"metavar": "FILE", "help": "JSON object-to-price mapping"},
+    }
+
+    def verb(name: str, handler, *flags: str) -> argparse.ArgumentParser:
+        """A verb's parser with the solver flags whose effect its output
+        shows; one without a flag solves at that option's default."""
         sub = verbs.add_parser(name)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, mode=SolveOptions.mode, warm_start=SolveOptions.warm_start)
         sub.add_argument("instance", help="path to a JSON instance file")
-        if solves:
-            sub.add_argument("--mode", choices=MODES, default="unit")
-            sub.add_argument(
-                "--warm-start",
-                action=argparse.BooleanOptionalAction,
-                default=True,
-                help="reuse the previous iteration's flow (default on)",
-            )
-            sub.add_argument("--start-prices", metavar="FILE", help="JSON object-to-price mapping")
+        for flag in flags:
+            sub.add_argument(flag, **solver_flags[flag])
         return sub
 
-    solve_verb = verb("solve", _cmd_solve)
+    solve_verb = verb("solve", _cmd_solve, *solver_flags)
     solve_verb.add_argument("--trace", metavar="FILE", help="write the iteration trace as JSON")
     solve_verb.add_argument(
         "--dump-network", metavar="FILE", help="write the demand network at the first prices and its max flow"
     )
-    for sub in (verb("verify", _cmd_verify), verb("brute", _cmd_brute, solves=False)):
+    for sub in (verb("verify", _cmd_verify, "--mode", "--start-prices"), verb("brute", _cmd_brute)):
         sub.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
-    monotone = verb("monotone", _cmd_monotone)
+    monotone = verb("monotone", _cmd_monotone, "--start-prices")
     monotone.add_argument("--seed", type=int, default=DEFAULT_SEED)
     monotone.add_argument("--pairs", type=_count, default=200, help="number of perturbations to sweep")
-    verb("duplicate-demo", _cmd_duplicate_demo)
+    verb("duplicate-demo", _cmd_duplicate_demo, "--start-prices")
     return parser
 
 
@@ -311,7 +314,7 @@ def _cmd_monotone(args) -> int:
     print(f"{'idx':>4}  {'kind':<7}  {'target':<16}  {'delta':>5}  result")
     for index in range(args.pairs):
         perturbed, change = perturb_instance(rng, instance)
-        new_prices = solve(perturbed, replace(options, start_prices=None)).prices
+        new_prices = solve(perturbed, SolveOptions()).prices
         ok = check_monotonicity_pair(instance, perturbed, base, new_prices)
         if not ok:
             failures += 1
@@ -334,7 +337,7 @@ def _cmd_duplicate_demo(args) -> int:
     options = _options(args, instance)
     original = solve(instance, options)
     # The start prices name the original objects: the copies start at 0.
-    duplicated = solve(duplicate_instance(instance), replace(options, start_prices=None))
+    duplicated = solve(duplicate_instance(instance), SolveOptions())
     _emit(
         {
             "original": {

@@ -9,6 +9,7 @@ import pytest
 from flowauction.auction import SolveOptions, price_raising
 from flowauction.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, build_parser, run, run_verification
 from flowauction.model import PriceVector, instance_from_dict
+from flowauction.verify import DEFAULT_BUDGET
 from conftest import HUGE_VALUES, pinned_markets
 
 EXAMPLE1 = {
@@ -425,7 +426,8 @@ class TestVerify:
 
     def test_one_climb_besides_the_solve_backs_both_agreement_checks(self, fig1_file, capsys, monkeypatch):
         """The mode enters only the view of a climb, so verify runs one
-        climb besides the solve's, in the other mode and warm setting."""
+        climb besides the solve's, in the other mode and warm setting.  The
+        CLI's solve is warm; a cold one is reached through the library."""
         import flowauction.auction as auction
         import flowauction.cli as cli
 
@@ -438,12 +440,16 @@ class TestVerify:
 
         monkeypatch.setattr(auction, "price_raising", counted)
         monkeypatch.setattr(cli, "price_raising", counted)
+        instance = instance_from_dict(FIG1)
         for mode, other in (("unit", "adapted"), ("adapted", "unit")):
+            calls.clear()
+            code, payload = run_json(capsys, ["verify", fig1_file, "--mode", mode])
+            assert code == EXIT_OK and payload["passed"]
+            assert calls == [(mode, True), (other, False)]
             for warm in (True, False):
                 calls.clear()
-                flag = "--warm-start" if warm else "--no-warm-start"
-                code, payload = run_json(capsys, ["verify", fig1_file, "--mode", mode, flag])
-                assert code == EXIT_OK and payload["passed"]
+                report = run_verification(instance, SolveOptions(mode=mode, warm_start=warm), DEFAULT_BUDGET)
+                assert report["passed"]
                 assert calls == [(mode, warm), (other, not warm)]
 
     def test_iteration_bound_counts_an_unsupplied_object_from_zero(self, tmp_path, capsys):
@@ -540,7 +546,7 @@ class TestVerify:
             "unit": "1000000000 raises, largest increase 1000000000",
             "adapted": "2 raises, largest increase 1000000000",
         }
-        code, payload = run_json(capsys, ["duplicate-demo", huge_value_file, "--mode", "unit"])
+        code, payload = run_json(capsys, ["duplicate-demo", huge_value_file])
         assert code == EXIT_OK
         assert payload["duplicated"]["prices"] == {"a#1": 10**9, "b#1": 10**9 - 1}
 
@@ -637,21 +643,45 @@ class TestDuplicateDemo:
 
 
 def test_each_verb_takes_only_the_arguments_it_reads():
+    """A verb takes a solver flag only where its output shows the effect:
+    the mode sets `solve`'s iterations and records and `verify`'s
+    iteration bound, the warm setting sets `solve`'s handoff gaps."""
     verbs = next(action for action in build_parser()._actions if action.dest == "verb").choices
-    solving = {"instance", "mode", "warm_start", "start_prices"}
+    seeded = {"instance", "start_prices"}
     expected = {
-        "solve": solving | {"trace", "dump_network"},
-        "verify": solving | {"budget"},
+        "solve": seeded | {"mode", "warm_start", "trace", "dump_network"},
+        "verify": seeded | {"mode", "budget"},
         "brute": {"instance", "budget"},
-        "monotone": solving | {"seed", "pairs"},
-        "duplicate-demo": solving,
+        "monotone": seeded | {"seed", "pairs"},
+        "duplicate-demo": seeded,
     }
     taken = {
         verb: {action.dest for action in sub._actions if action.dest != "help"}
         for verb, sub in verbs.items()
     }
     assert taken == expected
-    assert sum(len(dests) for dests in taken.values()) == 23
+    assert sum(len(dests) for dests in taken.values()) == 18
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "monotone --mode unit",
+        "monotone --warm-start",
+        "monotone --no-warm-start",
+        "duplicate-demo --mode unit",
+        "duplicate-demo --warm-start",
+        "duplicate-demo --no-warm-start",
+        "verify --warm-start",
+        "verify --no-warm-start",
+    ],
+)
+def test_a_solver_flag_whose_effect_a_verb_does_not_show_is_a_parse_error(example1_file, capsys, argv):
+    verb, *flags = argv.split()
+    assert run([verb, example1_file, *flags]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {' '.join(flags)}\n"
 
 
 class TestExitCodes:
@@ -682,13 +712,17 @@ def test_verify_reports_are_pinned():
     and adapted mode with a grid budget of 3000, over the first 75 pairs of
     the pinned sweep: each market from zero prices, then its twin restarted
     from the market's prices.  A change that moves it changes what a check
-    reports; re-recording it needs a line in CHANGES.md saying why."""
-    digest = hashlib.sha256()
-    for base, twin in list(pinned_markets())[:75]:
-        for mode in ("unit", "adapted"):
-            start = None
-            for inst in (base, twin):
-                report = run_verification(inst, SolveOptions(mode=mode, start_prices=start), 3000)
-                digest.update(json.dumps(report, indent=2, sort_keys=True).encode())
-                start = PriceVector(report["prices"])
-    assert digest.hexdigest()[:16] == PINNED_REPORT_DIGEST
+    reports; re-recording it needs a line in CHANGES.md saying why.  The
+    warm setting changes no report, so a warm and a cold solve give the
+    one digest."""
+    for warm_start in (True, False):
+        digest = hashlib.sha256()
+        for base, twin in list(pinned_markets())[:75]:
+            for mode in ("unit", "adapted"):
+                start = None
+                for inst in (base, twin):
+                    options = SolveOptions(mode=mode, warm_start=warm_start, start_prices=start)
+                    report = run_verification(inst, options, 3000)
+                    digest.update(json.dumps(report, indent=2, sort_keys=True).encode())
+                    start = PriceVector(report["prices"])
+        assert digest.hexdigest()[:16] == PINNED_REPORT_DIGEST, warm_start
