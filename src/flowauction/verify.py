@@ -6,20 +6,26 @@ enumerating the price grid, and descent sets by evaluating the potential on
 every object subset.  The Hall condition and the flow criterion both read
 ``build_demand_network``, whose arcs ``FlowNetwork`` alone lays: the first
 counts each subset's overdemand off its tier arcs, the second runs
-``max_flow`` on it.  The flow criterion reads the tier reports first:
-their summed above-margin and at-margin demand is the network's source
-capacity, and every unit of flow leaves through an object's sink arc,
-which holds that object's supply.  A source capacity above total supply
-can therefore not be saturated, and such prices are rejected, exactly,
-before any network is built.  Bundle enumeration and the descent
-potential do not read the network, so they check those rules.  The flow
-criterion shares ``tier_report``, ``build_demand_network`` and
-``max_flow`` with the solver, and with it the max flow's start along the
-direct paths, ``direct_flow``.  That start does not weaken it: a feasible
-flow that is not maximum is augmented until no augmenting path is left,
-so the value decided on is the max-flow value whatever the start.  No
-check shares the solver's search path: ``next_breakpoint``, the
-breakpoints ``_step_length`` carries from walk to walk on one cut, and
+``max_flow`` on it.  The flow criterion first computes the network's
+source capacity in closed form, from the instance rows alone:
+``sum_j min(d_j, sum of b_i over the objects with v_ij > p_i)``.  The
+greedy behind a tier report takes the objects of positive payoff in order
+of falling payoff until the demand is met, and takes every object above
+the margin in full, so a buyer's above-margin and at-margin demands sum
+to that minimum.  Every unit of flow leaves through an object's sink arc,
+which holds that object's supply, so a source capacity above total supply
+cannot be saturated, and such prices are rejected, exactly, before any
+tier report or network.  The price grid flow-checks each vector once: a
+box corner equal to an ``upper`` that passed the criterion takes its
+verdict.  Bundle enumeration and the descent potential do not read the
+network, so they check those rules.  The flow criterion shares
+``tier_report``, ``build_demand_network`` and ``max_flow`` with the
+solver, and with it the max flow's start along the direct paths,
+``direct_flow``.  That start does not weaken it: a feasible flow that is
+not maximum is augmented until no augmenting path is left, so the value
+decided on is the max-flow value whatever the start.  No check shares the
+solver's search path: ``next_breakpoint``, the breakpoints
+``_step_length`` carries from walk to walk on one cut, and
 ``flow_update``.
 The checkers are desk-scale by design and each raises
 :class:`BudgetExceededError` beyond its enumeration budget.
@@ -35,7 +41,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .flow import build_demand_network, max_flow
 from .model import Allocation, Instance, InstanceError, PriceVector, validate_instance
-from .tiers import indirect_utility, tier_report
+from .tiers import indirect_utility
 
 
 DEFAULT_BUDGET = 1_000_000
@@ -168,21 +174,38 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
     return False, tuple(i for i in instance.objects if i in minimal)
 
 
+def _source_capacity(instance: Instance, prices: PriceVector) -> int:
+    """The demand network's source capacity, from the instance rows alone:
+    each buyer's demand, capped by the supply of the objects the buyer
+    values above their price."""
+    price = prices.prices
+    row = [price[i] for i in instance.objects]
+    supplies, values = instance.supply_row, instance.value_rows
+    return sum(
+        min(d, sum(b for v, p, b in zip(values[j], row, supplies) if v > p))
+        for j, d in instance.demands.items()
+        if d
+    )
+
+
 def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
     """Competitiveness via the demand network: max flow saturates the source.
 
-    The buyers' tier reports come first.  Their above-margin and at-margin
-    demands sum to the network's source capacity, and every unit of flow
-    leaves through an object's sink arc, which holds that object's supply,
-    so no flow exceeds total supply.  Prices at which the tier demand
-    exceeds total supply are therefore not competitive, and are rejected
-    exactly without building the network.  Otherwise the network is built
-    from those reports and its max flow decides.
+    The source capacity comes first, in closed form: ``sum_j min(d_j, sum
+    of b_i over the objects with v_ij > p_i)``.  The greedy takes every
+    object of positive payoff, in order of falling payoff, until the
+    demand is met, so it takes each object above the margin in full and
+    the buyer's above-margin and at-margin demands sum to ``min(d_j,
+    positive supply)``.  Every unit of flow leaves through an object's
+    sink arc, which holds that object's supply, so no flow exceeds total
+    supply.  Prices whose source capacity exceeds total supply are
+    therefore not competitive, and are rejected exactly without a tier
+    report or a network.  Otherwise the network is built and its max flow
+    decides.
     """
-    reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    if sum(r.demand_above + r.demand_at_margin for r in reports.values()) > instance.total_supply:
+    if _source_capacity(instance, prices) > instance.total_supply:
         return False
-    network = build_demand_network(instance, prices, reports)
+    network = build_demand_network(instance, prices)
     return max_flow(network).value == network.cap_s
 
 
@@ -234,23 +257,32 @@ def min_competitive_bruteforce(
     criterion, only the box {0, ..., upper_i} of the grid is enumerated;
     otherwise the whole grid is.  The whole grid is never smaller than the
     box, so a box beyond the budget raises with the box's count before
-    ``upper`` is checked.  The component-wise minimum of the competitive
-    vectors must itself be competitive; if not, a
+    ``upper`` is checked.  Each vector is flow-checked once: when no
+    ``upper_i`` exceeds v_max + 1, the box corner is ``upper`` itself and
+    takes its verdict, in the enumeration and, if it is the minimum, in
+    the final check.  That check asks that the component-wise minimum of
+    the competitive vectors be competitive itself; if it is not, a
     :class:`GuaranteeViolation` is raised.
     """
     top = instance.max_valuation + 1
     bounds = [top] * len(instance.objects)
+    passed: tuple[int, ...] | None = None  # a corner known to be competitive
     if upper is not None:
         box = [min(upper[i], top) for i in instance.objects]
-        if math.prod(b + 1 for b in box) > budget or is_competitive_flowcheck(instance, upper):
+        if math.prod(b + 1 for b in box) > budget:
             bounds = box
+        elif is_competitive_flowcheck(instance, upper):
+            bounds = box
+            if all(upper[i] <= top for i in instance.objects):
+                passed = tuple(box)
     count = math.prod(b + 1 for b in bounds)
     if count > budget:
         raise BudgetExceededError(f"price grid of {count} vectors exceeds budget {budget}")
     minimum: list[int] | None = None
     for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        prices = PriceVector(dict(zip(instance.objects, combo)))
-        if is_competitive_flowcheck(instance, prices):
+        if combo == passed or is_competitive_flowcheck(
+            instance, PriceVector(dict(zip(instance.objects, combo)))
+        ):
             if minimum is None:
                 minimum = list(combo)
             else:
@@ -258,7 +290,7 @@ def min_competitive_bruteforce(
     if minimum is None:
         raise GuaranteeViolation("no competitive vector found in the price grid")
     result = PriceVector(dict(zip(instance.objects, minimum)))
-    if not is_competitive_flowcheck(instance, result):
+    if tuple(minimum) != passed and not is_competitive_flowcheck(instance, result):
         raise GuaranteeViolation(
             "component-wise minimum of competitive prices is not competitive"
         )

@@ -8,7 +8,7 @@ from flowauction.auction import SolveOptions, price_raising, solve
 from flowauction.flow import build_demand_network, max_flow
 from flowauction.model import Allocation, InstanceError, PriceVector, validate_instance
 from flowauction.tiers import indirect_utility, tier_report
-from flowauction import verify
+from flowauction import flow, verify
 from flowauction.verify import (
     BudgetExceededError,
     EquilibriumReport,
@@ -127,17 +127,40 @@ class TestCompetitiveChecks:
                 inst, prices
             )
 
+    def test_supply_bound_is_the_source_capacity_in_closed_form(self):
+        """sum_j min(d_j, supply valued above its price) is the demand
+        network's source capacity, on markets with unsupplied objects,
+        buyers without demand, zero values and prices above every value."""
+        rng = random.Random(79)
+        seen = dict.fromkeys(("unsupplied", "no demand", "zero value", "priced out"), 0)
+        for k in range(1800):
+            inst = random_instance(rng, max_value=(4, 30, 300)[k % 3])
+            prices = random_prices(rng, inst)
+            capacity = build_demand_network(inst, prices).cap_s
+            assert verify._source_capacity(inst, prices) == capacity, (inst, prices)
+            seen["unsupplied"] += 0 in inst.supplies.values()
+            seen["no demand"] += 0 in inst.demands.values()
+            seen["zero value"] += 0 in inst.valuations.values()
+            seen["priced out"] += all(p > inst.max_valuation for p in prices.prices.values())
+        assert all(count > 0 for count in seen.values()), seen
+
     def test_supply_bound_sweep_agrees_with_the_flow_and_the_bundles(self, monkeypatch):
-        """The flow criterion rejects prices whose tier demand exceeds
-        total supply without building a network, and agrees with the max
-        flow on the demand network and with bundle enumeration."""
-        built = []
+        """The flow criterion rejects prices whose source capacity exceeds
+        total supply without a tier report or a network, and agrees with
+        the max flow on the demand network and with bundle enumeration.
+        It reaches the tier oracle only through the network builder."""
+        built, reported = [], []
 
         def counted(instance, prices, reports=None):
             built.append(prices)
             return build_demand_network(instance, prices, reports)
 
+        def counted_report(instance, buyer, prices):
+            reported.append(buyer)
+            return tier_report(instance, buyer, prices)
+
         monkeypatch.setattr(verify, "build_demand_network", counted)
+        monkeypatch.setattr(flow, "tier_report", counted_report)
         rng = random.Random(73)
         decided = {"bound": 0, "flow accepts": 0, "flow rejects": 0}
         enumerated = 0
@@ -147,12 +170,13 @@ class TestCompetitiveChecks:
             network = build_demand_network(inst, prices)
             saturated = max_flow(network).value == network.cap_s
             built.clear()
+            reported.clear()
             assert is_competitive_flowcheck(inst, prices) == saturated, (inst, prices)
             if network.cap_s > inst.total_supply:
-                assert not saturated and built == []
+                assert not saturated and built == [] and reported == []
                 decided["bound"] += 1
             else:
-                assert built == [prices]
+                assert built == [prices] and reported == list(inst.buyers)
                 decided["flow accepts" if saturated else "flow rejects"] += 1
             try:
                 brute = is_competitive_bruteforce(inst, prices)
@@ -230,12 +254,44 @@ class TestMinCompetitiveBruteforce:
             assert min_competitive_bruteforce(inst, upper=bound) == full
             monkeypatch.setattr(verify, "is_competitive_flowcheck", flowcheck)
             if flowcheck(inst, bound):
+                # The bound's verdict stands for the box corner, and for the
+                # minimum when it is that corner.
                 boxed += 1
-                assert all(p[i] <= bound[i] for p in tried[1:-1] for i in inst.objects)
-                assert len(tried) == 2 + math.prod(bound[i] + 1 for i in inst.objects)
+                assert all(p[i] <= bound[i] for p in tried[1:] for i in inst.objects)
+                box = math.prod(bound[i] + 1 for i in inst.objects)
+                assert len(tried) == box + (full != bound)
             else:
                 assert len(tried) == 2 + grid
         assert boxed >= 40
+
+    def test_a_bound_above_the_grid_still_checks_the_clamped_corner(self, fig1, monkeypatch):
+        """Beyond v_max + 1 = 4 the box corner is a vector other than the
+        bound, so it is flow-checked like the rest of the box."""
+        flowcheck, tried = verify.is_competitive_flowcheck, []
+
+        def counted(instance, prices):
+            tried.append(prices.as_dict())
+            return flowcheck(instance, prices)
+
+        monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
+        bound = PriceVector({"alpha": 9, "beta": 1, "gamma": 0})
+        assert min_competitive_bruteforce(fig1, upper=bound).as_dict() == {
+            "alpha": 0,
+            "beta": 1,
+            "gamma": 0,
+        }
+        # The bound, the 5 * 2 * 1 box vectors and the minimum found.
+        assert len(tried) == 12 and tried[0] == bound.as_dict()
+        assert {"alpha": 4, "beta": 1, "gamma": 0} in tried[1:-1]
+
+    def test_a_minimum_other_than_the_corner_is_checked_again(self, monkeypatch):
+        """A criterion under which the box's minimum is not competitive
+        still trips the final check, though the corner's verdict is
+        reused."""
+        inst = validate_instance({"a": 1, "b": 1}, {}, {})
+        monkeypatch.setattr(verify, "is_competitive_flowcheck", lambda instance, p: p["a"] + p["b"] > 0)
+        with pytest.raises(GuaranteeViolation, match="minimum of competitive prices is not competitive"):
+            min_competitive_bruteforce(inst, upper=PriceVector({"a": 1, "b": 1}))
 
 
 class TestLyapunov:
