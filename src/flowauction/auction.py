@@ -5,7 +5,10 @@ not admit a saturating flow, raise prices on the objects of the left-most
 min cut.  The final prices are the component-wise minimum competitive
 prices.  ``allocate`` then reads a stable, market-clearing assignment off a
 max flow in the allocation network, which balances the market with a
-zero-value dummy.
+zero-value dummy.  ``solve`` hands it the climb's final tier reports,
+which the trace carries (``AuctionTrace.reports``): they are current in
+the tiers the demand network reads, and the allocation network recomputes
+only their zero tiers, so the allocation asks the tier oracle nothing.
 
 The demand network depends on the prices only through the above-margin and
 at-margin tiers of the buyers' reports, which name only objects in supply,
@@ -30,6 +33,7 @@ the same object set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from . import flow as flownet
 from .model import Allocation, AuctionTrace, Instance, IterationRecord, PriceVector
@@ -149,7 +153,7 @@ def price_raising(
     # below the bound, so this limit is never hit unless something is wrong.
     for _ in range(len(instance.objects) * (price_bound + 1) + 1):
         if best.value == network.cap_s:
-            return network.prices, AuctionTrace(tuple(walks), calls, opts.mode)
+            return network.prices, AuctionTrace(tuple(walks), calls, opts.mode, reports)
         cut = flownet.leftmost_min_cut(network, best)
         raised = tuple(i for i in instance.objects if i in cut.objects)
         if not raised:
@@ -175,16 +179,21 @@ def price_raising(
     raise AuctionError("auction failed to terminate within the price bound")
 
 
-def allocate(instance: Instance, prices: PriceVector) -> Allocation:
+def allocate(
+    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport] | None = None
+) -> Allocation:
     """Extract a stable, market-clearing allocation at the given prices.
 
     The allocation network, which balances the market with a zero-value
     dummy, is saturated by a max flow, and the per-buyer quantities are
     read off the tier arcs.  ``prices`` must be the minimum competitive
     prices; at those a saturating flow exists, so failing to saturate
-    signals a bug and raises :class:`AuctionError`.
+    signals a bug and raises :class:`AuctionError`.  ``reports``, one
+    tier report per buyer at ``prices`` and current in the above-margin
+    and at-margin tiers, such as a climb's final ones, go to
+    ``build_allocation_network``; omitted ones are computed there.
     """
-    network = flownet.build_allocation_network(instance, prices)
+    network = flownet.build_allocation_network(instance, prices, reports)
     best = flownet.max_flow(network)
     if best.value != network.cap_s:
         raise AuctionError(
@@ -202,6 +211,6 @@ def allocate(instance: Instance, prices: PriceVector) -> Allocation:
 def solve(instance: Instance, options: SolveOptions | None = None) -> Equilibrium:
     """Minimum competitive prices plus a supporting stable allocation."""
     prices, trace = price_raising(instance, options)
-    allocation = allocate(instance, prices)
+    allocation = allocate(instance, prices, trace.reports)
     return Equilibrium(prices, allocation, trace)
 

@@ -21,6 +21,7 @@ from .model import AuctionTrace, Instance, InstanceError, PriceVector, duplicate
 from .verify import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    _grid_minimum,
     check_equilibrium,
     check_monotonicity_pair,
     hall_check,
@@ -250,10 +251,11 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
         "every object with a positive price is completely sold",
         report.positive_price_sellout,
     )
+    competitive = is_competitive_flowcheck(instance, prices)
     record(
         "competitive-flow-criterion",
         "the demand network at the final prices admits a saturating flow",
-        is_competitive_flowcheck(instance, prices),
+        competitive,
     )
     claim = "no object subset is overdemanded at the final prices"
     try:
@@ -264,8 +266,9 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
         record("hall-condition", claim, ok, "" if ok else f"violating set: {list(violating)}")
     claim = "the auction prices equal the grid-enumerated minimum competitive prices"
     try:
-        # Below competitive auction prices only their box is searched.
-        brute = min_competitive_bruteforce(instance, budget=grid_budget, upper=prices)
+        # Below competitive auction prices only their box is searched, on
+        # the verdict just recorded.
+        brute = _grid_minimum(instance, grid_budget, prices, competitive)
     except BudgetExceededError as exc:
         record("bruteforce-minimum-agreement", claim, None, str(exc))
     else:

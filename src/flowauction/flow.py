@@ -23,11 +23,17 @@ deterministic function of the network.  It returns that flow with the
 residual search that found no more augmenting path, and the left-most min
 cut is read off that search rather than a second one.  ``flow_update``
 finds each carried unit's arcs in the new network through its per-node arc
-lists.  Node labels appear only at the edges, and all come from
-``FlowNetwork.label``: the network dump, the infeasible-flow messages and a
-cut's labels.  The tier flows an allocation is read from name buyers and
-objects by id.  Every failure of this layer, a bug in its caller, raises
-:class:`FlowError`.
+lists.  Node labels appear only at the edges: the network dump, the
+infeasible-flow messages and a cut's labels.  All come from one label
+table per node numbering, built once per (buyers, objects, width) and
+shared by every network of a climb, which also holds the node ids sorted
+by label, so a cut filters that order instead of sorting.  The tier
+flows an allocation is read from name buyers and objects by id.  Every
+failure of this layer, a bug in its caller, raises :class:`FlowError`.
+
+``build_allocation_network`` takes the tier reports at its prices, as the
+climb leaves them, and ``tiers.balanced_reports`` fills in their zero
+tiers, so no tier report runs on the balanced market.
 
 An augmenting search stops as soon as it reaches an object whose arc into
 the sink has residual capacity, and takes that arc.  A search run until the
@@ -58,16 +64,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from .model import Instance, PriceVector, balance_instance
-from .tiers import TierReport, tier_report
+from .tiers import TierReport, balanced_reports, tier_report
 
 
 class FlowError(RuntimeError):
     """A flow-layer precondition failed: an infeasible flow, a cut of a
     flow that is not maximum, or a flow update between networks that do
     not share their nodes or whose prices are not one uniform raise."""
+
+
+@lru_cache(maxsize=64)
+def _label_table(
+    buyers: tuple[str, ...], objects: tuple[str, ...], width: int
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The node labels by node id, and the node ids in label order."""
+    labels = ("s", *(j + "'" * t for j in buyers for t in range(1, width + 1)), *objects, "t")
+    return labels, tuple(sorted(range(len(labels)), key=labels.__getitem__))
 
 
 class FlowNetwork:
@@ -81,7 +97,9 @@ class FlowNetwork:
     an arc only when it has no supply: its sink arc.  No arc has capacity
     0.  ``arcs`` holds one (tail, head, capacity) triple of node ids per
     arc id, and ``cap`` the capacities.  Every tier node has its id, so
-    the numbering depends only on the buyers, the width and the objects.
+    the numbering depends only on the buyers, the width and the objects,
+    and so do ``labels``, each node's label by node id, and
+    ``label_order``, the node ids sorted by label: one shared table.
     Each node's ``out`` and ``into`` arcs come in tier, then object order:
     the solver's path order depends on that order, not on arc ids.
     ``sink_arc`` holds, per node id, the id of the node's arc into the
@@ -98,6 +116,7 @@ class FlowNetwork:
         self.prices = prices
         self.first_object = 1 + len(self.buyers) * width
         self.sink = sink = self.first_object + len(self.objects)
+        self.labels, self.label_order = _label_table(self.buyers, self.objects, width)
         obj_id = {i: self.first_object + k for k, i in enumerate(self.objects)}
         arcs: list[tuple[int, int, int]] = []
         node = 0
@@ -134,14 +153,7 @@ class FlowNetwork:
     def label(self, k: int) -> str:
         """Node ``k``'s label: ``s``, ``t``, the object id, or the buyer id
         with one prime per tier."""
-        if k == 0:
-            return "s"
-        if k == self.sink:
-            return "t"
-        if k >= self.first_object:
-            return self.objects[k - self.first_object]
-        b, t = divmod(k - 1, self.width)
-        return self.buyers[b] + "'" * (t + 1)
+        return self.labels[k]
 
 
 @dataclass(frozen=True)
@@ -189,13 +201,23 @@ def build_demand_network(
     return FlowNetwork(instance, prices, reports, 2)
 
 
-def build_allocation_network(instance: Instance, prices: PriceVector) -> FlowNetwork:
+def build_allocation_network(
+    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport] | None = None
+) -> FlowNetwork:
     """Build the allocation network: the demand network plus the
     zero-payoff tier, over the market balanced by ``balance_instance``.
-    A dummy object, missing from ``prices``, prices at 0."""
+    A dummy object, missing from ``prices``, prices at 0.
+
+    ``reports`` holds one tier report per buyer of ``instance`` at
+    ``prices``, current in the above-margin and at-margin tiers, as a
+    climb leaves them; omitted ones are computed at ``prices``.  The
+    balanced market's reports follow from them by
+    ``tiers.balanced_reports``, which recomputes only the zero tiers."""
+    if reports is None:
+        reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
     balanced = balance_instance(instance)
+    reports = balanced_reports(instance, prices, reports)
     prices = PriceVector.for_instance(balanced, prices.prices)
-    reports = {j: tier_report(balanced, j, prices) for j in balanced.buyers}
     return FlowNetwork(balanced, prices, reports, 3)
 
 
@@ -327,10 +349,11 @@ def leftmost_min_cut(network: FlowNetwork, flow: IntegralFlow) -> CutResult:
     pred = flow.search if flow.search is not None else _residual_search(network, flow.flows)
     if pred[network.sink] is not None:
         raise FlowError("sink reachable in residual graph; flow is not maximum")
-    reached = [k for k, a in enumerate(pred) if a is not None]
-    first = network.first_object
-    objects = frozenset(network.objects[k - first] for k in reached if k >= first)
-    return CutResult(objects, tuple(sorted(network.label(k) for k in reached)))
+    first, labels = network.first_object, network.labels
+    objects = frozenset(
+        i for i, a in zip(network.objects, pred[first : network.sink]) if a is not None
+    )
+    return CutResult(objects, tuple(labels[k] for k in network.label_order if pred[k] is not None))
 
 
 def flow_update(
@@ -410,8 +433,7 @@ def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:
     """
     amounts = flow.flows if flow is not None else [0] * len(network.arcs)
     present = {(u, v): (c, f) for (u, v, c), f in zip(network.arcs, amounts)}
-    labels = [network.label(k) for k in range(network.sink + 1)]
-    first, sink = network.first_object, network.sink
+    labels, first, sink = network.labels, network.first_object, network.sink
 
     def line(u: int, v: int) -> str:
         cap, amount = present.get((u, v), (0, 0))

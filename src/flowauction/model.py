@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from .tiers import TierReport
 
 #: Everything is checked to fit comfortably in signed 64-bit arithmetic so
 #: that instances round-trip losslessly through any consumer of the JSON
@@ -350,11 +353,16 @@ class AuctionTrace:
     raised by k and each but the last with the gap of a flow carried over
     whole; adapted mode merges consecutive walks on one raised set.
     ``record_count`` is the view's length, counted without building it;
-    reading ``iterations`` is not bounded, only the CLI's trace file is."""
+    reading ``iterations`` is not bounded, only the CLI's trace file is.
+    ``reports`` holds each buyer's tier report at the final prices as the
+    climb left it, for ``allocate``: current in the above-margin and
+    at-margin tiers, while a zero tier may be out of date.  It is ``None``
+    for a trace from anywhere else and takes no part in equality."""
 
     walks: tuple[IterationRecord, ...]
     oracle_calls: int
     mode: str
+    reports: Mapping[str, TierReport] | None = field(default=None, compare=False, repr=False)
 
     @property
     def record_count(self) -> int:

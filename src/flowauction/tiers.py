@@ -12,13 +12,24 @@ value row to get one payoff list, and runs the one greedy on it.
 ``valuations`` instead.  It tells the auction how far a raise can go
 before the part of a report that the demand network reads changes;
 everything here is a pure function of the instance and the prices.
+
+``balanced_reports`` gives the reports of the market that
+``balance_instance`` balances without a tier report on it.  From reports
+whose above-margin and at-margin tiers are current, it recomputes only
+the zero tier from the rows: the objects in supply with payoff exactly 0,
+in canonical order, then the dummy object if balancing adds one, with
+demand ``min(zero supply, d - d_above - d_margin)``.  The dummy object is
+worth 0 to everyone and priced 0, and the greedy stops at payoff 0, so it
+sits in every zero tier and moves no margin.  A buyer with demand 0 keeps
+the all-empty report, and a dummy buyer, who values everything at 0,
+reports only a zero tier: the supplied objects priced 0.
 """
 
 from __future__ import annotations
 
-from typing import Collection, NamedTuple
+from typing import Collection, Mapping, NamedTuple
 
-from .model import Instance, PriceVector
+from .model import DUMMY_BUYER, DUMMY_OBJECT, Instance, PriceVector
 
 
 class TierReport(NamedTuple):
@@ -120,6 +131,43 @@ def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierRepo
     d_margin = min(margin_supply, demand - d_above)
     d_zero = min(zero_supply, demand - d_above - d_margin)
     return TierReport(tuple(above), tuple(at_margin), tuple(zero), d_above, d_margin, d_zero)
+
+
+def balanced_reports(
+    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport]
+) -> dict[str, TierReport]:
+    """The tier reports of ``balance_instance(instance)`` at ``prices``,
+    from ``reports``, which must be current at ``prices`` in their
+    above-margin and at-margin tiers and their demands.  Only the zero
+    tiers are recomputed, from the rows (see the module docstring)."""
+    gap = instance.total_demand - instance.total_supply
+    dummy, dummy_supply = ((DUMMY_OBJECT,), gap) if gap > 0 else ((), 0)
+    objects, supplies = instance.objects, instance.supply_row
+    row = [prices.prices[i] for i in objects]
+    balanced: dict[str, TierReport] = {}
+    for j, values in instance.value_rows.items():
+        r = reports[j]
+        demand = instance.demands[j]
+        if demand == 0:
+            balanced[j] = r
+            continue
+        zero: list[str] = []
+        zero_supply = dummy_supply
+        for i, v, p, b in zip(objects, values, row, supplies):
+            if b and v == p:
+                zero.append(i)
+                zero_supply += b
+        d_zero = min(zero_supply, demand - r.demand_above - r.demand_at_margin)
+        balanced[j] = TierReport(
+            r.above, r.at_margin, (*zero, *dummy), r.demand_above, r.demand_at_margin, d_zero
+        )
+    if gap < 0:
+        free = [(i, b) for i, p, b in zip(objects, row, supplies) if b and p == 0]
+        supply = sum(b for _, b in free)
+        balanced[DUMMY_BUYER] = TierReport(
+            (), (), tuple(i for i, _ in free), 0, 0, min(supply, -gap)
+        )
+    return balanced
 
 
 def next_breakpoint(

@@ -111,11 +111,9 @@ def _tier_arc_table(
     """Per tier node of the demand network: its demand, which is its source
     arc's capacity (0 without one), and its arc capacities to objects."""
     network = build_demand_network(instance, prices)
+    cap, labels = network.cap, network.labels
     return [
-        (
-            sum(network.cap[a] for a, _ in network.into[k]),
-            {network.label(v): network.cap[a] for a, v in network.out[k]},
-        )
+        (sum(cap[a] for a, _ in network.into[k]), {labels[v]: cap[a] for a, v in network.out[k]})
         for k in range(1, network.first_object)
     ]
 
@@ -264,6 +262,15 @@ def min_competitive_bruteforce(
     the competitive vectors be competitive itself; if it is not, a
     :class:`GuaranteeViolation` is raised.
     """
+    return _grid_minimum(instance, budget, upper, None)
+
+
+def _grid_minimum(
+    instance: Instance, budget: int, upper: PriceVector | None, upper_passes: bool | None
+) -> PriceVector:
+    """``min_competitive_bruteforce`` with ``upper``'s flow-criterion
+    verdict, if the caller knows it already; ``None`` has it checked here
+    when the box is within the budget."""
     top = instance.max_valuation + 1
     bounds = [top] * len(instance.objects)
     passed: tuple[int, ...] | None = None  # a corner known to be competitive
@@ -271,7 +278,7 @@ def min_competitive_bruteforce(
         box = [min(upper[i], top) for i in instance.objects]
         if math.prod(b + 1 for b in box) > budget:
             bounds = box
-        elif is_competitive_flowcheck(instance, upper):
+        elif upper_passes if upper_passes is not None else is_competitive_flowcheck(instance, upper):
             bounds = box
             if all(upper[i] <= top for i in instance.objects):
                 passed = tuple(box)

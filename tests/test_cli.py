@@ -471,7 +471,10 @@ class TestVerify:
     def test_grid_check_searches_only_below_competitive_prices(self, tmp_path, capsys, monkeypatch):
         """Both objects are unsupplied, so the prices are 0; the whole grid,
         (840 + 2) ** 2 = 709k vectors, is within the default budget, but
-        only the one vector below the competitive auction prices is tried."""
+        only the one vector below the competitive auction prices is tried,
+        and only once: the verdict of the flow-criterion check is the
+        grid's."""
+        import flowauction.cli as cli
         import flowauction.verify as verify
 
         path = tmp_path / "trivial.json"
@@ -489,11 +492,13 @@ class TestVerify:
             return flowcheck(instance, prices)
 
         monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
+        monkeypatch.setattr(cli, "is_competitive_flowcheck", counted)
         code, payload = run_json(capsys, ["verify", str(path)])
         assert code == EXIT_OK and payload["passed"] is True
         (brute,) = [c for c in payload["checks"] if c["name"] == "bruteforce-minimum-agreement"]
         assert brute["passed"] is True
-        # The bound only: it is the one grid vector and the minimum found.
+        # The bound only, checked once: it is the one grid vector and the
+        # minimum found.
         assert checked == [{"o1": 0, "o2": 0}]
 
     def test_negative_budget_is_a_parse_error(self, fig1_file, capsys):

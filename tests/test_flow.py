@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
-from flowauction.auction import first_prices
+from flowauction.auction import SolveOptions, first_prices, price_raising
 from flowauction.flow import (
     FlowError,
+    FlowNetwork,
     IntegralFlow,
     _residual_search,
     build_allocation_network,
@@ -161,7 +162,57 @@ class TestBuildDemandNetwork:
         assert len(cap) == 6
 
 
+def reference_allocation_network(instance, prices):
+    """The allocation network by the rule that reads no climb: one tier
+    report per buyer of the balanced market, a dummy object priced 0."""
+    balanced = balance_instance(instance)
+    prices = PriceVector.for_instance(balanced, prices.prices)
+    reports = {j: tier_report(balanced, j, prices) for j in balanced.buyers}
+    return FlowNetwork(balanced, prices, reports, 3)
+
+
 class TestBuildAllocationNetwork:
+    def test_allocation_sweep_matches_the_balanced_market_reports(self):
+        """On 1500 seeded markets, the allocation network built from the
+        final reports of a warm and of a cold climb, and from reports it
+        computes itself at random prices, equals the reference built from
+        tier reports over the balanced market: its nodes, every arc, every
+        node's arc lists, the prices and the dump, bare and with a max
+        flow.  The sweep holds markets short of supply (a dummy object) and
+        of demand (a dummy buyer), buyers without demand, objects without
+        supply, and climbs that end with a zero tier out of date."""
+        rng = random.Random(43)
+        seen = Counter()
+        for _ in range(1500):
+            inst = random_instance(
+                rng, max_objects=4, max_buyers=4, max_supply=4, max_demand=4, max_value=6
+            )
+            cases = []
+            for warm in (True, False):
+                prices, trace = price_raising(inst, SolveOptions(warm_start=warm))
+                fresh = {j: tier_report(inst, j, prices) for j in inst.buyers}
+                seen["stale zero tier"] += trace.reports != fresh
+                cases.append((prices, trace.reports))
+            cases.append((random_prices(rng, inst), None))
+            for prices, reports in cases:
+                network = build_allocation_network(inst, prices, reports)
+                expected = reference_allocation_network(inst, prices)
+                assert (network.buyers, network.objects) == (expected.buyers, expected.objects)
+                assert network.arcs == expected.arcs
+                assert (network.out, network.into) == (expected.out, expected.into)
+                assert list(network.prices.prices.items()) == list(expected.prices.prices.items())
+                assert dump_network(network) == dump_network(expected)
+                assert dump_network(network, max_flow(network)) == dump_network(
+                    expected, max_flow(expected)
+                )
+                seen["networks"] += 1
+            gap = inst.total_demand - inst.total_supply
+            seen["dummy object" if gap > 0 else "dummy buyer" if gap < 0 else "balanced"] += 1
+            seen["buyer without demand"] += 0 in inst.demands.values()
+            seen["object without supply"] += 0 in inst.supplies.values()
+        assert seen["networks"] == 4500
+        assert min(seen.values()) >= 100, seen
+
     def test_three_buyers_at_final_prices(self, three_buyers):
         network = build_allocation_network(three_buyers, PriceVector({"alpha": 2, "beta": 0}))
         cap = capacities(network)
@@ -465,6 +516,40 @@ class TestLeftmostMinCut:
                 network, best = raised, max_flow(raised, warm_start=update.flow)
                 warm += 1
         assert cold == 400 and warm > 300 and rejected > 200
+
+    def test_label_sweep_reads_the_cut_labels_off_one_table(self):
+        """On seeded markets whose labels sort otherwise than their nodes
+        are numbered, at widths 2 and 3: upper-case against lower-case ids,
+        an object ``b1`` beside a buyer ``b``, whose tier labels, ``b``
+        with one to three primes, sort before it, and the dummies.  Each
+        node's label follows the labelling rule, and a cut's labels, read
+        off a kept search or a fresh one, are the reached nodes' labels,
+        sorted."""
+        rng = random.Random(31)
+        object_ids, buyer_ids = ["b1", "A", "a", "Z", "c1"], ["b", "B", "a1", "z", "c"]
+        checked = Counter()
+        for _ in range(500):
+            objects = rng.sample(object_ids, rng.randint(1, 4))
+            buyers = rng.sample(buyer_ids, rng.randint(1, 4))
+            inst = validate_instance(
+                {i: rng.randint(0, 3) for i in objects},
+                {j: rng.randint(0, 3) for j in buyers},
+                {j: {i: rng.randint(0, 5) for i in objects} for j in buyers},
+            )
+            prices = random_prices(rng, inst)
+            for network in (build_demand_network(inst, prices), build_allocation_network(inst, prices)):
+                tiers = range(1, network.width + 1)
+                rule = ["s", *(j + "'" * t for j in network.buyers for t in tiers), *network.objects, "t"]
+                assert node_labels(network) == rule
+                best = max_flow(network)
+                reached = [network.label(k) for k, a in enumerate(best.search) if a is not None]
+                expected = tuple(sorted(reached))
+                assert leftmost_min_cut(network, best).labels == expected
+                bare = IntegralFlow(list(best.flows), best.value)
+                assert leftmost_min_cut(network, bare).labels == expected
+                checked[network.width] += 1
+                checked["reordered"] += list(expected) != reached
+        assert checked[2] == checked[3] == 500 and checked["reordered"] >= 300, checked
 
     def test_minimality_against_enumeration(self):
         rng = random.Random(5)

@@ -111,6 +111,27 @@ def test_a_dense_walk_redoes_work_only_for_the_buyers_who_changed(monkeypatch):
     assert counts["searches"] <= 123
 
 
+def test_a_dense_solve_asks_the_tier_oracle_only_in_the_climb(monkeypatch):
+    """An adapted-cold solve of the ``dense`` market makes 154 tier-oracle
+    calls, the climb's ``oracle_calls``: ``allocate`` reads the climb's
+    final reports and asks for none, where one per buyer of the balanced
+    market takes 68 more.  Counted through every binding that calls it."""
+    calls = 0
+    report = flow.tier_report
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return report(*args)
+
+    monkeypatch.setattr(auction, "tier_report", counted)
+    monkeypatch.setattr(flow, "tier_report", counted)
+    (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
+    options = SolveOptions(mode="adapted", warm_start=False, start_prices=market.start)
+    trace = solve(market.instance, options).trace
+    assert calls == trace.oracle_calls == 154
+
+
 def test_every_max_flow_starts_from_the_direct_paths(monkeypatch):
     """The climbs of the ``dense`` market, 10 walks over 11 networks.
     ``max_flow`` starts each flow it is not handed from the network's
