@@ -21,7 +21,9 @@ with the valuations.  While the cut stays the same, the other buyers keep
 their breakpoints, less the step, so a walk asks only the buyers that the
 walk before recomputed; a new cut asks every buyer again.  That saves
 breakpoint questions, not tier reports: ``oracle_calls`` is the same as
-if every buyer were asked on every walk.  A warm start carries the flow
+if every buyer were asked on every walk.  The walk's network copies the
+arc block of every buyer it did not recompute from the network before,
+and lays only the recomputed buyers' blocks.  A warm start carries the flow
 over to the changed network, a cold start computes a fresh max flow there,
 which ``max_flow`` starts from the network's direct paths; either way the
 cut is read off the search that ended the max flow.  The trace keeps one
@@ -100,7 +102,9 @@ def _step_length(
     above-margin or at-margin tier, and so an arc.  Only those buyers
     recompute their report, in place in ``reports``.  So at the returned
     prices the tiers the network reads are current, while a zero tier and
-    its demand may be out of date.
+    its demand may be out of date.  The network at the returned prices is
+    built on ``network``: it copies the arc blocks of the buyers that were
+    not due, whose reports did not change, and lays only the due buyers'.
 
     ``breakpoints`` holds the breakpoints carried over from the previous
     walk, as raises from ``network``'s prices, and only a buyer without one
@@ -126,7 +130,9 @@ def _step_length(
         del breakpoints[j]
     for j, t in breakpoints.items():
         breakpoints[j] = None if t is None else t - step
-    return step, len(due), flownet.build_demand_network(instance, step_prices, reports)
+    return step, len(due), flownet.build_demand_network(
+        instance, step_prices, reports, base=network, due=set(due)
+    )
 
 
 def price_raising(

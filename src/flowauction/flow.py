@@ -13,7 +13,10 @@ it holds a zero-value dummy where supply and demand differ.
 0, the tier nodes follow buyer by buyer in tier order, then the objects in
 canonical order, and the sink comes last.  The arcs come in one block per
 buyer, each tier's source arc followed by that tier's arcs to objects in
-object order, and the object-to-sink arcs close the list.  A network keeps
+object order, and the object-to-sink arcs close the list.  A buyer's block
+depends only on its report and the node numbering, so a climb's network
+copies, from the network before, the block of every buyer whose report
+the walk did not recompute, and lays only the others.  A network keeps
 each arc's (tail, head, capacity) by arc id, with one list of outgoing and
 one of incoming (arc id, neighbour) pairs per node.  A flow is a list of
 amounts by arc id.  Capacities are integers, and the solver (shortest
@@ -65,7 +68,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .model import Instance, PriceVector, balance_instance
 from .tiers import TierReport, balanced_reports, tier_report
@@ -80,10 +83,14 @@ class FlowError(RuntimeError):
 @lru_cache(maxsize=64)
 def _label_table(
     buyers: tuple[str, ...], objects: tuple[str, ...], width: int
-) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The node labels by node id, and the node ids in label order."""
+) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
+    """The node labels by node id, the node ids in label order, and each
+    object's node id by object id.  The dict is shared and must not be
+    changed."""
     labels = ("s", *(j + "'" * t for j in buyers for t in range(1, width + 1)), *objects, "t")
-    return labels, tuple(sorted(range(len(labels)), key=labels.__getitem__))
+    first = 1 + len(buyers) * width
+    obj_id = {i: first + k for k, i in enumerate(objects)}
+    return labels, tuple(sorted(range(len(labels)), key=labels.__getitem__)), obj_id
 
 
 class FlowNetwork:
@@ -103,42 +110,67 @@ class FlowNetwork:
     Each node's ``out`` and ``into`` arcs come in tier, then object order:
     the solver's path order depends on that order, not on arc ids.
     ``sink_arc`` holds, per node id, the id of the node's arc into the
-    sink, or -1 if it has none (only objects do).
+    sink, or -1 if it has none (only objects do).  ``ends`` holds, per
+    buyer, the arc id where the buyer's block ends.
+
+    ``base``, a network with the same width, buyers and objects (else
+    :class:`FlowError`), lends its blocks: the block of every buyer not in
+    ``due`` is copied from ``base`` as one slice, and only the buyers in
+    ``due`` are read from ``reports``.  The caller promises that a buyer
+    not in ``due`` has the report, in the tiers this width reads, that
+    ``base`` was built from.  The network keeps no reference to ``base``.
     """
 
     def __init__(
-        self, instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport], width: int
+        self,
+        instance: Instance,
+        prices: PriceVector,
+        reports: Mapping[str, TierReport],
+        width: int,
+        base: FlowNetwork | None = None,
+        due: Collection[str] = (),
     ):
         supplies = instance.supplies
         self.width = width
-        self.buyers = instance.buyers
+        self.buyers = buyers = instance.buyers
         self.objects = instance.objects
         self.prices = prices
-        self.first_object = 1 + len(self.buyers) * width
+        self.first_object = 1 + len(buyers) * width
         self.sink = sink = self.first_object + len(self.objects)
-        self.labels, self.label_order = _label_table(self.buyers, self.objects, width)
-        obj_id = {i: self.first_object + k for k, i in enumerate(self.objects)}
+        self.labels, self.label_order, obj_id = _label_table(buyers, self.objects, width)
+        if base is not None:
+            if (base.width, base.buyers, base.objects) != (width, buyers, self.objects):
+                raise FlowError("the base network does not share this network's nodes")
+            base_arcs, base_ends = base.arcs, base.ends
         arcs: list[tuple[int, int, int]] = []
+        ends: list[int] = []
         node = 0
-        for j in self.buyers:
-            r = reports[j]
-            # (objects, demand, whether the demand caps the tier's arcs)
-            tiers = (
-                (r.above, r.demand_above, False),
-                (r.at_margin, r.demand_at_margin, True),
-                (r.zero, r.demand_zero, False),
-            )
-            for objects, demand, capped in tiers[:width]:
-                node += 1
-                if demand > 0:
-                    arcs.append((0, node, demand))
-                    for i in objects:
-                        cap = min(supplies[i], demand) if capped else supplies[i]
-                        arcs.append((node, obj_id[i], cap))
+        for k, j in enumerate(buyers):
+            if base is not None and j not in due:
+                # The buyer keeps its report, so its block is the base's.
+                arcs += base_arcs[base_ends[k - 1] if k else 0 : base_ends[k]]
+                node += width
+            else:
+                r = reports[j]
+                # (objects, demand, whether the demand caps the tier's arcs)
+                tiers = (
+                    (r.above, r.demand_above, False),
+                    (r.at_margin, r.demand_at_margin, True),
+                    (r.zero, r.demand_zero, False),
+                )
+                for objects, demand, capped in tiers[:width]:
+                    node += 1
+                    if demand > 0:
+                        arcs.append((0, node, demand))
+                        for i in objects:
+                            cap = min(supplies[i], demand) if capped else supplies[i]
+                            arcs.append((node, obj_id[i], cap))
+            ends.append(len(arcs))
         for i in self.objects:
             if supplies[i] > 0:
                 arcs.append((obj_id[i], sink, supplies[i]))
         self.arcs: tuple[tuple[int, int, int], ...] = tuple(arcs)
+        self.ends = ends
         self.cap = [c for _, _, c in arcs]
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
         self.into: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
@@ -190,15 +222,22 @@ class FlowUpdateResult:
 
 
 def build_demand_network(
-    instance: Instance, prices: PriceVector, reports: Mapping[str, TierReport] | None = None
+    instance: Instance,
+    prices: PriceVector,
+    reports: Mapping[str, TierReport] | None = None,
+    base: FlowNetwork | None = None,
+    due: Collection[str] = (),
 ) -> FlowNetwork:
     """Build the demand network (above-margin and at-margin tiers) at
     ``prices`` from one tier report per buyer.  Omitted ``reports`` are
     computed at ``prices``; the walk passes its own, current in the
-    above-margin and at-margin tiers."""
+    above-margin and at-margin tiers.  The walk also passes the network
+    it came from as ``base`` and the buyers whose reports it recomputed
+    as ``due``, and ``FlowNetwork`` copies every other buyer's arc block
+    from ``base``."""
     if reports is None:
         reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
-    return FlowNetwork(instance, prices, reports, 2)
+    return FlowNetwork(instance, prices, reports, 2, base, due)
 
 
 def build_allocation_network(
@@ -308,16 +347,18 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
 
     ``warm_start`` seeds the computation with an existing feasible flow;
     it is validated and raises :class:`FlowError` if it does not fit this
-    network.  Without one the computation starts from ``direct_flow``,
+    network, and it is copied, so the caller's flow is left as it was.
+    Without one the computation starts from ``direct_flow``,
     feasible by construction, and returns the flow it would reach from
     zero (see the module docstring).
     """
     arcs, cap, sink = network.arcs, network.cap, network.sink
     if warm_start is None:
-        warm_start = direct_flow(network)
+        seed = direct_flow(network)
+        flows, value = seed.flows, seed.value
     else:
         check_feasible(network, warm_start)
-    flows, value = list(warm_start.flows), warm_start.value
+        flows, value = list(warm_start.flows), warm_start.value
     while True:
         pred = _residual_search(network, flows)
         if pred[sink] is None:

@@ -444,8 +444,8 @@ class TestBreakpointWalk:
             finally:
                 handed.pop()
 
-        def traced_build(*args):
-            network = build(*args)
+        def traced_build(*args, **kwargs):
+            network = build(*args, **kwargs)
             assert not handed or network.arcs != handed[-1]
             return network
 

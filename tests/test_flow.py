@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import random
+import weakref
 from collections import Counter, deque
 
 import pytest
 
+from flowauction import flow
 from flowauction.auction import SolveOptions, first_prices, price_raising
 from flowauction.flow import (
     FlowError,
@@ -160,6 +162,102 @@ class TestBuildDemandNetwork:
         assert cap[("alpha", "t")] == 1
         assert cap[("beta", "t")] == 1
         assert len(cap) == 6
+
+    def test_patch_sweep_equals_a_fresh_build(self, monkeypatch):
+        """On 1500 seeded markets, with values up to 4, 30 and 300 in turn,
+        climbed in every mode and warm setting, half of them from zero
+        prices and half from random prices below the minimum: every network
+        a walk patches from the network before equals a fresh one at its
+        prices, from the walk's reports, in every arc, every node's arc
+        lists, the sink arcs, the source capacity, the block ends and the
+        labels, and has the arcs of one from fresh reports.  The sweep
+        holds walks that copy blocks, walks on which every buyer is due,
+        objects without supply and buyers without demand."""
+        build = flow.build_demand_network
+        fields = ("arcs", "cap", "out", "into", "sink_arc", "cap_s", "ends", "labels", "label_order")
+        seen = Counter()
+
+        def checked(instance, prices, reports=None, base=None, due=()):
+            network = build(instance, prices, reports, base=base, due=due)
+            if base is not None:
+                fresh = FlowNetwork(instance, prices, reports, 2)
+                for name in fields:
+                    assert getattr(network, name) == getattr(fresh, name), name
+                assert network.arcs == build_demand_network(instance, prices).arcs
+                seen["copies blocks" if len(due) < len(instance.buyers) else "every buyer due"] += 1
+            return network
+
+        monkeypatch.setattr(flow, "build_demand_network", checked)
+        rng = random.Random(59)
+        for k in range(1500):
+            inst = random_instance(
+                rng, max_objects=4, max_buyers=5, max_supply=4, max_demand=4, max_value=(4, 30, 300)[k % 3]
+            )
+            start = None
+            if k % 2:
+                minimum, _ = price_raising(inst)
+                start = PriceVector({i: rng.randint(0, p) for i, p in minimum.prices.items()})
+                seen["start below the minimum"] += start != minimum
+            for mode in ("unit", "adapted"):
+                for warm in (True, False):
+                    price_raising(inst, SolveOptions(mode=mode, warm_start=warm, start_prices=start))
+            seen["object without supply"] += 0 in inst.supplies.values()
+            seen["buyer without demand"] += 0 in inst.demands.values()
+        assert min(seen.values()) >= 50 and len(seen) == 5, seen
+
+    def test_a_base_of_other_nodes_is_refused(self, fig1, example1):
+        zero = PriceVector.zero(fig1)
+        reports = {j: tier_report(fig1, j, zero) for j in fig1.buyers}
+        base = build_demand_network(fig1, zero, reports)
+        assert base.ends == [5, 7]
+        # Other buyers, other objects, another width.
+        renamed = validate_instance(
+            {"alpha": 1, "beta": 1, "gamma": 4},
+            {"j1": 4, "j3": 2},
+            {"j1": {"alpha": 3, "beta": 2, "gamma": 1}, "j3": {"beta": 2}},
+        )
+        renamed_reports = {j: tier_report(renamed, j, zero) for j in renamed.buyers}
+        other = PriceVector.zero(example1)
+        example_reports = {j: tier_report(example1, j, other) for j in example1.buyers}
+        misfits = [
+            (renamed, zero, renamed_reports, 2),
+            (example1, other, example_reports, 2),
+            (fig1, zero, reports, 3),
+        ]
+        for instance, prices, misfit_reports, width in misfits:
+            with pytest.raises(FlowError, match="^the base network does not share this network's nodes$"):
+                FlowNetwork(instance, prices, misfit_reports, width, base=base, due=())
+        # A base that fits, with no buyer due, gives the base's arcs.
+        patched = FlowNetwork(fig1, zero, {}, 2, base=base, due=())
+        assert patched.arcs == base.arcs and patched.ends == base.ends
+
+    def test_a_climb_holds_two_networks_at_a_time(self, monkeypatch):
+        """A patched network keeps no reference to its base: when a walk
+        builds its network, the only earlier network still alive is the
+        base, and none is once the climb is over."""
+        build = flow.build_demand_network
+        built = []
+        patched = 0
+
+        def tracked(instance, prices, reports=None, base=None, due=()):
+            nonlocal patched
+            alive = [network for network in (ref() for ref in built) if network is not None]
+            assert alive == ([base] if base is not None else [])
+            del alive
+            patched += base is not None
+            network = build(instance, prices, reports, base=base, due=due)
+            built.append(weakref.ref(network))
+            return network
+
+        monkeypatch.setattr(flow, "build_demand_network", tracked)
+        rng = random.Random(7)
+        for _ in range(30):
+            inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=30)
+            for warm in (True, False):
+                price_raising(inst, SolveOptions(mode="adapted", warm_start=warm))
+                assert all(ref() is None for ref in built)
+                built.clear()
+        assert patched >= 50
 
 
 def reference_allocation_network(instance, prices):
@@ -356,6 +454,23 @@ class TestMaxFlow:
             1,
         )
         assert max_flow(network, warm_start=partial).value == 4
+
+    def test_a_warm_start_is_left_unchanged(self, fig1, monkeypatch):
+        """A caller's warm start is copied before it is augmented; the seed
+        ``max_flow`` builds itself is not."""
+        network = build_demand_network(fig1, PriceVector.zero(fig1))
+        partial = flow_of(network, {("s", "j1'"): 1, ("j1'", "alpha"): 1, ("alpha", "t"): 1}, 1)
+        amounts_before = list(partial.flows)
+        best = max_flow(network, warm_start=partial)
+        assert best.value == 4 and partial.flows == amounts_before and partial.value == 1
+        seeds = []
+
+        def kept(network):
+            seeds.append(direct_flow(network))
+            return seeds[-1]
+
+        monkeypatch.setattr(flow, "direct_flow", kept)
+        assert max_flow(network).flows is seeds[0].flows
 
     def test_warm_start_must_be_feasible(self, fig1):
         network = build_demand_network(fig1, PriceVector.zero(fig1))

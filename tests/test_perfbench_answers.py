@@ -132,6 +132,42 @@ def test_a_dense_solve_asks_the_tier_oracle_only_in_the_climb(monkeypatch):
     assert calls == trace.oracle_calls == 154
 
 
+def test_a_dense_walk_lays_again_only_the_blocks_of_the_due_buyers(monkeypatch):
+    """An adapted-cold solve of the ``dense`` market: 10 walks over 68
+    buyers, with 86 tier reports after the first 68.  A walk's network
+    holds the very arc tuples of the network before in the block of every
+    buyer who is not due: 680 - 86 = 594 blocks, so no such buyer has its
+    block laid again.  An empty block counts as held: 78 of the 594 are
+    empty, and no due buyer's block is empty on both sides.  Blocks are
+    told apart by their tier nodes."""
+    copied = 0
+    build = flow.build_demand_network
+
+    def blocks(network):
+        by_buyer = [[] for _ in network.buyers]
+        for arc in network.arcs:
+            u, v, _ = arc
+            if v != network.sink:
+                by_buyer[((v if u == 0 else u) - 1) // network.width].append(arc)
+        return by_buyer
+
+    def counted(instance, prices, reports=None, base=None, due=()):
+        nonlocal copied
+        network = build(instance, prices, reports, base=base, due=due)
+        if base is not None:
+            for new, old in zip(blocks(network), blocks(base)):
+                copied += len(new) == len(old) and all(a is b for a, b in zip(new, old))
+        return network
+
+    monkeypatch.setattr(flow, "build_demand_network", counted)
+    (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
+    inst = market.instance
+    options = SolveOptions(mode="adapted", warm_start=False, start_prices=market.start)
+    trace = solve(inst, options).trace
+    assert (len(trace.walks), len(inst.buyers), trace.oracle_calls) == (10, 68, 154)
+    assert copied == len(trace.walks) * len(inst.buyers) - (trace.oracle_calls - len(inst.buyers))
+
+
 def test_every_max_flow_starts_from_the_direct_paths(monkeypatch):
     """The climbs of the ``dense`` market, 10 walks over 11 networks.
     ``max_flow`` starts each flow it is not handed from the network's
