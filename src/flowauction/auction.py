@@ -16,14 +16,18 @@ and each change to them moves an arc.  So every mode and start raises the
 cut's objects in one jump to the first network breakpoint
 (``tiers.next_breakpoint``: a raise where some buyer's tiers change), where
 the network changes (``_step_length``), and recomputes only the reports of
-the buyers whose breakpoint that is; its oracle and flow work do not grow
-with the valuations.  While the cut stays the same, the other buyers keep
-their breakpoints, less the step, so a walk asks only the buyers that the
-walk before recomputed; a new cut asks every buyer again.  That saves
-breakpoint questions, not tier reports: ``oracle_calls`` is the same as
-if every buyer were asked on every walk.  The walk's network copies the
-arc block of every buyer it did not recompute from the network before,
-and lays only the recomputed buyers' blocks.  A warm start carries the flow
+the buyers whose breakpoint that is, in one pass of the tier oracle
+(``tiers.tier_reports``); its oracle and flow work do not grow with the
+valuations.  The other buyers keep their breakpoints, carried as levels of
+the climb's total raise, so a walk finds its step with one ``min`` and
+asks only the buyers that the walk before recomputed.  A new cut asks
+again only the buyers for whom an object that entered or left the cut is
+in supply and has payoff at least 0: ``next_breakpoint`` reads the raised
+set through no other object.  That saves breakpoint questions, not tier
+reports: ``oracle_calls`` is the same as if every buyer were asked on
+every walk.  The walk's network copies the arc blocks of the buyers it did
+not recompute from the network before, a run of them at a time, and lays
+only the recomputed buyers' blocks.  A warm start carries the flow
 over to the changed network, a cold start computes a fresh max flow there,
 which ``max_flow`` starts from the network's direct paths; either way the
 cut is read off the search that ended the max flow.  The trace keeps one
@@ -39,7 +43,7 @@ from typing import Mapping
 
 from . import flow as flownet
 from .model import Allocation, AuctionTrace, Instance, IterationRecord, PriceVector
-from .tiers import TierReport, next_breakpoint, tier_report
+from .tiers import TierReport, next_breakpoint, tier_reports
 
 MODES = ("unit", "adapted")
 
@@ -90,49 +94,74 @@ def _step_length(
     network: flownet.FlowNetwork,
     reports: dict[str, TierReport],
     raised: frozenset[str],
-    breakpoints: dict[str, int | None],
+    levels: dict[str, int | None],
+    climbed: int,
 ) -> tuple[int, int, flownet.FlowNetwork]:
     """Smallest raise of ``raised`` at which the demand network's arcs change.
 
-    ``network`` is the demand network at the current prices, and ``reports``
-    holds every buyer's tier report there.  The raise is the smallest of
-    the buyers' network breakpoints.  Every smaller raise builds the same
-    network, with the same left-most cut, so the auction may jump by this
-    step in one go; at it, each buyer whose breakpoint it is changes its
-    above-margin or at-margin tier, and so an arc.  Only those buyers
-    recompute their report, in place in ``reports``.  So at the returned
-    prices the tiers the network reads are current, while a zero tier and
-    its demand may be out of date.  The network at the returned prices is
-    built on ``network``: it copies the arc blocks of the buyers that were
-    not due, whose reports did not change, and lays only the due buyers'.
+    ``network`` is the demand network at the current prices, ``climbed``
+    above the climb's first prices in total, and ``reports`` holds every
+    buyer's tier report there.  The raise is the smallest of the buyers'
+    network breakpoints.  Every smaller raise builds the same network, with
+    the same left-most cut, so the auction may jump by this step in one go;
+    at it, each buyer whose breakpoint it is changes its above-margin or
+    at-margin tier, and so an arc.  Only those buyers recompute their
+    report, in one ``tier_reports`` pass, in place in ``reports``.  So at
+    the returned prices the tiers the network reads are current, while a
+    zero tier and its demand may be out of date.  The network at the
+    returned prices is built on ``network``: it copies the arc blocks of
+    the buyers that were not due, whose reports did not change, and lays
+    only the due buyers'.
 
-    ``breakpoints`` holds the breakpoints carried over from the previous
-    walk, as raises from ``network``'s prices, and only a buyer without one
-    is asked; the caller clears it whenever the cut changes.  On return it
-    holds, as raises from the returned network's prices, ``t - step`` for
-    every buyer that was not due, and nothing for the due ones.  That is
-    exactly what ``next_breakpoint`` would say on the same cut: such a
-    buyer keeps its report, and either its margin falls by ``step`` with no
-    unraised payoff in the gap it crossed, or its margin stays and every
-    raised payoff above it falls by ``step``.  Returns the raise, the
-    tier-oracle calls made and the network at the raised prices.
+    ``levels`` holds the breakpoints carried over from earlier walks, each
+    as a level of the total raise: ``climbed`` plus the breakpoint, or
+    ``None`` for a buyer whose tiers never change again.  Only a buyer
+    without a level is asked, and the step is the lowest level less
+    ``climbed``.  On return the due buyers have left ``levels``, and every
+    other buyer keeps its level, which is exactly what ``next_breakpoint``
+    would say at the returned prices on the same cut: such a buyer keeps
+    its report, and either its margin falls by ``step`` with no unraised
+    payoff in the gap it crossed, or its margin stays and every raised
+    payoff above it falls by ``step``.  Returns the raise, the tier-oracle
+    calls made and the network at the raised prices.
     """
+    prices = network.prices
     for j in instance.buyers:
-        if j not in breakpoints:
-            breakpoints[j] = next_breakpoint(instance, j, network.prices, raised, reports[j])
-    step = min((t for t in breakpoints.values() if t is not None), default=None)
-    if step is None:
+        if j not in levels:
+            t = next_breakpoint(instance, j, prices, raised, reports[j])
+            levels[j] = None if t is None else climbed + t
+    # A breakpoint is positive, so every level is, and filter drops
+    # exactly the buyers without one.
+    level = min(filter(None, levels.values()), default=None)
+    if level is None:
         raise AuctionError("demand network did not change within the valuation bound")
-    step_prices = network.prices.raised(raised, step)
-    due = [j for j in instance.buyers if breakpoints[j] == step]
+    step = level - climbed
+    step_prices = prices.raised(raised, step)
+    due = [j for j in instance.buyers if levels[j] == level]
     for j in due:
-        reports[j] = tier_report(instance, j, step_prices)
-        del breakpoints[j]
-    for j, t in breakpoints.items():
-        breakpoints[j] = None if t is None else t - step
+        del levels[j]
+    reports.update(tier_reports(instance, due, step_prices))
     return step, len(due), flownet.build_demand_network(
-        instance, step_prices, reports, base=network, due=set(due)
+        instance, step_prices, reports, base=network, due=due
     )
+
+
+def _drop_moved_levels(
+    instance: Instance,
+    prices: PriceVector,
+    levels: dict[str, int | None],
+    moved: frozenset[str],
+) -> None:
+    """Drop from ``levels`` the buyers for whom an object in ``moved``,
+    the objects that entered or left the cut, has payoff at least 0 at
+    ``prices``.  Such an object is in supply, since an object without
+    supply has no arc and never joins a cut, and ``next_breakpoint``
+    reads the raised set through no other object, so every level kept is
+    still current on the new cut."""
+    price, rows = prices.prices, instance.value_rows
+    bars = [(k, price[i]) for k, i in enumerate(instance.objects) if i in moved]
+    for j in [j for j in levels if any(rows[j][k] >= p for k, p in bars)]:
+        del levels[j]
 
 
 def price_raising(
@@ -147,12 +176,14 @@ def price_raising(
     price_bound = instance.max_valuation + 1
 
     calls = len(instance.buyers)
-    reports = {j: tier_report(instance, j, first) for j in instance.buyers}
+    reports = tier_reports(instance, instance.buyers, first)
     network = flownet.build_demand_network(instance, first, reports)
     best = flownet.max_flow(network)
     walks: list[IterationRecord] = []
-    # The breakpoints carried over between walks on one cut.
-    breakpoints: dict[str, int | None] = {}
+    # The breakpoints carried over between walks, as levels of ``climbed``,
+    # the total raise so far, and the cut they were carried on.
+    levels: dict[str, int | None] = {}
+    climbed = 0
     held: frozenset[str] = frozenset()
 
     # Each raise lifts at least one price by at least one and prices stay
@@ -165,11 +196,12 @@ def price_raising(
         if not raised:
             raise AuctionError("unsaturated network with an object-free min cut")
         if cut.objects != held:
-            breakpoints.clear()
+            _drop_moved_levels(instance, network.prices, levels, cut.objects ^ held)
             held = cut.objects
         step, walk_calls, next_network = _step_length(
-            instance, network, reports, cut.objects, breakpoints
+            instance, network, reports, cut.objects, levels, climbed
         )
+        climbed += step
         calls += walk_calls
         if opts.warm_start:
             update = flownet.flow_update(network, best, next_network)

@@ -15,14 +15,14 @@ canonical order, and the sink comes last.  The arcs come in one block per
 buyer, each tier's source arc followed by that tier's arcs to objects in
 object order, and the object-to-sink arcs close the list.  A buyer's block
 depends only on its report and the node numbering, so a climb's network
-copies, from the network before, the block of every buyer whose report
-the walk did not recompute, and lays only the others.  A network keeps
-each arc's (tail, head, capacity) by arc id, with one list of outgoing and
-one of incoming (arc id, neighbour) pairs per node.  A flow is a list of
-amounts by arc id.  Capacities are integers, and the solver (shortest
-augmenting paths, Edmonds-Karp) scans a node's outgoing arcs and then its
-incoming arcs, each in arc order, so the integral flow it returns is a
-deterministic function of the network.  It returns that flow with the
+copies, from the network before, the blocks of the buyers whose reports
+the walk did not recompute, each run of them as one slice, and lays only
+the others.  A network keeps each arc's (tail, head, capacity) by arc id,
+with one list of outgoing and one of incoming (arc id, neighbour) pairs
+per node.  A flow is a list of amounts by arc id.  Capacities are
+integers, and the solver (shortest augmenting paths, Edmonds-Karp) scans a
+node's outgoing arcs and then its incoming arcs, each in arc order, so the
+integral flow it returns is a deterministic function of the network.  It returns that flow with the
 residual search that found no more augmenting path, and the left-most min
 cut is read off that search rather than a second one.  ``flow_update``
 finds each carried unit's arcs in the new network through its per-node arc
@@ -71,7 +71,7 @@ from functools import lru_cache
 from typing import Collection, Mapping
 
 from .model import Instance, PriceVector, balance_instance
-from .tiers import TierReport, balanced_reports, tier_report
+from .tiers import TierReport, balanced_reports, tier_reports
 
 
 class FlowError(RuntimeError):
@@ -114,11 +114,13 @@ class FlowNetwork:
     buyer, the arc id where the buyer's block ends.
 
     ``base``, a network with the same width, buyers and objects (else
-    :class:`FlowError`), lends its blocks: the block of every buyer not in
-    ``due`` is copied from ``base`` as one slice, and only the buyers in
-    ``due`` are read from ``reports``.  The caller promises that a buyer
-    not in ``due`` has the report, in the tiers this width reads, that
-    ``base`` was built from.  The network keeps no reference to ``base``.
+    :class:`FlowError`), lends its blocks: each run of buyers not in
+    ``due`` has its blocks copied from ``base`` as one slice, with their
+    ``ends`` shifted, and only the buyers in ``due`` are read from
+    ``reports``.  ``cap_s`` is the base's, less the due buyers' source
+    arcs there, plus theirs here.  The caller promises that a buyer not in
+    ``due`` has the report, in the tiers this width reads, that ``base``
+    was built from.  The network keeps no reference to ``base``.
     """
 
     def __init__(
@@ -138,34 +140,51 @@ class FlowNetwork:
         self.first_object = 1 + len(buyers) * width
         self.sink = sink = self.first_object + len(self.objects)
         self.labels, self.label_order, obj_id = _label_table(buyers, self.objects, width)
-        if base is not None:
+        if base is None:
+            base_arcs, base_ends, cap_s = (), [], 0
+            laid: Collection[int] = range(len(buyers))
+        else:
             if (base.width, base.buyers, base.objects) != (width, buyers, self.objects):
                 raise FlowError("the base network does not share this network's nodes")
-            base_arcs, base_ends = base.arcs, base.ends
+            base_arcs, base_ends, cap_s = base.arcs, base.ends, base.cap_s
+            due = set(due)
+            laid = [k for k, j in enumerate(buyers) if j in due]
         arcs: list[tuple[int, int, int]] = []
         ends: list[int] = []
-        node = 0
-        for k, j in enumerate(buyers):
-            if base is not None and j not in due:
-                # The buyer keeps its report, so its block is the base's.
-                arcs += base_arcs[base_ends[k - 1] if k else 0 : base_ends[k]]
-                node += width
-            else:
-                r = reports[j]
-                # (objects, demand, whether the demand caps the tier's arcs)
-                tiers = (
-                    (r.above, r.demand_above, False),
-                    (r.at_margin, r.demand_at_margin, True),
-                    (r.zero, r.demand_zero, False),
-                )
-                for objects, demand, capped in tiers[:width]:
-                    node += 1
-                    if demand > 0:
-                        arcs.append((0, node, demand))
-                        for i in objects:
-                            cap = min(supplies[i], demand) if capped else supplies[i]
-                            arcs.append((node, obj_id[i], cap))
+        copied = 0  # the first buyer whose block is neither copied nor laid
+        for k in (*laid, len(buyers)):
+            if copied < k:
+                # Buyers copied..k-1 keep their reports, so their blocks
+                # are the base's.
+                start = base_ends[copied - 1] if copied else 0
+                shift = len(arcs) - start
+                arcs += base_arcs[start : base_ends[k - 1]]
+                ends += [e + shift for e in base_ends[copied:k]] if shift else base_ends[copied:k]
+            if k == len(buyers):
+                break
+            if base is not None:
+                block = base_arcs[base_ends[k - 1] if k else 0 : base_ends[k]]
+                cap_s -= sum(c for u, _, c in block if u == 0)
+            r = reports[buyers[k]]
+            # (objects, demand, whether the demand caps the tier's arcs)
+            tiers = (
+                (r.above, r.demand_above, False),
+                (r.at_margin, r.demand_at_margin, True),
+                (r.zero, r.demand_zero, False),
+            )
+            node = k * width
+            for objects, demand, capped in tiers[:width]:
+                node += 1
+                if demand > 0:
+                    arcs.append((0, node, demand))
+                    cap_s += demand
+                    for i in objects:
+                        cap = supplies[i]
+                        if capped and cap > demand:
+                            cap = demand
+                        arcs.append((node, obj_id[i], cap))
             ends.append(len(arcs))
+            copied = k + 1
         for i in self.objects:
             if supplies[i] > 0:
                 arcs.append((obj_id[i], sink, supplies[i]))
@@ -180,7 +199,7 @@ class FlowNetwork:
             self.into[v].append((a, u))
             if v == sink:
                 self.sink_arc[u] = a
-        self.cap_s = sum(c for u, _, c in arcs if u == 0)
+        self.cap_s = cap_s
 
     def label(self, k: int) -> str:
         """Node ``k``'s label: ``s``, ``t``, the object id, or the buyer id
@@ -236,7 +255,7 @@ def build_demand_network(
     as ``due``, and ``FlowNetwork`` copies every other buyer's arc block
     from ``base``."""
     if reports is None:
-        reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
+        reports = tier_reports(instance, instance.buyers, prices)
     return FlowNetwork(instance, prices, reports, 2, base, due)
 
 
@@ -253,7 +272,7 @@ def build_allocation_network(
     balanced market's reports follow from them by
     ``tiers.balanced_reports``, which recomputes only the zero tiers."""
     if reports is None:
-        reports = {j: tier_report(instance, j, prices) for j in instance.buyers}
+        reports = tier_reports(instance, instance.buyers, prices)
     balanced = balance_instance(instance)
     reports = balanced_reports(instance, prices, reports)
     prices = PriceVector.for_instance(balanced, prices.prices)
@@ -332,7 +351,11 @@ def direct_flow(network: FlowNetwork) -> IntegralFlow:
             if left == 0:
                 break
             t = sink_arc[obj]
-            amount = min(left, cap[a], cap[t] - flows[t])
+            amount = cap[t] - flows[t]
+            if amount > left:
+                amount = left
+            if amount > cap[a]:
+                amount = cap[a]
             if amount > 0:
                 flows[a] = amount
                 flows[t] += amount

@@ -6,11 +6,13 @@ that the greedy bundle construction takes from: objects strictly above the
 margin, exactly at it, and with payoff exactly zero.  No bundle holds an
 object without supply, so it is in no tier.  A report, a bundle or a
 utility reads the buyer's value row and the supply row, both kept by
-``Instance`` in canonical object order, subtracts the prices from the
-value row to get one payoff list, and runs the one greedy on it.
-``next_breakpoint``, which reads a few payoffs, looks them up in
-``valuations`` instead.  It tells the auction how far a raise can go
-before the part of a report that the demand network reads changes;
+``Instance`` in canonical object order, and subtracts the price row from
+the value row to get one payoff list.  ``tier_reports`` reports a batch
+of buyers at one price vector: it builds the price row once, and runs on
+each buyer's payoffs the greedy of the bundle construction as far as the
+margin.  ``tier_report`` is its one-buyer view.  ``next_breakpoint``
+reads the value row and the prices.  It tells the auction how far a raise
+can go before the part of a report that the demand network reads changes;
 everything here is a pure function of the instance and the prices.
 
 ``balanced_reports`` gives the reports of the market that
@@ -27,7 +29,8 @@ reports only a zero tier: the supplied objects priced 0.
 
 from __future__ import annotations
 
-from typing import Collection, Mapping, NamedTuple
+from operator import sub
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .model import DUMMY_BUYER, DUMMY_OBJECT, Instance, PriceVector
 
@@ -48,6 +51,9 @@ class TierReport(NamedTuple):
     demand_above: int
     demand_at_margin: int
     demand_zero: int
+
+
+_EMPTY = TierReport((), (), (), 0, 0, 0)
 
 
 def _payoffs(instance: Instance, buyer: str, prices: PriceVector) -> list[int]:
@@ -95,42 +101,67 @@ def preferred_bundle(
     return bundle, None if last is None else objects[last]
 
 
-def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierReport:
-    """Report the buyer's payoff tiers and tier demands at these prices.
+def tier_reports(
+    instance: Instance, buyers: Iterable[str], prices: PriceVector
+) -> dict[str, TierReport]:
+    """Report each buyer's payoff tiers and tier demands at these prices.
 
     Buyers with zero demand report empty tiers.  The zero-payoff tier is
     reported even when the demand is already met, so its demand figure may
-    be 0.  Every tier names only objects in supply.
+    be 0.  Every tier names only objects in supply.  The margin is found
+    by the greedy of :func:`preferred_bundle`, run until it stops.
     """
-    demand = instance.demands[buyer]
-    if demand == 0:
-        return TierReport((), (), (), 0, 0, 0)
-
-    payoffs = _payoffs(instance, buyer, prices)
-    _, last = _greedy(instance, buyer, payoffs)
-    # The greedy stops at payoff 0, so a margin is positive.  Without one
-    # no object in supply has a positive payoff, and a margin of 1 leaves
-    # the first two tiers empty.
-    margin = 1 if last is None else payoffs[last]
-    above: list[str] = []
-    at_margin: list[str] = []
-    zero: list[str] = []
-    d_above = margin_supply = zero_supply = 0
-    for i, g, b in zip(instance.objects, payoffs, instance.supply_row):
-        if not b:
+    objects, supplies, rows = instance.objects, instance.supply_row, instance.value_rows
+    price = prices.prices
+    price_row = [price[i] for i in objects]
+    order = range(len(objects))
+    reports: dict[str, TierReport] = {}
+    for j in buyers:
+        demand = instance.demands[j]
+        if demand == 0:
+            reports[j] = _EMPTY
             continue
-        if g > margin:
-            above.append(i)
-            d_above += b
-        elif g == margin:
-            at_margin.append(i)
-            margin_supply += b
-        elif g == 0:
-            zero.append(i)
-            zero_supply += b
-    d_margin = min(margin_supply, demand - d_above)
-    d_zero = min(zero_supply, demand - d_above - d_margin)
-    return TierReport(tuple(above), tuple(at_margin), tuple(zero), d_above, d_margin, d_zero)
+        payoffs = list(map(sub, rows[j], price_row))
+        # The greedy stops at payoff 0, so a margin is positive.  Without
+        # one no object in supply has a positive payoff, and a margin of 1
+        # leaves the first two tiers empty.
+        residual, margin = demand, 1
+        # A reversed sort is still stable, so ties keep canonical order.
+        for k in sorted(order, key=payoffs.__getitem__, reverse=True):
+            g = payoffs[k]
+            if residual <= 0 or g <= 0:
+                break
+            if supplies[k]:  # an object without supply is skipped
+                margin = g
+                residual -= supplies[k]
+        above: list[str] = []
+        at_margin: list[str] = []
+        zero: list[str] = []
+        d_above = margin_supply = zero_supply = 0
+        for i, g, b in zip(objects, payoffs, supplies):
+            if not b:
+                continue
+            if g > margin:
+                above.append(i)
+                d_above += b
+            elif g == margin:
+                at_margin.append(i)
+                margin_supply += b
+            elif g == 0:
+                zero.append(i)
+                zero_supply += b
+        d_margin = min(margin_supply, demand - d_above)
+        d_zero = min(zero_supply, demand - d_above - d_margin)
+        reports[j] = TierReport(
+            tuple(above), tuple(at_margin), tuple(zero), d_above, d_margin, d_zero
+        )
+    return reports
+
+
+def tier_report(instance: Instance, buyer: str, prices: PriceVector) -> TierReport:
+    """The buyer's tier report at these prices: :func:`tier_reports` for
+    one buyer."""
+    return tier_reports(instance, (buyer,), prices)[buyer]
 
 
 def balanced_reports(
@@ -192,20 +223,30 @@ def next_breakpoint(
 
     One of those fields differs at the returned raise, and with it an arc
     of the demand network.  ``None`` means that they never change again,
-    as when nothing in supply has positive payoff.
+    as when nothing in supply has positive payoff.  ``raised`` is read
+    only through objects in supply with payoff at least 0: the
+    above-margin and at-margin ones, and the unraised ones with payoff in
+    ``[0, margin)``.  So moving other objects into or out of ``raised``
+    leaves the answer as it was.
     """
     if not report.at_margin:
         return None
-    values, price, supplies = instance.valuations, prices.prices, instance.supplies
     falls = [i in raised for i in report.at_margin]
     if any(falls) != all(falls):
         return 1
-    top = values[(report.at_margin[0], buyer)] - price[report.at_margin[0]]
+    objects, price = instance.objects, prices.prices
+    values = instance.value_rows[buyer]
+    first = report.at_margin[0]
+    top = values[objects.index(first)] - price[first]
     if falls[0]:
-        fixed = (values[(i, buyer)] - price[i] for i, b in supplies.items() if b and i not in raised)
-        return top - max((g for g in fixed if 0 <= g < top), default=0)
-    falling = (values[(i, buyer)] - price[i] for i in report.above if i in raised)
-    return min((g - top for g in falling), default=None)
+        fixed = 0  # the highest unraised payoff in [0, top) of an object in supply
+        for i, v, b in zip(objects, values, instance.supply_row):
+            if b and i not in raised:
+                g = v - price[i]
+                if fixed < g < top:
+                    fixed = g
+        return top - fixed
+    return min((values[objects.index(i)] - price[i] - top for i in report.above if i in raised), default=None)
 
 
 def indirect_utility(instance: Instance, buyer: str, prices: PriceVector) -> int:

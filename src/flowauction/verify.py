@@ -19,14 +19,13 @@ tier report or network.  The price grid flow-checks each vector once: a
 box corner equal to an ``upper`` that passed the criterion takes its
 verdict.  Bundle enumeration and the descent potential do not read the
 network, so they check those rules.  The flow criterion shares
-``tier_report``, ``build_demand_network`` and ``max_flow`` with the
+``tier_reports``, ``build_demand_network`` and ``max_flow`` with the
 solver, and with it the max flow's start along the direct paths,
 ``direct_flow``.  That start does not weaken it: a feasible flow that is
 not maximum is augmented until no augmenting path is left, so the value
 decided on is the max-flow value whatever the start.  No check shares the
 solver's search path: ``next_breakpoint``, the breakpoints
-``_step_length`` carries from walk to walk on one cut, and
-``flow_update``.
+``_step_length`` carries from walk to walk, and ``flow_update``.
 The checkers are desk-scale by design and each raises
 :class:`BudgetExceededError` beyond its enumeration budget.
 """

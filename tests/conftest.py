@@ -96,25 +96,31 @@ def pinned_markets():
 
 def check_carried_breakpoints(monkeypatch, markets):
     """Solve each (instance, start prices) pair in every configuration twice:
-    as the solver does, with every breakpoint a walk carries over checked
-    against a fresh ``next_breakpoint`` on a fresh report at the walk's
-    prices, and once more with nothing carried, so that every walk asks
-    every buyer.  The prices, allocation, walks and ``oracle_calls`` of the
-    two climbs must be equal.  Returns the number of carried breakpoints
-    checked."""
+    as the solver does, with every breakpoint a walk carries over, as a
+    level of the total raise, checked against a fresh ``next_breakpoint``
+    on a fresh report at the walk's prices, and once more with nothing
+    carried, so that every walk asks every buyer.  The prices, allocation,
+    walks and ``oracle_calls`` of the two climbs must be equal.  Returns
+    the number of carried breakpoints checked and the number of walks on
+    a new cut that carried some breakpoint over the cut change, and so
+    asked fewer than every buyer."""
     walk = auction._step_length
     carry = True
-    checked = 0
+    checked = across = 0
+    held = None
 
-    def checked_walk(instance, network, reports, raised, breakpoints):
-        nonlocal checked
+    def checked_walk(instance, network, reports, raised, levels, climbed):
+        nonlocal checked, across, held
         if not carry:
-            breakpoints.clear()
-        for j, t in breakpoints.items():
+            levels.clear()
+        for j, level in levels.items():
             report = tiers.tier_report(instance, j, network.prices)
-            assert t == tiers.next_breakpoint(instance, j, network.prices, raised, report)
+            t = tiers.next_breakpoint(instance, j, network.prices, raised, report)
+            assert level == (None if t is None else climbed + t)
             checked += 1
-        return walk(instance, network, reports, raised, breakpoints)
+        across += carry and held is not None and raised != held and bool(levels)
+        held = raised
+        return walk(instance, network, reports, raised, levels, climbed)
 
     monkeypatch.setattr(auction, "_step_length", checked_walk)
     for instance, start in markets:
@@ -122,10 +128,11 @@ def check_carried_breakpoints(monkeypatch, markets):
             for warm in (True, False):
                 outputs = []
                 for carry in (True, False):
+                    held = None
                     options = auction.SolveOptions(mode=mode, warm_start=warm, start_prices=start)
                     equilibrium = auction.solve(instance, options)
                     allocation = list(equilibrium.allocation.quantities.items())
                     trace = equilibrium.trace
                     outputs.append((equilibrium.prices, allocation, trace.walks, trace.oracle_calls))
                 assert outputs[0] == outputs[1]
-    return checked
+    return checked, across

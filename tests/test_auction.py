@@ -462,11 +462,14 @@ class TestBreakpointWalk:
     def test_the_walk_is_one_jump_to_the_first_breakpoint(self, monkeypatch):
         """Every breakpoint moves an arc, so the walk recomputes the reports
         of exactly the buyers whose breakpoint, carried or fresh, is the
-        raise it returns.  It asks each buyer for its breakpoint at most
-        once: on a new cut every buyer, and on the previous walk's cut only
-        the buyers it recomputed, since the others carry theirs."""
-        walk, breakpoint, report = auction._step_length, auction.next_breakpoint, auction.tier_report
-        asked, recomputed, walks, carried_walks = {}, [], 0, 0
+        raise it returns, in one batch.  It asks each buyer for its
+        breakpoint at most once, and exactly these: on a climb's first walk
+        every buyer; on any later walk the buyers the walk before
+        recomputed, and on a new cut also the buyers for whom an object
+        that entered or left the cut is in supply and has payoff at least 0
+        at the walk's prices.  The others carry theirs."""
+        walk, breakpoint, reports_of = auction._step_length, auction.next_breakpoint, auction.tier_reports
+        asked, recomputed, walks, carried_walks, kept_across = {}, [], 0, 0, 0
         previous = None
 
         def counted_breakpoint(instance, buyer, *args):
@@ -474,21 +477,30 @@ class TestBreakpointWalk:
             asked[buyer] = breakpoint(instance, buyer, *args)
             return asked[buyer]
 
-        def counted_report(instance, buyer, prices):
-            recomputed.append(buyer)
-            return report(instance, buyer, prices)
+        def counted_reports(instance, buyers, prices):
+            recomputed.extend(buyers)
+            return reports_of(instance, buyers, prices)
 
-        def traced_walk(instance, network, reports, raised, breakpoints):
-            nonlocal walks, carried_walks, previous
-            carried = dict(breakpoints)
+        def traced_walk(instance, network, reports, raised, levels, climbed):
+            nonlocal walks, carried_walks, kept_across, previous
+            carried = {j: None if t is None else t - climbed for j, t in levels.items()}
             asked.clear()
             recomputed.clear()
-            step, calls, step_network = walk(instance, network, reports, raised, breakpoints)
-            if previous is not None and previous[0] == raised:
-                assert list(asked) == previous[1]
-                carried_walks += 1
+            step, calls, step_network = walk(instance, network, reports, raised, levels, climbed)
+            if previous is None:
+                expected = list(instance.buyers)
             else:
-                assert list(asked) == list(instance.buyers)
+                moved = raised ^ previous[0]
+                prices = network.prices
+                expected = [
+                    j
+                    for j in instance.buyers
+                    if j in previous[1]
+                    or any(instance.supplies[i] and instance.payoff(i, j, prices) >= 0 for i in moved)
+                ]
+                carried_walks += 1
+                kept_across += bool(moved) and len(expected) < len(instance.buyers)
+            assert list(asked) == expected
             assert recomputed == [j for j in instance.buyers if {**carried, **asked}[j] == step]
             assert calls == len(recomputed)
             previous = (raised, list(recomputed))
@@ -497,12 +509,12 @@ class TestBreakpointWalk:
 
         monkeypatch.setattr(auction, "_step_length", traced_walk)
         monkeypatch.setattr(auction, "next_breakpoint", counted_breakpoint)
-        monkeypatch.setattr(auction, "tier_report", counted_report)
+        monkeypatch.setattr(auction, "tier_reports", counted_reports)
         for inst in walk_markets():
             for mode, warm in CONFIGS:
                 previous = None
                 price_raising(inst, SolveOptions(mode=mode, warm_start=warm))
-        assert walks > 100 and carried_walks > 100
+        assert walks > 100 and carried_walks > 100 and kept_across > 20
 
     def test_carried_breakpoints_are_fresh_ones(self, monkeypatch):
         """A buyer that was not due keeps its breakpoint, less the step,
@@ -514,9 +526,29 @@ class TestBreakpointWalk:
             random_instance(rng, max_objects=5, max_buyers=5, max_value=1000 if k % 5 == 0 else 8)
             for k in range(1500)
         ]
-        checked = check_carried_breakpoints(monkeypatch, [(inst, None) for inst in markets])
+        checked, across = check_carried_breakpoints(monkeypatch, [(inst, None) for inst in markets])
         assert sum(not all(inst.supplies.values()) for inst in markets) > 600
-        assert checked > 4000
+        assert checked > 4000 and across > 0
+
+    def test_carried_levels_sweep_across_cut_changes(self, monkeypatch):
+        """On 1500 seeded markets, with values up to 6, 30 and 300 in turn,
+        half of them climbed from random prices below the minimum: every
+        level a walk carries, over a new cut too, equals a fresh
+        breakpoint, and the climb gives what a climb that carries none
+        gives.  Many new cuts ask fewer than every buyer."""
+        rng = random.Random(61)
+        markets = []
+        for k in range(1500):
+            inst = random_instance(
+                rng, max_objects=5, max_buyers=5, max_supply=4, max_demand=4, max_value=(6, 30, 300)[k % 3]
+            )
+            start = None
+            if k % 2:
+                minimum, _ = price_raising(inst)
+                start = PriceVector({i: rng.randint(0, p) for i, p in minimum.prices.items()})
+            markets.append((inst, start))
+        checked, across = check_carried_breakpoints(monkeypatch, markets)
+        assert checked > 4000 and across > 500, (checked, across)
 
     def test_the_tiers_change_exactly_where_their_arcs_do(self):
         """The walk stops at the first breakpoint, where some buyer's

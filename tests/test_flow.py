@@ -23,7 +23,7 @@ from flowauction.flow import (
     max_flow,
 )
 from flowauction.model import DUMMY_BUYER, DUMMY_OBJECT, PriceVector, balance_instance, validate_instance
-from flowauction.tiers import tier_report
+from flowauction.tiers import tier_report, tier_reports
 from flowauction.verify import random_instance, random_prices
 from conftest import pinned_markets
 
@@ -172,7 +172,11 @@ class TestBuildDemandNetwork:
         lists, the sink arcs, the source capacity, the block ends and the
         labels, and has the arcs of one from fresh reports.  The sweep
         holds walks that copy blocks, walks on which every buyer is due,
-        objects without supply and buyers without demand."""
+        objects without supply and buyers without demand.  On each market,
+        in both widths, a network patched from one at random prices with
+        the reports at other random prices for chosen due buyers equals a
+        fresh one too, with the due buyers first, last, adjacent, all of
+        them, none of them and a random set."""
         build = flow.build_demand_network
         fields = ("arcs", "cap", "out", "into", "sink_arc", "cap_s", "ends", "labels", "label_order")
         seen = Counter()
@@ -203,7 +207,28 @@ class TestBuildDemandNetwork:
                     price_raising(inst, SolveOptions(mode=mode, warm_start=warm, start_prices=start))
             seen["object without supply"] += 0 in inst.supplies.values()
             seen["buyer without demand"] += 0 in inst.demands.values()
-        assert min(seen.values()) >= 50 and len(seen) == 5, seen
+            buyers = inst.buyers
+            k = rng.randrange(len(buyers))
+            chosen = {
+                "due first": buyers[:1],
+                "due last": buyers[-1:],
+                "due adjacent": buyers[k : k + 2],
+                "all due": buyers,
+                "none due": (),
+                "random due": tuple(j for j in buyers if rng.random() < 0.5),
+            }
+            before, after = random_prices(rng, inst), random_prices(rng, inst)
+            old, new = tier_reports(inst, buyers, before), tier_reports(inst, buyers, after)
+            for width in (2, 3):
+                base = FlowNetwork(inst, before, old, width)
+                for case, due in chosen.items():
+                    reports = {j: new[j] if j in due else old[j] for j in buyers}
+                    patched = FlowNetwork(inst, after, reports, width, base=base, due=due)
+                    fresh = FlowNetwork(inst, after, reports, width)
+                    for name in fields:
+                        assert getattr(patched, name) == getattr(fresh, name), (case, name)
+                    seen[case] += not due or any(new[j] != old[j] for j in due)
+        assert min(seen.values()) >= 50 and len(seen) == 11, seen
 
     def test_a_base_of_other_nodes_is_refused(self, fig1, example1):
         zero = PriceVector.zero(fig1)

@@ -81,16 +81,19 @@ def test_carried_breakpoints_on_the_dense_market(monkeypatch):
     """The check of ``check_carried_breakpoints`` on the ``dense`` market,
     where most walks raise the cut of the walk before."""
     (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
-    assert check_carried_breakpoints(monkeypatch, [(market.instance, market.start)]) > 100
+    checked, across = check_carried_breakpoints(monkeypatch, [(market.instance, market.start)])
+    assert checked > 100 and across > 0
 
 
 def test_a_dense_walk_redoes_work_only_for_the_buyers_who_changed(monkeypatch):
     """An adapted-warm solve of the ``dense`` market (68 buyers, 10 walks,
-    then the allocation).  A walk on the previous walk's cut asks only the
-    buyers that walk recomputed for their breakpoint: 173 questions, where
-    asking every buyer on every walk takes 680.  Each cut reads the search
-    that ended its max flow: 123 residual searches, where searching again
-    takes 133.  The tier-oracle calls stay 154."""
+    then the allocation).  A walk asks only the buyers that the walk
+    before recomputed for their breakpoint, and on a new cut also those
+    for whom an object that entered or left the cut is in supply and has
+    payoff at least 0: 132 questions, where asking every buyer on a new
+    cut takes 173, and every buyer on every walk 680.  Each cut reads the
+    search that ended its max flow: 123 residual searches, where searching
+    again takes 133.  The tier-oracle calls stay 154."""
     counts = {"breakpoints": 0, "searches": 0}
     breakpoint, search = auction.next_breakpoint, flow._residual_search
 
@@ -107,7 +110,7 @@ def test_a_dense_walk_redoes_work_only_for_the_buyers_who_changed(monkeypatch):
     options = SolveOptions(mode="adapted", warm_start=True, start_prices=market.start)
     trace = solve(market.instance, options).trace
     assert len(trace.walks) == 10 and trace.oracle_calls == 154
-    assert counts["breakpoints"] <= 200
+    assert counts["breakpoints"] == 132
     assert counts["searches"] <= 123
 
 
@@ -115,17 +118,19 @@ def test_a_dense_solve_asks_the_tier_oracle_only_in_the_climb(monkeypatch):
     """An adapted-cold solve of the ``dense`` market makes 154 tier-oracle
     calls, the climb's ``oracle_calls``: ``allocate`` reads the climb's
     final reports and asks for none, where one per buyer of the balanced
-    market takes 68 more.  Counted through every binding that calls it."""
+    market takes 68 more.  Counted by the buyers of every batch, through
+    every binding that asks for one."""
     calls = 0
-    report = flow.tier_report
+    reports_of = flow.tier_reports
 
-    def counted(*args):
+    def counted(instance, buyers, prices):
         nonlocal calls
-        calls += 1
-        return report(*args)
+        buyers = list(buyers)
+        calls += len(buyers)
+        return reports_of(instance, buyers, prices)
 
-    monkeypatch.setattr(auction, "tier_report", counted)
-    monkeypatch.setattr(flow, "tier_report", counted)
+    monkeypatch.setattr(auction, "tier_reports", counted)
+    monkeypatch.setattr(flow, "tier_reports", counted)
     (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
     options = SolveOptions(mode="adapted", warm_start=False, start_prices=market.start)
     trace = solve(market.instance, options).trace

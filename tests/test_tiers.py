@@ -10,6 +10,7 @@ from flowauction.tiers import (
     next_breakpoint,
     preferred_bundle,
     tier_report,
+    tier_reports,
 )
 from flowauction.verify import (
     BudgetExceededError,
@@ -271,3 +272,29 @@ def test_tier_oracle_sweep_matches_the_reference():
             enumerated += 1
     assert all(count > 0 for count in seen.values()), seen
     assert enumerated > 1500
+
+
+def test_batch_oracle_sweep_matches_the_reference():
+    """``tier_reports`` equals the definition, buyer by buyer, on 1800
+    seeded markets and prices: for every buyer at once, for a random
+    subset in random order, and one buyer at a time as ``tier_report``.
+    The sweep holds one-object markets, buyers without demand, objects
+    without supply and ties at the margin."""
+    rng = random.Random(83)
+    seen = dict.fromkeys(
+        ("one object", "zero demand", "unsupplied object", "tie at the margin"), 0
+    )
+    for k in range(1800):
+        inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=(4, 30, 300)[k % 3])
+        prices = random_prices(rng, inst)
+        expected = {j: reference_report(inst, j, prices)[0] for j in inst.buyers}
+        reports = tier_reports(inst, inst.buyers, prices)
+        assert list(reports) == list(inst.buyers) and reports == expected, (inst, prices)
+        some = rng.sample(inst.buyers, rng.randint(0, len(inst.buyers)))
+        assert list(tier_reports(inst, some, prices).items()) == [(j, expected[j]) for j in some]
+        assert {j: tier_report(inst, j, prices) for j in inst.buyers} == expected
+        seen["one object"] += len(inst.objects) == 1
+        seen["zero demand"] += 0 in inst.demands.values()
+        seen["unsupplied object"] += 0 in inst.supplies.values()
+        seen["tie at the margin"] += any(len(r.at_margin) > 1 for r in reports.values())
+    assert all(count > 50 for count in seen.values()), seen

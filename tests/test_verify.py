@@ -7,7 +7,7 @@ import pytest
 from flowauction.auction import SolveOptions, price_raising, solve
 from flowauction.flow import build_demand_network, max_flow
 from flowauction.model import Allocation, InstanceError, PriceVector, validate_instance
-from flowauction.tiers import indirect_utility, tier_report
+from flowauction.tiers import indirect_utility, tier_report, tier_reports
 from flowauction import flow, verify
 from flowauction.verify import (
     BudgetExceededError,
@@ -155,12 +155,12 @@ class TestCompetitiveChecks:
             built.append(prices)
             return build_demand_network(instance, prices, reports)
 
-        def counted_report(instance, buyer, prices):
-            reported.append(buyer)
-            return tier_report(instance, buyer, prices)
+        def counted_reports(instance, buyers, prices):
+            reported.extend(buyers)
+            return tier_reports(instance, buyers, prices)
 
         monkeypatch.setattr(verify, "build_demand_network", counted)
-        monkeypatch.setattr(flow, "tier_report", counted_report)
+        monkeypatch.setattr(flow, "tier_reports", counted_reports)
         rng = random.Random(73)
         decided = {"bound": 0, "flow accepts": 0, "flow rejects": 0}
         enumerated = 0
