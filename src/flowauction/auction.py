@@ -25,13 +25,14 @@ again only the buyers for whom an object that entered or left the cut is
 in supply and has payoff at least 0: ``next_breakpoint`` reads the raised
 set through no other object.  That saves breakpoint questions, not tier
 reports: ``oracle_calls`` is the same as if every buyer were asked on
-every walk.  The walk's network copies the arc blocks of the buyers it did
-not recompute from the network before, a run of them at a time, and lays
-only the recomputed buyers' blocks.  A warm start carries the flow
-over to the changed network, a cold start computes a fresh max flow there,
-which ``max_flow`` starts from the network's direct paths; either way the
-cut is read off the search that ended the max flow.  The trace keeps one
-record per walk, and the mode decides only how it is read
+every walk.  Every possible arc has a slot fixed by its buyer, tier and
+object, so the walk's network copies the capacities of the network before
+in one slice, shares its arc lists wherever the recomputed buyers' arcs do
+not reach, and lays only those buyers' arcs.  A warm start carries the
+flow over to the changed network, a cold start computes a fresh max flow
+there, which ``max_flow`` starts from the network's direct paths; either
+way the cut is read off the search that ended the max flow.  The trace
+keeps one record per walk, and the mode decides only how it is read
 (``AuctionTrace``): one record per unit raise, or one per run of raises on
 the same object set.
 """
@@ -109,9 +110,9 @@ def _step_length(
     report, in one ``tier_reports`` pass, in place in ``reports``.  So at
     the returned prices the tiers the network reads are current, while a
     zero tier and its demand may be out of date.  The network at the
-    returned prices is built on ``network``: it copies the arc blocks of
-    the buyers that were not due, whose reports did not change, and lays
-    only the due buyers'.
+    returned prices is built on ``network``: the buyers that were not due
+    keep their reports, so it shares their arcs, and it lays only the due
+    buyers' (see ``flow.FlowNetwork``).
 
     ``levels`` holds the breakpoints carried over from earlier walks, each
     as a level of the total raise: ``climbed`` plus the breakpoint, or

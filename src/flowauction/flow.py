@@ -9,30 +9,38 @@ The allocation network has width 3: it adds the zero-payoff tier,
 which lets zero-payoff items be assigned.  It balances its own market, so
 it holds a zero-value dummy where supply and demand differ.
 
-``FlowNetwork`` alone numbers the nodes and lays the arcs.  The source is
-0, the tier nodes follow buyer by buyer in tier order, then the objects in
-canonical order, and the sink comes last.  The arcs come in one block per
-buyer, each tier's source arc followed by that tier's arcs to objects in
-object order, and the object-to-sink arcs close the list.  A buyer's block
-depends only on its report and the node numbering, so a climb's network
-copies, from the network before, the blocks of the buyers whose reports
-the walk did not recompute, each run of them as one slice, and lays only
-the others.  A network keeps each arc's (tail, head, capacity) by arc id,
-with one list of outgoing and one of incoming (arc id, neighbour) pairs
-per node.  A flow is a list of amounts by arc id.  Capacities are
+``FlowNetwork`` alone numbers the nodes and the arcs.  The source is 0,
+the tier nodes follow buyer by buyer in tier order, then the objects in
+canonical order, and the sink comes last.  Every arc that could exist has
+its slot, fixed by the numbering as the nodes are: with ``n`` buyers,
+width ``w`` and ``m`` objects, buyer k's tier-t source arc takes slot
+``(k * w + t) * (m + 1)``, that tier's arc to the x-th object the slot
+after it plus x, and object x's arc into the sink slot
+``n * w * (m + 1) + x``.  So the slots run in one block per buyer, each
+tier's source arc followed by that tier's arcs to objects in object
+order, and the sink arcs close them.
+A network holds a capacity per slot; an absent arc has capacity 0 and is
+in no adjacency list.  Each node has one list of outgoing and one of
+incoming (slot, neighbour) pairs, each in slot order, and a flow is a list
+of amounts by slot.  A buyer's arcs depend only on its report and the
+numbering, so a climb's network copies the capacities of the network
+before in one slice, shares every adjacency list that the buyers whose
+reports the walk recomputed do not touch, and copies and patches only
+those (copy on write); no list of a built network changes.  Capacities are
 integers, and the solver (shortest augmenting paths, Edmonds-Karp) scans a
-node's outgoing arcs and then its incoming arcs, each in arc order, so the
-integral flow it returns is a deterministic function of the network.  It returns that flow with the
-residual search that found no more augmenting path, and the left-most min
-cut is read off that search rather than a second one.  ``flow_update``
-finds each carried unit's arcs in the new network through its per-node arc
-lists.  Node labels appear only at the edges: the network dump, the
-infeasible-flow messages and a cut's labels.  All come from one label
-table per node numbering, built once per (buyers, objects, width) and
-shared by every network of a climb, which also holds the node ids sorted
-by label, so a cut filters that order instead of sorting.  The tier
-flows an allocation is read from name buyers and objects by id.  Every
-failure of this layer, a bug in its caller, raises :class:`FlowError`.
+node's outgoing arcs and then its incoming arcs, each in slot order, so
+the integral flow it returns is a deterministic function of the network.
+It returns that flow with the residual search that found no more
+augmenting path, and the left-most min cut is read off that search rather
+than a second one.  ``flow_update`` reroutes a flow's units by slot.  Node
+labels appear only at the edges: the network dump, the infeasible-flow
+messages and a cut's labels.  All come from one label table per node
+numbering, built once per (buyers, objects, width) and shared by every
+network of a climb, which also holds the node ids sorted by label, so a
+cut filters that order instead of sorting, and each slot's tail and head.
+The tier flows an allocation is read from name buyers and objects by id.
+Every failure of this layer, a bug in its caller, raises
+:class:`FlowError`.
 
 ``build_allocation_network`` takes the tier reports at its prices, as the
 climb leaves them, and ``tiers.balanced_reports`` fills in their zero
@@ -65,9 +73,10 @@ has them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Collection, Mapping
 
 from .model import Instance, PriceVector, balance_instance
@@ -83,14 +92,51 @@ class FlowError(RuntimeError):
 @lru_cache(maxsize=64)
 def _label_table(
     buyers: tuple[str, ...], objects: tuple[str, ...], width: int
-) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
-    """The node labels by node id, the node ids in label order, and each
-    object's node id by object id.  The dict is shared and must not be
-    changed."""
+) -> tuple[
+    tuple[str, ...],
+    tuple[int, ...],
+    dict[str, int],
+    dict[str, int],
+    tuple[int, ...],
+    tuple[int, ...],
+]:
+    """The node labels by node id, the node ids in label order, each
+    object's and each buyer's index by id, and each arc slot's tail and
+    head node.  The dicts are shared and must not be changed."""
     labels = ("s", *(j + "'" * t for j in buyers for t in range(1, width + 1)), *objects, "t")
     first = 1 + len(buyers) * width
-    obj_id = {i: first + k for k, i in enumerate(objects)}
-    return labels, tuple(sorted(range(len(labels)), key=labels.__getitem__)), obj_id
+    sink = first + len(objects)
+    tails: list[int] = []
+    heads: list[int] = []
+    for node in range(1, first):
+        tails += [0, *[node] * len(objects)]
+        heads += [node, *range(first, sink)]
+    tails += range(first, sink)
+    heads += [sink] * len(objects)
+    return (
+        labels,
+        tuple(sorted(range(len(labels)), key=labels.__getitem__)),
+        {i: x for x, i in enumerate(objects)},
+        {j: k for k, j in enumerate(buyers)},
+        tuple(tails),
+        tuple(heads),
+    )
+
+
+def _tiers(
+    report: TierReport, width: int, top: int
+) -> tuple[tuple[tuple[str, ...], int, int], ...]:
+    """The arc rule for one buyer: (objects, demand, bound) for each of its
+    ``width`` tier nodes, in tier order.  The tier node's source arc
+    carries the demand, and its arc to an object the object's supply, at
+    most ``bound``: the demand in the at-margin tier, and ``top``, the
+    largest supply, in the others."""
+    tiers = (
+        (report.above, report.demand_above, top),
+        (report.at_margin, report.demand_at_margin, report.demand_at_margin),
+        (report.zero, report.demand_zero, top),
+    )
+    return tiers[:width]
 
 
 class FlowNetwork:
@@ -98,29 +144,37 @@ class FlowNetwork:
     buyer (2 or 3), from one tier report per buyer.
 
     Source arcs carry the tier demands, tier arcs the supply the tier sees
-    (capped by the tier demand for the at-margin tier), and every object
-    forwards its supply to the sink.  A tier without demand gets no arcs,
-    and a report's tiers name only objects in supply, so an object lacks
-    an arc only when it has no supply: its sink arc.  No arc has capacity
-    0.  ``arcs`` holds one (tail, head, capacity) triple of node ids per
-    arc id, and ``cap`` the capacities.  Every tier node has its id, so
-    the numbering depends only on the buyers, the width and the objects,
-    and so do ``labels``, each node's label by node id, and
-    ``label_order``, the node ids sorted by label: one shared table.
-    Each node's ``out`` and ``into`` arcs come in tier, then object order:
-    the solver's path order depends on that order, not on arc ids.
-    ``sink_arc`` holds, per node id, the id of the node's arc into the
-    sink, or -1 if it has none (only objects do).  ``ends`` holds, per
-    buyer, the arc id where the buyer's block ends.
+    (capped by the tier demand for the at-margin tier), by the rule in
+    ``_tiers``, and every object forwards its supply to the sink.  A tier
+    without demand gets no arcs, and a report's tiers name only objects in
+    supply, so an object lacks an arc only when it has no supply: its sink
+    arc.  ``cap`` holds the capacity of every arc slot (see the module
+    docstring), ``tails`` and ``heads`` its end nodes; an absent arc has
+    capacity 0 and is in no adjacency list.  ``arcs``, built on first read,
+    lists the present arcs as (tail, head, capacity) triples of node ids, in
+    slot order.  Every tier node has its id, so the numbering depends only
+    on the buyers, the width and the objects, and so do ``labels``, each
+    node's label by node id, ``label_order``, the node ids sorted by label,
+    and the slots' ends: one shared table.  Each node's ``out`` and ``into``
+    lists hold its present arcs as (slot, neighbour) pairs in slot order,
+    which is tier, then object order: the solver's path order depends on
+    that order.  ``sink_arc`` holds, per node id, the slot of the node's arc
+    into the sink, or -1 if it has none (only objects do).  No network
+    changes a list after it is built, so networks share them.
 
     ``base``, a network with the same width, buyers and objects (else
-    :class:`FlowError`), lends its blocks: each run of buyers not in
-    ``due`` has its blocks copied from ``base`` as one slice, with their
-    ``ends`` shifted, and only the buyers in ``due`` are read from
-    ``reports``.  ``cap_s`` is the base's, less the due buyers' source
-    arcs there, plus theirs here.  The caller promises that a buyer not in
-    ``due`` has the report, in the tiers this width reads, that ``base``
-    was built from.  The network keeps no reference to ``base``.
+    :class:`FlowError`), lends its lists: ``cap`` is one copy of the
+    base's, and every adjacency list is the base's very list except those
+    the buyers in ``due``, which are read from ``reports``, touch.  Their
+    tier nodes get new ``out`` lists, and a list that gains or loses one
+    of their arcs (``out[0]``, a tier node's ``into``, an object's
+    ``into``) is copied and patched.  ``cap_s`` is the base's, less the
+    due buyers' source capacities there, plus theirs here.  The caller
+    promises that ``base`` was built on the same supplies, and that a
+    buyer not in ``due`` has the report, in the tiers this width reads,
+    that ``base`` was built from; a ``due`` id that names no buyer raises
+    :class:`FlowError`.  The network keeps no reference to ``base`` and
+    never changes it.
     """
 
     def __init__(
@@ -132,74 +186,129 @@ class FlowNetwork:
         base: FlowNetwork | None = None,
         due: Collection[str] = (),
     ):
-        supplies = instance.supplies
         self.width = width
         self.buyers = buyers = instance.buyers
-        self.objects = instance.objects
+        self.objects = objects = instance.objects
         self.prices = prices
-        self.first_object = 1 + len(buyers) * width
-        self.sink = sink = self.first_object + len(self.objects)
-        self.labels, self.label_order, obj_id = _label_table(buyers, self.objects, width)
+        self.first_object = first = 1 + len(buyers) * width
+        self.sink = sink = first + len(objects)
+        self.labels, self.label_order, index, rank, self.tails, self.heads = _label_table(
+            buyers, objects, width
+        )
+        supply = instance.supply_row
+        row = len(objects) + 1
+        top = max(supply, default=0)
+        laid: list[int] = []
+        if due:
+            try:
+                laid = sorted({rank[j] for j in due})
+            except KeyError as missing:
+                message = f"due buyer {missing.args[0]!r} is not a buyer of this network"
+                raise FlowError(message) from None
         if base is None:
-            base_arcs, base_ends, cap_s = (), [], 0
-            laid: Collection[int] = range(len(buyers))
-        else:
-            if (base.width, base.buyers, base.objects) != (width, buyers, self.objects):
-                raise FlowError("the base network does not share this network's nodes")
-            base_arcs, base_ends, cap_s = base.arcs, base.ends, base.cap_s
-            due = set(due)
-            laid = [k for k, j in enumerate(buyers) if j in due]
-        arcs: list[tuple[int, int, int]] = []
-        ends: list[int] = []
-        copied = 0  # the first buyer whose block is neither copied nor laid
-        for k in (*laid, len(buyers)):
-            if copied < k:
-                # Buyers copied..k-1 keep their reports, so their blocks
-                # are the base's.
-                start = base_ends[copied - 1] if copied else 0
-                shift = len(arcs) - start
-                arcs += base_arcs[start : base_ends[k - 1]]
-                ends += [e + shift for e in base_ends[copied:k]] if shift else base_ends[copied:k]
-            if k == len(buyers):
-                break
-            if base is not None:
-                block = base_arcs[base_ends[k - 1] if k else 0 : base_ends[k]]
-                cap_s -= sum(c for u, _, c in block if u == 0)
-            r = reports[buyers[k]]
-            # (objects, demand, whether the demand caps the tier's arcs)
-            tiers = (
-                (r.above, r.demand_above, False),
-                (r.at_margin, r.demand_at_margin, True),
-                (r.zero, r.demand_zero, False),
-            )
+            # A fresh network lays every buyer in slot order, by appends.  A
+            # patch of an all-absent network lays the same arcs, but its
+            # sorted inserts and copy checks made fresh builds 40 to 55 %
+            # slower.
+            self.cap = cap = [0] * len(self.tails)
+            out0: list[tuple[int, int]] = []
+            self.out = out = [out0]
+            self.into = into = [[]]
+            into_objects: list[list[tuple[int, int]]] = [[] for _ in objects]
+            cap_s = src = 0
+            for j in buyers:
+                for tier_objects, demand, bound in _tiers(reports[j], width, top):
+                    node = len(out)
+                    arcs = []
+                    if demand > 0:
+                        cap[src] = demand
+                        cap_s += demand
+                        out0.append((src, node))
+                        into.append([(src, 0)])
+                        for i in tier_objects:
+                            x = index[i]
+                            a = src + 1 + x
+                            c = supply[x]
+                            cap[a] = c if c < bound else bound
+                            arcs.append((a, first + x))
+                            into_objects[x].append((a, node))
+                    else:
+                        into.append([])
+                    out.append(arcs)
+                    src += row
+            into += into_objects
+            into_sink: list[tuple[int, int]] = []
+            self.sink_arc = sink_arc = [-1] * (sink + 1)
+            for x, b in enumerate(supply):
+                if b > 0:
+                    a = src + x
+                    cap[a] = b
+                    out.append([(a, sink)])
+                    into_sink.append((a, first + x))
+                    sink_arc[first + x] = a
+                else:
+                    out.append([])
+            out.append([])
+            into.append(into_sink)
+            self.cap_s = cap_s
+            return
+        if (base.width, base.buyers, base.objects) != (width, buyers, objects):
+            raise FlowError("the base network does not share this network's nodes")
+        self.cap = cap = base.cap[:]
+        self.out = out = base.out[:]
+        self.into = into = base.into[:]
+        self.sink_arc = base.sink_arc
+        cap_s = base.cap_s
+        shared, out0 = base.into, out[0]
+        for k in laid:
             node = k * width
-            for objects, demand, capped in tiers[:width]:
+            for tier_objects, demand, bound in _tiers(reports[buyers[k]], width, top):
                 node += 1
+                src = (node - 1) * row
+                if (cap[src] > 0) != (demand > 0):
+                    if out0 is base.out[0]:
+                        out0 = out[0] = out0[:]
+                    if demand > 0:
+                        insort(out0, (src, node))
+                        into[node] = [(src, 0)]
+                    else:
+                        del out0[bisect_left(out0, (src,))]
+                        into[node] = []
+                cap_s += demand - cap[src]
+                cap[src] = demand
+                old = out[node]
+                for a, _ in old:
+                    cap[a] = -1  # present before; 0 again below unless laid again
+                arcs = []
                 if demand > 0:
-                    arcs.append((0, node, demand))
-                    cap_s += demand
-                    for i in objects:
-                        cap = supplies[i]
-                        if capped and cap > demand:
-                            cap = demand
-                        arcs.append((node, obj_id[i], cap))
-            ends.append(len(arcs))
-            copied = k + 1
-        for i in self.objects:
-            if supplies[i] > 0:
-                arcs.append((obj_id[i], sink, supplies[i]))
-        self.arcs: tuple[tuple[int, int, int], ...] = tuple(arcs)
-        self.ends = ends
-        self.cap = [c for _, _, c in arcs]
-        self.out: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
-        self.into: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
-        self.sink_arc = [-1] * (sink + 1)
-        for a, (u, v, _) in enumerate(arcs):
-            self.out[u].append((a, v))
-            self.into[v].append((a, u))
-            if v == sink:
-                self.sink_arc[u] = a
+                    for i in tier_objects:
+                        x = index[i]
+                        a = src + 1 + x
+                        if cap[a] == 0:
+                            # A new arc: its object's into list gains it.
+                            listed = into[first + x]
+                            if listed is shared[first + x]:
+                                listed = into[first + x] = listed[:]
+                            insort(listed, (a, node))
+                        c = supply[x]
+                        cap[a] = c if c < bound else bound
+                        arcs.append((a, first + x))
+                for a, v in old:
+                    if cap[a] < 0:
+                        cap[a] = 0
+                        listed = into[v]
+                        if listed is shared[v]:
+                            listed = into[v] = listed[:]
+                        del listed[bisect_left(listed, (a,))]
+                out[node] = arcs
         self.cap_s = cap_s
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """The present arcs as (tail, head, capacity), in slot order, built
+        on first read: the solver reads the slot lists."""
+        tails, heads = self.tails, self.heads
+        return tuple((tails[a], heads[a], c) for a, c in enumerate(self.cap) if c)
 
     def label(self, k: int) -> str:
         """Node ``k``'s label: ``s``, ``t``, the object id, or the buyer id
@@ -209,7 +318,7 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class IntegralFlow:
-    """An integral flow: the amount on each arc, by arc id of the network
+    """An integral flow: the amount on each arc, by arc slot of the network
     it was computed in, plus the value leaving the source.
 
     ``search`` is the residual search that ended ``max_flow`` on that
@@ -252,8 +361,8 @@ def build_demand_network(
     computed at ``prices``; the walk passes its own, current in the
     above-margin and at-margin tiers.  The walk also passes the network
     it came from as ``base`` and the buyers whose reports it recomputed
-    as ``due``, and ``FlowNetwork`` copies every other buyer's arc block
-    from ``base``."""
+    as ``due``, and ``FlowNetwork`` shares every other buyer's arcs with
+    ``base``."""
     if reports is None:
         reports = tier_reports(instance, instance.buyers, prices)
     return FlowNetwork(instance, prices, reports, 2, base, due)
@@ -280,22 +389,34 @@ def build_allocation_network(
 
 
 def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
-    """Raise :class:`FlowError` unless the flow has one amount per arc,
-    obeys capacities and conservation, and its value matches."""
-    if len(flow.flows) != len(network.arcs):
+    """Raise :class:`FlowError` unless the flow has one amount per arc
+    slot, obeys capacities and conservation, and its value matches.  It
+    walks the present arcs, and counts the amounts that are not 0 to see
+    that no absent arc, whose capacity is 0, carries flow."""
+    flows = flow.flows
+    if len(flows) != len(network.cap):
         raise FlowError(
-            f"flow has {len(flow.flows)} amounts for a network of {len(network.arcs)} arcs"
+            f"flow has {len(flows)} amounts for a network of {len(network.cap)} arc slots"
         )
+    cap, labels = network.cap, network.labels
     balance = [0] * (network.sink + 1)
-    for (u, v, cap), amount in zip(network.arcs, flow.flows):
-        if amount == 0:
-            continue
-        if amount < 0 or amount > cap:
-            raise FlowError(
-                f"flow {amount} outside [0, {cap}] on {network.label(u)} -> {network.label(v)}"
-            )
-        balance[u] -= amount
-        balance[v] += amount
+    carrying = 0
+    for u, arcs in enumerate(network.out):
+        for a, v in arcs:
+            amount = flows[a]
+            if amount == 0:
+                continue
+            if amount < 0 or amount > cap[a]:
+                raise FlowError(
+                    f"flow {amount} outside [0, {cap[a]}] on {labels[u]} -> {labels[v]}"
+                )
+            balance[u] -= amount
+            balance[v] += amount
+            carrying += 1
+    if carrying != len(flows) - flows.count(0):
+        a = next(a for a, amount in enumerate(flows) if amount and not cap[a])
+        tail, head = labels[network.tails[a]], labels[network.heads[a]]
+        raise FlowError(f"flow {flows[a]} outside [0, 0] on {tail} -> {head}")
     for k in range(1, network.sink):
         if balance[k] != 0:
             raise FlowError(f"conservation violated at {network.label(k)}")
@@ -308,8 +429,9 @@ def _residual_search(network: FlowNetwork, flows: list[int]) -> list[int | None]
     it reaches an object with a residual arc into the sink, and the sink
     over that arc, or nothing more.
 
-    Returns, per node id, the arc id the node was reached by (``~a`` when
-    arc ``a`` was crossed backwards) or ``None`` if it was not reached.
+    Returns, per node id, the slot of the arc the node was reached by
+    (``~a`` when arc ``a`` was crossed backwards) or ``None`` if it was not
+    reached.
     """
     cap, out, into, sink = network.cap, network.out, network.into, network.sink
     sink_arc = network.sink_arc
@@ -375,7 +497,7 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
     feasible by construction, and returns the flow it would reach from
     zero (see the module docstring).
     """
-    arcs, cap, sink = network.arcs, network.cap, network.sink
+    cap, sink, tails, heads = network.cap, network.sink, network.tails, network.heads
     if warm_start is None:
         seed = direct_flow(network)
         flows, value = seed.flows, seed.value
@@ -391,7 +513,7 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
         while v != 0:
             a = pred[v]
             path.append(a)
-            v = arcs[a][0] if a >= 0 else arcs[~a][1]
+            v = tails[a] if a >= 0 else heads[~a]
         bottleneck = min(cap[a] - flows[a] if a >= 0 else flows[~a] for a in path)
         for a in path:
             if a >= 0:
@@ -428,14 +550,13 @@ def flow_update(
 
     Every unit a buyer received of an object is rerouted through the tier
     the object now sits in (above-margin first, then at-margin) and dropped
-    if the object left both tiers.  The new arcs are read off the new
-    network's per-node arc lists, one buyer at a time: the tier arcs leave
-    the buyer's tier nodes, each tier node's source arc is its one incoming
-    arc, and each object has its sink arc.  The result is feasible in the
-    new network whenever the raise happened on the left-most min cut's
-    objects.
-    It is checked once, by ``max_flow`` when warm started from it (or by
-    ``check_feasible``), whose :class:`FlowError` signals a bug.
+    if the object left both tiers; a dropped unit leaves its object's sink
+    arc too.  The two networks share their arc slots, so a unit's new tier
+    arc is the slot of that tier and object, if it is present there.  The
+    result is feasible in the new network whenever the raise happened on
+    the left-most min cut's objects.  It is checked once, by ``max_flow``
+    when warm started from it (or by ``check_feasible``), whose
+    :class:`FlowError` signals a bug.
     """
     nodes = (old_network.width, old_network.buyers, old_network.objects)
     if nodes != (new_network.width, new_network.buyers, new_network.objects):
@@ -448,42 +569,47 @@ def flow_update(
     if len(steps) != 1 or min(steps) < 1:
         raise FlowError(f"price changes {deltas} are not a uniform raise on one object set")
 
-    width, first, sink = new_network.width, new_network.first_object, new_network.sink
-    out, into, sink_arc = new_network.out, new_network.into, new_network.sink_arc
-    flows = [0] * len(new_network.arcs)
+    width, first = new_network.width, new_network.first_object
+    row = len(new_network.objects) + 1
+    cap = new_network.cap
+    flows = list(old_flow.flows)
+    value = old_flow.value
+    # Take every unit off its tier node, as (above-margin tier node, object
+    # index, amount), before any is laid again.
+    moved = []
+    for u, arcs in enumerate(old_network.out[1:first], 1):
+        src = (u - 1) * row
+        for a, v in arcs:
+            amount = flows[a]
+            if amount:
+                flows[a] = 0
+                flows[src] -= amount
+                moved.append((u - (u - 1) % width, v - first, amount))
     dropped: dict[tuple[str, str], int] = {}
-    value = 0
-    block, tier_arcs = -1, {}
-    for (u, obj, _), carried in zip(old_network.arcs, old_flow.flows):
-        # Only tier arcs, buyer tier to object, say who received what.
-        if carried == 0 or u == 0 or obj == sink:
-            continue
-        above = u - (u - 1) % width
-        if above != block:
-            # The buyer's (source arc, tier arc) in the new network by
-            # object: a tier node's one incoming arc is its source arc, and
-            # a report's tiers are disjoint.
-            block = above
-            tier_arcs = {v: (into[k][0][0], a) for k in (above, above + 1) for a, v in out[k]}
-        arcs = tier_arcs.get(obj)
-        if arcs is None:
-            key = (new_network.buyers[(u - 1) // width], new_network.objects[obj - first])
-            dropped[key] = dropped.get(key, 0) + carried
-            continue
-        for a in (*arcs, sink_arc[obj]):
-            flows[a] += carried
-        value += carried
+    for above, x, amount in moved:
+        src = (above - 1) * row
+        for s in (src, src + row):
+            if cap[s + 1 + x]:
+                flows[s] += amount
+                flows[s + 1 + x] += amount
+                break
+        else:
+            key = (new_network.buyers[(above - 1) // width], new_network.objects[x])
+            dropped[key] = dropped.get(key, 0) + amount
+            flows[(first - 1) * row + x] -= amount
+            value -= amount
     return FlowUpdateResult(IntegralFlow(flows, value), dropped)
 
 
 def tier_flows(network: FlowNetwork, flow: IntegralFlow) -> list[tuple[str, str, int]]:
     """(buyer, object, amount) for every tier arc that carries flow, in
     canonical buyer, then object order."""
-    width, first, sink = network.width, network.first_object, network.sink
+    width, first, out, flows = network.width, network.first_object, network.out, flow.flows
     carried = sorted(
-        ((u - 1) // width, v, amount)
-        for (u, v, _), amount in zip(network.arcs, flow.flows)
-        if amount > 0 and u != 0 and v != sink
+        ((u - 1) // width, v, flows[a])
+        for u in range(1, first)
+        for a, v in out[u]
+        if flows[a] > 0
     )
     return [(network.buyers[b], network.objects[v - first], amount) for b, v, amount in carried]
 
@@ -495,17 +621,16 @@ def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:
     (the tier and object nodes always exist); tier-to-object arcs appear
     only when present.  The order is canonical, so output is byte-stable.
     """
-    amounts = flow.flows if flow is not None else [0] * len(network.arcs)
-    present = {(u, v): (c, f) for (u, v, c), f in zip(network.arcs, amounts)}
-    labels, first, sink = network.labels, network.first_object, network.sink
+    cap, labels, tails, heads = network.cap, network.labels, network.tails, network.heads
+    amounts = flow.flows if flow is not None else [0] * len(cap)
+    first, row = network.first_object, len(network.objects) + 1
 
-    def line(u: int, v: int) -> str:
-        cap, amount = present.get((u, v), (0, 0))
-        return f"{labels[u]} -> {labels[v]} [{cap}, {amount}]"
+    def line(a: int) -> str:
+        return f"{labels[tails[a]]} -> {labels[heads[a]]} [{cap[a]}, {amounts[a]}]"
 
-    lines = [line(0, k) for k in range(1, first)]
+    lines = [line((u - 1) * row) for u in range(1, first)]
     # Without its source arc, each buyer's block lists its tier arcs tier
     # by tier, in object order.
-    lines.extend(line(u, v) for u, v, _ in network.arcs if u != 0 and v != sink)
-    lines.extend(line(k, sink) for k in range(first, sink))
+    lines.extend(line(a) for u in range(1, first) for a, _ in network.out[u])
+    lines.extend(line(a) for a in range((first - 1) * row, len(cap)))
     return "\n".join(lines) + "\n"

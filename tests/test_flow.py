@@ -48,9 +48,15 @@ def node_labels(network):
 
 
 def labelled_arcs(network):
-    """The arcs as (tail, head, capacity) with node labels, in arc order."""
+    """The present arcs as (tail, head, capacity) with node labels, in slot
+    order."""
     labels = node_labels(network)
     return [(labels[u], labels[v], c) for u, v, c in network.arcs]
+
+
+def present_slots(network):
+    """The present arcs as (slot, tail, head) node ids, in slot order."""
+    return [(a, network.tails[a], network.heads[a]) for a, c in enumerate(network.cap) if c]
 
 
 def capacities(network):
@@ -61,13 +67,16 @@ def capacities(network):
 def amounts(network, flow):
     """The flow's amounts keyed by (tail, head) node labels."""
     labels = node_labels(network)
-    return {(labels[u], labels[v]): f for (u, v, _), f in zip(network.arcs, flow.flows)}
+    return {(labels[u], labels[v]): flow.flows[a] for a, u, v in present_slots(network)}
 
 
 def flow_of(network, by_arc, value):
     """A flow in ``network`` from amounts keyed by node labels."""
     labels = node_labels(network)
-    return IntegralFlow([by_arc.get((labels[u], labels[v]), 0) for u, v, _ in network.arcs], value)
+    flows = [0] * len(network.cap)
+    for a, u, v in present_slots(network):
+        flows[a] = by_arc.get((labels[u], labels[v]), 0)
+    return IntegralFlow(flows, value)
 
 
 def side_capacity(network, side):
@@ -111,6 +120,30 @@ def two_pass_arcs(instance, reports, width):
         if width == 3 and report.demand_zero > 0:
             arcs += [(j + "'''", i, supplies[i]) for i in report.zero if supplies[i] > 0]
     return arcs + [(i, "t", supplies[i]) for i in instance.objects if supplies[i] > 0]
+
+
+NETWORK_FIELDS = ("cap", "out", "into", "sink_arc", "cap_s", "arcs", "labels", "label_order")
+
+
+def check_slots(network):
+    """Every absent slot has capacity 0 and is in no adjacency list: the
+    slots the ``out`` lists hold, and those the ``into`` lists hold, are
+    each exactly the slots with a positive capacity."""
+    present = [a for a, c in enumerate(network.cap) if c]
+    assert min(network.cap, default=0) >= 0
+    assert sorted(a for arcs in network.out for a, _ in arcs) == present
+    assert sorted(a for arcs in network.into for a, _ in arcs) == present
+
+
+def snapshot(network):
+    """Copies of the lists a network built on this one must leave alone."""
+    return (
+        list(network.cap),
+        [list(arcs) for arcs in network.out],
+        [list(arcs) for arcs in network.into],
+        list(network.sink_arc),
+        network.cap_s,
+    )
 
 
 class TestBuildDemandNetwork:
@@ -168,24 +201,29 @@ class TestBuildDemandNetwork:
         climbed in every mode and warm setting, half of them from zero
         prices and half from random prices below the minimum: every network
         a walk patches from the network before equals a fresh one at its
-        prices, from the walk's reports, in every arc, every node's arc
-        lists, the sink arcs, the source capacity, the block ends and the
-        labels, and has the arcs of one from fresh reports.  The sweep
-        holds walks that copy blocks, walks on which every buyer is due,
-        objects without supply and buyers without demand.  On each market,
-        in both widths, a network patched from one at random prices with
-        the reports at other random prices for chosen due buyers equals a
-        fresh one too, with the due buyers first, last, adjacent, all of
-        them, none of them and a random set."""
+        prices, from the walk's reports, in every slot's capacity, every
+        node's arc lists in order, the sink arcs, the source capacity, the
+        present arcs and the labels, and has the arcs of one from fresh
+        reports.  Every absent slot has capacity 0 and is in no adjacency
+        list, and the base is left as it was before the patched network
+        was built on it.  The sweep holds walks that copy blocks, walks on
+        which every buyer is due, objects without supply and buyers
+        without demand.  On each market, in both widths, a network patched
+        from one at random prices with the reports at other random prices
+        for chosen due buyers equals a fresh one too, with the due buyers
+        first, last, adjacent, all of them, none of them and a random
+        set."""
         build = flow.build_demand_network
-        fields = ("arcs", "cap", "out", "into", "sink_arc", "cap_s", "ends", "labels", "label_order")
         seen = Counter()
 
         def checked(instance, prices, reports=None, base=None, due=()):
+            before = snapshot(base) if base is not None else None
             network = build(instance, prices, reports, base=base, due=due)
+            check_slots(network)
             if base is not None:
+                assert snapshot(base) == before
                 fresh = FlowNetwork(instance, prices, reports, 2)
-                for name in fields:
+                for name in NETWORK_FIELDS:
                     assert getattr(network, name) == getattr(fresh, name), name
                 assert network.arcs == build_demand_network(instance, prices).arcs
                 seen["copies blocks" if len(due) < len(instance.buyers) else "every buyer due"] += 1
@@ -221,20 +259,26 @@ class TestBuildDemandNetwork:
             old, new = tier_reports(inst, buyers, before), tier_reports(inst, buyers, after)
             for width in (2, 3):
                 base = FlowNetwork(inst, before, old, width)
+                kept = snapshot(base)
                 for case, due in chosen.items():
                     reports = {j: new[j] if j in due else old[j] for j in buyers}
                     patched = FlowNetwork(inst, after, reports, width, base=base, due=due)
                     fresh = FlowNetwork(inst, after, reports, width)
-                    for name in fields:
+                    check_slots(patched)
+                    for name in NETWORK_FIELDS:
                         assert getattr(patched, name) == getattr(fresh, name), (case, name)
                     seen[case] += not due or any(new[j] != old[j] for j in due)
+                assert snapshot(base) == kept
         assert min(seen.values()) >= 50 and len(seen) == 11, seen
 
     def test_a_base_of_other_nodes_is_refused(self, fig1, example1):
         zero = PriceVector.zero(fig1)
         reports = {j: tier_report(fig1, j, zero) for j in fig1.buyers}
         base = build_demand_network(fig1, zero, reports)
-        assert base.ends == [5, 7]
+        # 2 buyers, 2 tiers and 3 objects: tier node k's source arc is slot
+        # 4 * (k - 1) and its arc to the x-th object 4 * (k - 1) + 1 + x,
+        # and the sink arcs are slots 16 to 18.  j2' has no demand.
+        assert [a for a, c in enumerate(base.cap) if c] == [0, 1, 2, 4, 7, 12, 14, 16, 17, 18]
         # Other buyers, other objects, another width.
         renamed = validate_instance(
             {"alpha": 1, "beta": 1, "gamma": 4},
@@ -252,9 +296,22 @@ class TestBuildDemandNetwork:
         for instance, prices, misfit_reports, width in misfits:
             with pytest.raises(FlowError, match="^the base network does not share this network's nodes$"):
                 FlowNetwork(instance, prices, misfit_reports, width, base=base, due=())
-        # A base that fits, with no buyer due, gives the base's arcs.
+        # A base that fits, with no buyer due, lends every list.
         patched = FlowNetwork(fig1, zero, {}, 2, base=base, due=())
-        assert patched.arcs == base.arcs and patched.ends == base.ends
+        assert patched.arcs == base.arcs and patched.cap is not base.cap
+        assert all(a is b for a, b in zip(patched.out + patched.into, base.out + base.into))
+
+    def test_a_due_id_that_names_no_buyer_is_refused(self, fig1):
+        """A due buyer that is not one of the network's buyers raises
+        rather than being skipped, with or without a base."""
+        zero = PriceVector.zero(fig1)
+        reports = {j: tier_report(fig1, j, zero) for j in fig1.buyers}
+        base = build_demand_network(fig1, zero, reports)
+        for due in (["j3"], ["j1", "j3"], ("j3", "j2")):
+            for lender in (base, None):
+                with pytest.raises(FlowError, match="^due buyer 'j3' is not a buyer of this network$"):
+                    FlowNetwork(fig1, zero, reports, 2, base=lender, due=due)
+        assert FlowNetwork(fig1, zero, reports, 2, base=base, due=["j2", "j1"]).arcs == base.arcs
 
     def test_a_climb_holds_two_networks_at_a_time(self, monkeypatch):
         """A patched network keeps no reference to its base: when a walk
@@ -413,8 +470,8 @@ class TestBuildAllocationNetwork:
         """Each node's outgoing and incoming arcs, by label and capacity,
         come in the order of a two-pass emission that lays every source
         arc, then every tier arc, then every sink arc: the order the
-        solver's paths, flows and cuts were pinned on.  No arc has
-        capacity 0."""
+        solver's paths, flows and cuts were pinned on.  An absent arc has
+        capacity 0 and is in no adjacency list."""
         rng = random.Random(41)
         checked = 0
         for k in range(400):
@@ -425,7 +482,7 @@ class TestBuildAllocationNetwork:
                 (inst, build_demand_network(inst, prices)),
                 (balanced, build_allocation_network(inst, prices)),
             ):
-                assert 0 not in network.cap
+                check_slots(network)
                 reports = {j: tier_report(market, j, network.prices) for j in market.buyers}
                 arcs = two_pass_arcs(market, reports, network.width)
                 labels = node_labels(network)
@@ -502,9 +559,16 @@ class TestMaxFlow:
         overfull = flow_of(network, {("s", "j1'"): 5}, 5)
         with pytest.raises(FlowError, match=r"^flow 5 outside \[0, 2\] on s -> j1'$"):
             max_flow(network, warm_start=overfull)
-        # A flow is read by arc id, so one of another length fits no network.
-        with pytest.raises(FlowError, match="^flow has 11 amounts for a network of 10 arcs$"):
-            max_flow(network, warm_start=IntegralFlow([0] * (len(network.arcs) + 1), 0))
+        # A flow is read by arc slot, so one of another length fits no
+        # network: fig1 has 2 buyers, 2 tiers and 3 objects, so 2 * 2 * 4 + 3
+        # slots.
+        with pytest.raises(FlowError, match="^flow has 20 amounts for a network of 19 arc slots$"):
+            max_flow(network, warm_start=IntegralFlow([0] * (len(network.cap) + 1), 0))
+        # An absent arc carries nothing: s -> j2' has no demand.
+        absent = IntegralFlow([0] * len(network.cap), 0)
+        absent.flows[2 * 4] = 1
+        with pytest.raises(FlowError, match=r"^flow 1 outside \[0, 0\] on s -> j2'$"):
+            check_feasible(network, absent)
         stuck = flow_of(network, {("s", "j1'"): 1}, 1)
         with pytest.raises(FlowError, match="^conservation violated at j1'$"):
             max_flow(network, warm_start=stuck)
@@ -520,7 +584,9 @@ class TestMaxFlow:
             network = build_demand_network(inst, prices)
             best = max_flow(network)
             balance = {}
-            for (u, v, cap), amount in zip(labelled_arcs(network), best.flows):
+            carried = amounts(network, best)
+            for u, v, cap in labelled_arcs(network):
+                amount = carried[(u, v)]
                 assert 0 <= amount <= cap
                 balance[u] = balance.get(u, 0) - amount
                 balance[v] = balance.get(v, 0) + amount
@@ -534,8 +600,8 @@ class TestMaxFlow:
         # then alpha from j1'; alpha's arc into the sink has residual
         # capacity, so beta and gamma, which come later, are never reached.
         network = build_demand_network(fig1, PriceVector.zero(fig1))
-        pred = _residual_search(network, [0] * len(network.arcs))
-        assert network.label(network.arcs[pred[network.sink]][0]) == "alpha"
+        pred = _residual_search(network, [0] * len(network.cap))
+        assert network.label(network.tails[pred[network.sink]]) == "alpha"
         assert {network.label(k) for k, a in enumerate(pred) if a is not None} == {
             "s",
             "j1'",
@@ -548,7 +614,7 @@ class TestMaxFlow:
 
 def from_zero(network):
     """Edmonds-Karp from the zero flow, handed in as a warm start."""
-    return max_flow(network, warm_start=IntegralFlow([0] * len(network.arcs), 0))
+    return max_flow(network, warm_start=IntegralFlow([0] * len(network.cap), 0))
 
 
 class TestDirectFlow:
@@ -619,7 +685,7 @@ class TestLeftmostMinCut:
 
     def test_rejects_non_maximum_flow(self, fig1):
         network = build_demand_network(fig1, PriceVector.zero(fig1))
-        zero = IntegralFlow([0] * len(network.arcs), 0)
+        zero = IntegralFlow([0] * len(network.cap), 0)
         with pytest.raises(FlowError, match="^sink reachable in residual graph; flow is not maximum$"):
             leftmost_min_cut(network, zero)
 
@@ -639,7 +705,7 @@ class TestLeftmostMinCut:
             cold += 1
             if best.value:
                 with pytest.raises(FlowError, match="^sink reachable"):
-                    leftmost_min_cut(network, IntegralFlow([0] * len(network.arcs), 0))
+                    leftmost_min_cut(network, IntegralFlow([0] * len(network.cap), 0))
                 rejected += 1
             while True:
                 bare = IntegralFlow(list(best.flows), best.value)
@@ -754,6 +820,51 @@ class TestFlowUpdate:
         old_gap = old.cap_s - old_flow.value
         new_gap = new.cap_s - result.flow.value
         assert new_gap <= old_gap
+
+    def test_carry_sweep_equals_a_carry_between_fresh_builds(self, monkeypatch):
+        """On 1500 seeded markets climbed warm, half of them from random
+        prices below the minimum: each walk's carried flow, from a network
+        to the one built on it, equals the flow carried between two fresh
+        builds at the same prices, slot for slot, and the reference's,
+        arc by arc, with the same value and the same dropped units.  The
+        sweep holds walks with units on tier nodes whose arcs the new
+        network shares with the old, walks that reroute units to another
+        tier, and walks that drop units."""
+        update = flow.flow_update
+        seen = Counter()
+        market = None
+
+        def checked(old, old_flow, new):
+            result = update(old, old_flow, new)
+            fresh_old = build_demand_network(market, old.prices)
+            fresh_new = build_demand_network(market, new.prices)
+            assert fresh_old.arcs == old.arcs and fresh_new.arcs == new.arcs
+            apart = update(fresh_old, old_flow, fresh_new)
+            assert (result.flow.flows, result.flow.value) == (apart.flow.flows, apart.flow.value)
+            assert result.dropped == apart.dropped
+            carried, dropped = reference_flow_update(new, amounts(old, old_flow))
+            assert amounts(new, result.flow) == carried and result.dropped == dropped
+            assert result.flow.value == sum(f for (u, _), f in carried.items() if u == "s")
+            kept = [u for u in range(1, new.first_object) if new.out[u] is old.out[u]]
+            seen["units on shared arcs"] += any(old_flow.flows[a] for u in kept for a, _ in old.out[u])
+            moved = amounts(old, old_flow).items() - amounts(new, result.flow).items()
+            seen["units rerouted"] += any(f and u != "s" and v != "t" for (u, v), f in moved)
+            seen["units dropped"] += bool(result.dropped)
+            seen["walks"] += 1
+            return result
+
+        monkeypatch.setattr(flow, "flow_update", checked)
+        rng = random.Random(61)
+        for k in range(1500):
+            market = random_instance(
+                rng, max_objects=4, max_buyers=5, max_supply=4, max_demand=4, max_value=(6, 30)[k % 2]
+            )
+            start = None
+            if k % 2:
+                minimum, _ = price_raising(market)
+                start = PriceVector({i: rng.randint(0, p) for i, p in minimum.prices.items()})
+            price_raising(market, SolveOptions(mode="adapted", warm_start=True, start_prices=start))
+        assert seen["walks"] >= 1500 and min(seen.values()) >= 200, seen
 
     def test_rejects_non_uniform_raise(self, fig1):
         zero = PriceVector.zero(fig1)

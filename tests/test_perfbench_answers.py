@@ -139,29 +139,22 @@ def test_a_dense_solve_asks_the_tier_oracle_only_in_the_climb(monkeypatch):
 
 def test_a_dense_walk_lays_again_only_the_blocks_of_the_due_buyers(monkeypatch):
     """An adapted-cold solve of the ``dense`` market: 10 walks over 68
-    buyers, with 86 tier reports after the first 68.  A walk's network
-    holds the very arc tuples of the network before in the block of every
-    buyer who is not due: 680 - 86 = 594 blocks, so no such buyer has its
-    block laid again.  An empty block counts as held: 78 of the 594 are
-    empty, and no due buyer's block is empty on both sides.  Blocks are
-    told apart by their tier nodes."""
-    copied = 0
+    buyers, each with 2 tier nodes, and 86 tier reports after the first 68.
+    Of the 1360 tier-node ``out`` lists of the 10 walks' networks, 1188 are
+    the very lists of the network before, and the 2 * 86 of the due buyers
+    are new, so no buyer who is not due has its arcs laid again."""
+    shared = new = 0
     build = flow.build_demand_network
 
-    def blocks(network):
-        by_buyer = [[] for _ in network.buyers]
-        for arc in network.arcs:
-            u, v, _ = arc
-            if v != network.sink:
-                by_buyer[((v if u == 0 else u) - 1) // network.width].append(arc)
-        return by_buyer
-
     def counted(instance, prices, reports=None, base=None, due=()):
-        nonlocal copied
+        nonlocal shared, new
         network = build(instance, prices, reports, base=base, due=due)
         if base is not None:
-            for new, old in zip(blocks(network), blocks(base)):
-                copied += len(new) == len(old) and all(a is b for a, b in zip(new, old))
+            for u in range(1, network.first_object):
+                if network.out[u] is base.out[u]:
+                    shared += 1
+                else:
+                    new += 1
         return network
 
     monkeypatch.setattr(flow, "build_demand_network", counted)
@@ -170,7 +163,7 @@ def test_a_dense_walk_lays_again_only_the_blocks_of_the_due_buyers(monkeypatch):
     options = SolveOptions(mode="adapted", warm_start=False, start_prices=market.start)
     trace = solve(inst, options).trace
     assert (len(trace.walks), len(inst.buyers), trace.oracle_calls) == (10, 68, 154)
-    assert copied == len(trace.walks) * len(inst.buyers) - (trace.oracle_calls - len(inst.buyers))
+    assert (shared, new) == (1188, 2 * 86)
 
 
 def test_every_max_flow_starts_from_the_direct_paths(monkeypatch):
