@@ -6,18 +6,25 @@ enumerating the price grid, and descent sets by evaluating the potential on
 every object subset.  The Hall condition and the flow criterion both read
 ``build_demand_network``, whose arcs ``FlowNetwork`` alone lays: the first
 counts each subset's overdemand off its tier arcs, the second runs
-``max_flow`` on it.  The flow criterion first computes the network's
-source capacity in closed form, from the instance rows alone:
-``sum_j min(d_j, sum of b_i over the objects with v_ij > p_i)``.  The
-greedy behind a tier report takes the objects of positive payoff in order
-of falling payoff until the demand is met, and takes every object above
-the margin in full, so a buyer's above-margin and at-margin demands sum
-to that minimum.  Every unit of flow leaves through an object's sink arc,
-which holds that object's supply, so a source capacity above total supply
-cannot be saturated, and such prices are rejected, exactly, before any
-tier report or network.  The price grid flow-checks each vector once: a
-box corner equal to an ``upper`` that passed the criterion takes its
-verdict.  Bundle enumeration and the descent potential do not read the
+``max_flow`` on it.  Before any tier report or network, the flow criterion
+applies two exact supply bounds that read only the instance rows, nothing
+of the solver.  Let P_j be the objects in supply that buyer j values above
+their price, and c_j = min(d_j, supply of P_j).  The greedy behind a tier
+report takes the objects of positive payoff in order of falling payoff
+until the demand is met, and takes every object above the margin in full,
+so c_j is the buyer's source capacity and each of its tier arcs leads into
+P_j.  A saturating flow carries all of c_j into P_j and out through sink
+arcs that hold the objects' supplies, so prices are not competitive when
+(1) the c_j sum to more than total supply, or (2) for some j, the c_k of
+the buyers k with P_k a subset of P_j sum to more than the supply of P_j.
+``is_competitive_flowcheck`` feeds one vector to the bounds, and the price
+grid feeds them incrementally: it walks its box as prefixes over every
+object but the last times the price of the last, takes each buyer's P_j
+and its supply once per prefix and adds a precomputed column for each
+price of the last object.  Only a vector that passes both bounds becomes
+a ``PriceVector`` with a network, whose max flow decides it; a box corner
+equal to an ``upper`` that passed the criterion takes its verdict.
+Bundle enumeration and the descent potential do not read the
 network, so they check those rules.  The flow criterion shares
 ``tier_reports``, ``build_demand_network`` and ``max_flow`` with the
 solver, and with it the max flow's start along the direct paths,
@@ -36,6 +43,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import add, gt, or_
 from typing import Iterable, Iterator, Mapping
 
 from .flow import build_demand_network, max_flow
@@ -171,39 +179,86 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
     return False, tuple(i for i in instance.objects if i in minimal)
 
 
-def _source_capacity(instance: Instance, prices: PriceVector) -> int:
-    """The demand network's source capacity, from the instance rows alone:
-    each buyer's demand, capped by the supply of the objects the buyer
-    values above their price."""
-    price = prices.prices
-    row = [price[i] for i in instance.objects]
-    supplies, values = instance.supply_row, instance.value_rows
-    return sum(
-        min(d, sum(b for v, p, b in zip(values[j], row, supplies) if v > p))
-        for j, d in instance.demands.items()
-        if d
-    )
+def _bound_rows(
+    instance: Instance,
+) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
+    """The instance rows the supply bounds read: the demands and value rows
+    of the buyers with demand, the supplies, and each object's bit in a
+    buyer's mask (0 for an object without supply)."""
+    demands, rows = instance.demands, instance.value_rows
+    buyers = [j for j in instance.buyers if demands[j]]
+    supplies = instance.supply_row
+    bits = tuple(b and 1 << k for k, b in enumerate(supplies))
+    return [demands[j] for j in buyers], [rows[j] for j in buyers], supplies, bits
+
+
+def _valued_above(
+    rows: Iterable[tuple[int, ...]],
+    price_row: tuple[int, ...],
+    supplies: tuple[int, ...],
+    bits: tuple[int, ...],
+) -> tuple[list[int], list[int]]:
+    """Per value row, over the objects it values above ``price_row``: the
+    mask of those in supply and the sum of their supplies.  The rows may
+    be any slice of the objects, with the matching slices of the rest."""
+    masks, reach = [], []
+    for row in rows:
+        supply = sum(itertools.compress(supplies, map(gt, row, price_row)))
+        masks.append(supply and sum(itertools.compress(bits, map(gt, row, price_row))))
+        reach.append(supply)
+    return masks, reach
+
+
+def _exceeds_supply(total: int, demands: list[int], masks: list[int], reach: list[int]) -> bool:
+    """Whether the two supply bounds of ``is_competitive_flowcheck`` reject
+    a price vector, given per buyer its demand d_j, the mask of P_j (the
+    objects in supply it values above their price) and the supply of P_j:
+    the c_j = min(d_j, supply of P_j) exceed total supply, or the c_k of
+    the buyers k with P_k a subset of P_j exceed the supply of P_j."""
+    caps = list(map(min, demands, reach))
+    capacity = sum(caps)
+    if capacity > total:
+        return True
+    # A buyer without capacity adds to no sum, and its P_j is empty; a P_j
+    # with as much supply as all the capacity holds any sum of it.
+    live = list(itertools.compress(range(len(caps)), caps))
+    for j in live:
+        if reach[j] < capacity:
+            mask = masks[j]
+            if sum(caps[k] for k in live if not masks[k] & ~mask) > reach[j]:
+                return True
+    return False
+
+
+def _saturates(instance: Instance, prices: PriceVector) -> bool:
+    """The flow criterion's network verdict: max flow saturates the source."""
+    network = build_demand_network(instance, prices)
+    return max_flow(network).value == network.cap_s
 
 
 def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
     """Competitiveness via the demand network: max flow saturates the source.
 
-    The source capacity comes first, in closed form: ``sum_j min(d_j, sum
-    of b_i over the objects with v_ij > p_i)``.  The greedy takes every
-    object of positive payoff, in order of falling payoff, until the
-    demand is met, so it takes each object above the margin in full and
-    the buyer's above-margin and at-margin demands sum to ``min(d_j,
-    positive supply)``.  Every unit of flow leaves through an object's
-    sink arc, which holds that object's supply, so no flow exceeds total
-    supply.  Prices whose source capacity exceeds total supply are
-    therefore not competitive, and are rejected exactly without a tier
+    Two exact supply bounds come first, read off the instance rows alone.
+    Let P_j be the objects in supply that buyer j values above their price
+    and c_j = min(d_j, supply of P_j).  The greedy takes every object of
+    positive payoff, in order of falling payoff, until the demand is met,
+    so it takes each object above the margin in full: c_j is the buyer's
+    source capacity, and each of its tier arcs leads into P_j.  A
+    saturating flow therefore carries all of c_j into P_j and out through
+    the sink arcs, which hold the objects' supplies.  So prices are not
+    competitive when the c_j sum to more than total supply, or when, for
+    some j, the c_k of the buyers k with P_k a subset of P_j sum to more
+    than the supply of P_j; either rejects them exactly, without a tier
     report or a network.  Otherwise the network is built and its max flow
-    decides.
+    decides.  The price grid feeds the same bounds incrementally.
     """
-    if _source_capacity(instance, prices) > instance.total_supply:
+    demands, rows, supplies, bits = _bound_rows(instance)
+    price_row = tuple(map(prices.prices.__getitem__, instance.objects))
+    masks, reach = _valued_above(rows, price_row, supplies, bits)
+    if _exceeds_supply(instance.total_supply, demands, masks, reach):
         return False
-    network = build_demand_network(instance, prices)
-    return max_flow(network).value == network.cap_s
+    return _saturates(instance, prices)
 
 
 def is_competitive_bruteforce(instance: Instance, prices: PriceVector) -> bool:
@@ -247,19 +302,30 @@ def min_competitive_bruteforce(
 ) -> PriceVector:
     """Component-wise minimum competitive prices by grid enumeration.
 
-    Every price vector in {0, ..., v_max + 1}^objects is tested with the
+    Every price vector in {0, ..., v_max + 1}^objects is decided by the
     flow criterion; at v_max + 1 nothing is demanded, so the grid always
     contains a competitive vector.  The minimum lies below every
     competitive vector, so if ``upper`` is given and passes the flow
     criterion, only the box {0, ..., upper_i} of the grid is enumerated;
     otherwise the whole grid is.  The whole grid is never smaller than the
     box, so a box beyond the budget raises with the box's count before
-    ``upper`` is checked.  Each vector is flow-checked once: when no
-    ``upper_i`` exceeds v_max + 1, the box corner is ``upper`` itself and
-    takes its verdict, in the enumeration and, if it is the minimum, in
-    the final check.  That check asks that the component-wise minimum of
-    the competitive vectors be competitive itself; if it is not, a
-    :class:`GuaranteeViolation` is raised.
+    ``upper`` is checked.
+
+    Each vector is decided once, as ``is_competitive_flowcheck`` decides
+    it: first by the two supply bounds, which read only the instance rows
+    (the source capacities c_j = min(d_j, supply of P_j), where P_j holds
+    the objects in supply that buyer j values above their price, must fit
+    within total supply, and those of the buyers whose P_k lies in P_j
+    within the supply of P_j), then by the max flow of its network.  The
+    box is walked as prefixes over every object but the last times the
+    price of the last: each buyer's P_j and supply are taken once per
+    prefix, and each price of the last object adds a precomputed column.
+    Only a vector that passes both bounds is built as a ``PriceVector``.
+    When no ``upper_i`` exceeds v_max + 1, the box corner is ``upper``
+    itself and takes its verdict, in the enumeration and, if it is the
+    minimum, in the final check.  That check asks that the component-wise
+    minimum of the competitive vectors be competitive itself; if it is
+    not, a :class:`GuaranteeViolation` is raised.
     """
     return _grid_minimum(instance, budget, upper, None)
 
@@ -270,33 +336,49 @@ def _grid_minimum(
     """``min_competitive_bruteforce`` with ``upper``'s flow-criterion
     verdict, if the caller knows it already; ``None`` has it checked here
     when the box is within the budget."""
+    objects = instance.objects
     top = instance.max_valuation + 1
-    bounds = [top] * len(instance.objects)
+    bounds = [top] * len(objects)
     passed: tuple[int, ...] | None = None  # a corner known to be competitive
     if upper is not None:
-        box = [min(upper[i], top) for i in instance.objects]
+        box = [min(upper[i], top) for i in objects]
         if math.prod(b + 1 for b in box) > budget:
             bounds = box
         elif upper_passes if upper_passes is not None else is_competitive_flowcheck(instance, upper):
             bounds = box
-            if all(upper[i] <= top for i in instance.objects):
+            if all(upper[i] <= top for i in objects):
                 passed = tuple(box)
     count = math.prod(b + 1 for b in bounds)
     if count > budget:
         raise BudgetExceededError(f"price grid of {count} vectors exceeds budget {budget}")
-    minimum: list[int] | None = None
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        if combo == passed or is_competitive_flowcheck(
-            instance, PriceVector(dict(zip(instance.objects, combo)))
-        ):
-            if minimum is None:
-                minimum = list(combo)
-            else:
-                minimum = [min(a, b) for a, b in zip(minimum, combo)]
+    demands, rows, supplies, bits = _bound_rows(instance)
+    total = instance.total_supply
+    # Prefixes over every object but the last, times the prices of the
+    # last; with no objects, one empty prefix times one empty price.
+    cut = max(len(objects) - 1, 0)
+    head_rows, head_supplies, head_bits = [row[:cut] for row in rows], supplies[:cut], bits[:cut]
+    tail_rows = [row[cut:] for row in rows]
+    columns = [
+        (tail, *_valued_above(tail_rows, tail, supplies[cut:], bits[cut:]))
+        for tail in itertools.product(*(range(b + 1) for b in bounds[cut:]))
+    ]
+    minimum: tuple[int, ...] | None = None
+    for head in itertools.product(*(range(b + 1) for b in bounds[:cut])):
+        masks, reach = _valued_above(head_rows, head, head_supplies, head_bits)
+        for tail, tail_masks, tail_reach in columns:
+            combo = head + tail
+            if combo != passed and (
+                _exceeds_supply(
+                    total, demands, list(map(or_, masks, tail_masks)), list(map(add, reach, tail_reach))
+                )
+                or not _saturates(instance, PriceVector(dict(zip(objects, combo))))
+            ):
+                continue
+            minimum = combo if minimum is None else tuple(map(min, minimum, combo))
     if minimum is None:
         raise GuaranteeViolation("no competitive vector found in the price grid")
-    result = PriceVector(dict(zip(instance.objects, minimum)))
-    if tuple(minimum) != passed and not is_competitive_flowcheck(instance, result):
+    result = PriceVector(dict(zip(objects, minimum)))
+    if minimum != passed and not is_competitive_flowcheck(instance, result):
         raise GuaranteeViolation(
             "component-wise minimum of competitive prices is not competitive"
         )

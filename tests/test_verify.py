@@ -31,6 +31,42 @@ from flowauction.verify import (
 from conftest import price_pressure_pair
 
 
+def subset_bound_rejects(inst, prices):
+    """The subset supply bound from its definition, on object sets: for
+    some buyer j, the set P_j of objects in supply that j values above
+    their price holds less supply than the source capacities, min(d_k,
+    supply of P_k), of the buyers k whose P_k lies in P_j."""
+    valued = {
+        j: frozenset(i for i in inst.objects if inst.supplies[i] and inst.valuations[(i, j)] > prices[i])
+        for j in inst.buyers
+    }
+    supply = {j: sum(inst.supplies[i] for i in s) for j, s in valued.items()}
+    cap = {j: min(inst.demands[j], supply[j]) for j in inst.buyers}
+    return any(
+        sum(cap[k] for k in inst.buyers if valued[k] <= valued[j]) > supply[j] for j in inst.buyers
+    )
+
+
+def count_grid_work(monkeypatch):
+    """Record, through verify's bindings, the verdict of each call of the
+    supply bounds (one per vector decided; True rejects) and the prices,
+    in object order, of each demand network built."""
+    exceeds, build = verify._exceeds_supply, verify.build_demand_network
+    verdicts, built = [], []
+
+    def counted_bounds(*args):
+        verdicts.append(exceeds(*args))
+        return verdicts[-1]
+
+    def counted_build(instance, prices, reports=None):
+        built.append(tuple(prices[i] for i in instance.objects))
+        return build(instance, prices, reports)
+
+    monkeypatch.setattr(verify, "_exceeds_supply", counted_bounds)
+    monkeypatch.setattr(verify, "build_demand_network", counted_build)
+    return verdicts, built
+
+
 class TestOverdemand:
     def test_fig1_beta(self, fig1):
         assert overdemand(fig1, PriceVector.zero(fig1), {"beta"}) == 2
@@ -128,16 +164,34 @@ class TestCompetitiveChecks:
             )
 
     def test_supply_bound_is_the_source_capacity_in_closed_form(self):
-        """sum_j min(d_j, supply valued above its price) is the demand
-        network's source capacity, on markets with unsupplied objects,
-        buyers without demand, zero values and prices above every value."""
+        """The bound rows give, per buyer with demand, the mask and the
+        supply of P_j, the objects in supply it values above their price;
+        sum_j min(d_j, supply of P_j) is the demand network's source
+        capacity, and every tier arc of buyer j leads into P_j.  On markets
+        with unsupplied objects, buyers without demand, zero values and
+        prices above every value."""
         rng = random.Random(79)
         seen = dict.fromkeys(("unsupplied", "no demand", "zero value", "priced out"), 0)
         for k in range(1800):
             inst = random_instance(rng, max_value=(4, 30, 300)[k % 3])
             prices = random_prices(rng, inst)
-            capacity = build_demand_network(inst, prices).cap_s
-            assert verify._source_capacity(inst, prices) == capacity, (inst, prices)
+            network = build_demand_network(inst, prices)
+            demands, rows, supplies, bits = verify._bound_rows(inst)
+            price_row = tuple(prices[i] for i in inst.objects)
+            masks, reach = verify._valued_above(rows, price_row, supplies, bits)
+            buyers = [j for j in inst.buyers if inst.demands[j]]
+            assert demands == [inst.demands[j] for j in buyers]
+            assert sum(map(min, demands, reach)) == network.cap_s, (inst, prices)
+            valued = {
+                j: {i for i in inst.objects if inst.supplies[i] and inst.valuations[(i, j)] > prices[i]}
+                for j in inst.buyers
+            }
+            for j, mask, supply in zip(buyers, masks, reach):
+                assert {i for x, i in enumerate(inst.objects) if mask >> x & 1} == valued[j]
+                assert supply == sum(inst.supplies[i] for i in valued[j])
+            for node in range(1, network.first_object):
+                heads = {network.labels[v] for _, v in network.out[node]}
+                assert heads <= valued[inst.buyers[(node - 1) // 2]], (inst, prices)
             seen["unsupplied"] += 0 in inst.supplies.values()
             seen["no demand"] += 0 in inst.demands.values()
             seen["zero value"] += 0 in inst.valuations.values()
@@ -146,9 +200,11 @@ class TestCompetitiveChecks:
 
     def test_supply_bound_sweep_agrees_with_the_flow_and_the_bundles(self, monkeypatch):
         """The flow criterion rejects prices whose source capacity exceeds
-        total supply without a tier report or a network, and agrees with
-        the max flow on the demand network and with bundle enumeration.
-        It reaches the tier oracle only through the network builder."""
+        total supply, or whose buyers' source capacities exceed the supply
+        of some buyer's P_j, without a tier report or a network, and agrees
+        with the max flow on the demand network and with bundle
+        enumeration.  It reaches the tier oracle only through the network
+        builder."""
         built, reported = [], []
 
         def counted(instance, prices, reports=None):
@@ -162,7 +218,7 @@ class TestCompetitiveChecks:
         monkeypatch.setattr(verify, "build_demand_network", counted)
         monkeypatch.setattr(flow, "tier_reports", counted_reports)
         rng = random.Random(73)
-        decided = {"bound": 0, "flow accepts": 0, "flow rejects": 0}
+        decided = {"bound": 0, "subset bound": 0, "flow accepts": 0, "flow rejects": 0}
         enumerated = 0
         for k in range(1800):
             inst = random_instance(rng, max_value=(4, 30, 300)[k % 3])
@@ -175,6 +231,9 @@ class TestCompetitiveChecks:
             if network.cap_s > inst.total_supply:
                 assert not saturated and built == [] and reported == []
                 decided["bound"] += 1
+            elif subset_bound_rejects(inst, prices):
+                assert not saturated and built == [] and reported == []
+                decided["subset bound"] += 1
             else:
                 assert built == [prices] and reported == list(inst.buyers)
                 decided["flow accepts" if saturated else "flow rejects"] += 1
@@ -216,73 +275,64 @@ class TestMinCompetitiveBruteforce:
 
     def test_a_box_beyond_the_budget_raises_before_the_flow_check(self, fig1, monkeypatch):
         """The whole grid is never smaller than the box, so a box beyond
-        the budget ends the search before the bound is checked."""
-        import flowauction.verify as verify
-
-        flowcheck, tried = verify.is_competitive_flowcheck, []
-
-        def counted(instance, prices):
-            tried.append(prices)
-            return flowcheck(instance, prices)
-
-        monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
+        the budget ends the search before the bound is checked: no vector
+        is decided and no network built."""
+        verdicts, built = count_grid_work(monkeypatch)
         bound = PriceVector({"alpha": 3, "beta": 3, "gamma": 3})
         with pytest.raises(BudgetExceededError, match="^price grid of 64 vectors exceeds budget 10$"):
             min_competitive_bruteforce(fig1, budget=10, upper=bound)
-        assert tried == []
+        assert verdicts == [] and built == []
 
     def test_box_below_a_competitive_bound_finds_the_grid_minimum(self, monkeypatch):
         """A competitive bound limits the search to the box under it; one
-        that is not competitive leaves the whole grid to search."""
-        import flowauction.verify as verify
-
-        flowcheck, tried = verify.is_competitive_flowcheck, []
-
-        def counted(instance, prices):
-            tried.append(prices)
-            return flowcheck(instance, prices)
-
+        that is not competitive leaves the whole grid to search.  The
+        supply bounds decide each vector once, in grid order, and exactly
+        the vectors they pass get a network."""
+        verdicts, built = count_grid_work(monkeypatch)
         rng = random.Random(41)
-        boxed = 0
+        boxed = rejected = 0
         for _ in range(150):
             inst = random_instance(rng, max_objects=3, max_buyers=3)
             full = min_competitive_bruteforce(inst)
-            grid = (inst.max_valuation + 2) ** len(inst.objects)
             bound = random_prices(rng, inst)
-            monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
-            tried.clear()
+            competitive = is_competitive_flowcheck(inst, bound)
+            verdicts.clear()
+            built.clear()
             assert min_competitive_bruteforce(inst, upper=bound) == full
-            monkeypatch.setattr(verify, "is_competitive_flowcheck", flowcheck)
-            if flowcheck(inst, bound):
-                # The bound's verdict stands for the box corner, and for the
-                # minimum when it is that corner.
+            corner = tuple(bound[i] for i in inst.objects)
+            minimum = tuple(full[i] for i in inst.objects)
+            if competitive:
+                # The bound's verdict stands for the box corner, the last
+                # box vector, and for the minimum when it is that corner.
                 boxed += 1
-                assert all(p[i] <= bound[i] for p in tried[1:] for i in inst.objects)
-                box = math.prod(bound[i] + 1 for i in inst.objects)
-                assert len(tried) == box + (full != bound)
+                vectors = list(itertools.product(*(range(p + 1) for p in corner)))[:-1]
+                final = [minimum] if minimum != corner else []
             else:
-                assert len(tried) == 2 + grid
-        assert boxed >= 40
+                top = inst.max_valuation + 1
+                vectors = list(itertools.product(range(top + 1), repeat=len(inst.objects)))
+                final = [minimum]
+            decided = [corner, *vectors, *final]
+            assert len(verdicts) == len(decided)
+            assert built == [p for p, out in zip(decided, verdicts) if not out]
+            rejected += sum(verdicts)
+        assert boxed >= 40 and rejected > 0
 
     def test_a_bound_above_the_grid_still_checks_the_clamped_corner(self, fig1, monkeypatch):
         """Beyond v_max + 1 = 4 the box corner is a vector other than the
-        bound, so it is flow-checked like the rest of the box."""
-        flowcheck, tried = verify.is_competitive_flowcheck, []
-
-        def counted(instance, prices):
-            tried.append(prices.as_dict())
-            return flowcheck(instance, prices)
-
-        monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
+        bound, so it is decided like the rest of the box."""
+        verdicts, built = count_grid_work(monkeypatch)
         bound = PriceVector({"alpha": 9, "beta": 1, "gamma": 0})
         assert min_competitive_bruteforce(fig1, upper=bound).as_dict() == {
             "alpha": 0,
             "beta": 1,
             "gamma": 0,
         }
-        # The bound, the 5 * 2 * 1 box vectors and the minimum found.
-        assert len(tried) == 12 and tried[0] == bound.as_dict()
-        assert {"alpha": 4, "beta": 1, "gamma": 0} in tried[1:-1]
+        # The bound, the 5 * 2 * 1 box vectors, the last of them the clamped
+        # corner, and the minimum found.  gamma's supply of 4 covers j1's
+        # demand, so the supply bounds pass every one to its network.
+        decided = [(9, 1, 0), *itertools.product(range(5), range(2), range(1)), (0, 1, 0)]
+        assert verdicts == [False] * 12 and built == decided
+        assert decided[-2] == (4, 1, 0)
 
     def test_a_minimum_other_than_the_corner_is_checked_again(self, monkeypatch):
         """A criterion under which the box's minimum is not competitive
@@ -292,6 +342,83 @@ class TestMinCompetitiveBruteforce:
         monkeypatch.setattr(verify, "is_competitive_flowcheck", lambda instance, p: p["a"] + p["b"] > 0)
         with pytest.raises(GuaranteeViolation, match="minimum of competitive prices is not competitive"):
             min_competitive_bruteforce(inst, upper=PriceVector({"a": 1, "b": 1}))
+
+
+    def test_a_market_without_objects_has_the_empty_minimum(self, monkeypatch):
+        """The grid is one vector, the empty one, and nothing is demanded
+        at it: it is decided once, by its network."""
+        inst = validate_instance({}, {"b": 2}, {"b": {}})
+        verdicts, built = count_grid_work(monkeypatch)
+        assert min_competitive_bruteforce(inst) == PriceVector({})
+        assert verdicts == [False, False] and built == [(), ()]
+        verdicts.clear()
+        built.clear()
+        # The bound passes, and its verdict stands for the one vector.
+        assert min_competitive_bruteforce(inst, upper=PriceVector({})) == PriceVector({})
+        assert verdicts == [False] and built == [()]
+
+    def test_a_market_without_buyers_is_competitive_at_zero(self, monkeypatch):
+        inst = validate_instance({"a": 1, "b": 0}, {}, {})
+        verdicts, built = count_grid_work(monkeypatch)
+        assert min_competitive_bruteforce(inst).as_dict() == {"a": 0, "b": 0}
+        # The 2 * 2 grid, then the minimum found.
+        assert verdicts == [False] * 5
+        assert built == [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
+
+    def test_a_market_without_demand_is_competitive_at_zero(self, monkeypatch):
+        inst = validate_instance(
+            {"a": 2, "b": 1}, {"x": 0, "y": 0}, {"x": {"a": 3, "b": 1}, "y": {"a": 0, "b": 2}}
+        )
+        verdicts, built = count_grid_work(monkeypatch)
+        assert min_competitive_bruteforce(inst).as_dict() == {"a": 0, "b": 0}
+        assert len(verdicts) == 5 * 5 + 1 and not any(verdicts) and len(built) == 26
+        verdicts.clear()
+        built.clear()
+        upper = PriceVector({"a": 1, "b": 2})
+        assert min_competitive_bruteforce(inst, upper=upper).as_dict() == {"a": 0, "b": 0}
+        # The bound, the 2 * 3 box less its corner, and the minimum found.
+        assert verdicts == [False] * 7
+        assert built == [(1, 2), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (0, 0)]
+
+    def test_subset_supply_bound_sweep_against_a_reference_grid(self):
+        """On 1500 random markets, with values up to 4, 30 and 300,
+        unsupplied objects and buyers without demand: the supply bounds
+        never reject a vector whose demand network saturates, the subset
+        bound rejects vectors that the total-supply bound passes, and the
+        grid minimum, with and without ``upper``, equals a reference that
+        decides every vector of the grid by its network's max flow alone.
+        The reference runs where the whole grid holds at most 216 vectors;
+        elsewhere the bounds are checked on 10 random vectors."""
+        rng = random.Random(83)
+        seen = dict.fromkeys(("unsupplied", "no demand", "subset only", "compared"), 0)
+        for k in range(1500):
+            inst = random_instance(rng, max_buyers=4, max_value=(4, 30, 300)[k % 3])
+            demands, rows, supplies, bits = verify._bound_rows(inst)
+            top = inst.max_valuation + 1
+            grid = (top + 1) ** len(inst.objects)
+            if grid <= 216:
+                vectors = list(itertools.product(range(top + 1), repeat=len(inst.objects)))
+            else:
+                vectors = [tuple(random_prices(rng, inst).prices.values()) for _ in range(10)]
+            competitive = []
+            for combo in vectors:
+                prices = PriceVector(dict(zip(inst.objects, combo)))
+                network = build_demand_network(inst, prices)
+                saturated = max_flow(network).value == network.cap_s
+                masks, reach = verify._valued_above(rows, combo, supplies, bits)
+                if verify._exceeds_supply(inst.total_supply, demands, masks, reach):
+                    assert not saturated, (inst, prices)
+                    seen["subset only"] += network.cap_s <= inst.total_supply
+                if saturated:
+                    competitive.append(combo)
+            if grid <= 216:
+                reference = PriceVector(dict(zip(inst.objects, (min(c) for c in zip(*competitive)))))
+                assert min_competitive_bruteforce(inst) == reference, inst
+                assert min_competitive_bruteforce(inst, upper=reference) == reference, inst
+                seen["compared"] += 1
+            seen["unsupplied"] += 0 in inst.supplies.values()
+            seen["no demand"] += 0 in inst.demands.values()
+        assert all(count > 0 for count in seen.values()) and seen["compared"] >= 600, seen
 
 
 class TestLyapunov:
