@@ -28,11 +28,12 @@ reports: ``oracle_calls`` is the same as if every buyer were asked on
 every walk.  Every possible arc has a slot fixed by its buyer, tier and
 object, so the walk's network copies the capacities of the network before
 in one slice, shares its arc lists wherever the recomputed buyers' arcs do
-not reach, and lays only those buyers' arcs.  A warm start carries the
-flow over to the changed network, a cold start computes a fresh max flow
-there, which ``max_flow`` starts from the network's direct paths; either
-way the cut is read off the search that ended the max flow.  The trace
-keeps one record per walk, and the mode decides only how it is read
+not reach, and lays only those buyers' arcs.  Each network gets a fresh
+max flow, which ``max_flow`` starts from the network's direct paths, and
+the cut is read off the search that ended it.  A max flow has the same
+value and the same left-most cut whatever flow it starts from, so no flow
+is carried from one network to the next (see ``flow.flow_update``).  The
+trace keeps one record per walk, and the mode decides only how it is read
 (``AuctionTrace``): one record per unit raise, or one per run of raises on
 the same object set.
 """
@@ -62,6 +63,11 @@ class SolveOptions:
     responsibility and cannot be checked up front.  The auction starts from
     ``first_prices``, which sets the one exception, an object without
     supply, to 0.
+
+    ``warm_start`` is read by nothing in the solver: every climb starts
+    each network's max flow afresh.  It is kept only because the benchmark
+    (``perfbench/run.py``) constructs options with it, and goes when the
+    benchmark drops its warm configurations.
     """
 
     mode: str = "unit"
@@ -204,17 +210,11 @@ def price_raising(
         )
         climbed += step
         calls += walk_calls
-        if opts.warm_start:
-            update = flownet.flow_update(network, best, next_network)
-            next_best = flownet.max_flow(next_network, warm_start=update.flow)
-            handoff_gap = next_network.cap_s - update.flow.value
-        else:
-            next_best, handoff_gap = flownet.max_flow(next_network), None
         if any(next_network.prices[i] > price_bound for i in raised):
             raise AuctionError("price raised beyond the maximum valuation")
         state = (network.prices.prices, raised, cut.labels, best.value, network.cap_s)
-        walks.append(IterationRecord(len(walks), *state, step, handoff_gap))
-        network, best = next_network, next_best
+        walks.append(IterationRecord(len(walks), *state, step))
+        network, best = next_network, flownet.max_flow(next_network)
     raise AuctionError("auction failed to terminate within the price bound")
 
 

@@ -1,5 +1,5 @@
 """Auxiliary flow networks, an exact integral max-flow solver, left-most
-min cuts, and the warm-start flow update.
+min cuts, and the flow update that carries a max flow across a raise.
 
 The networks are layered: source, one node per buyer payoff tier, one node
 per object, sink.  A network's ``width`` is its number of tier nodes per
@@ -32,8 +32,11 @@ node's outgoing arcs and then its incoming arcs, each in slot order, so
 the integral flow it returns is a deterministic function of the network.
 It returns that flow with the residual search that found no more
 augmenting path, and the left-most min cut is read off that search rather
-than a second one.  ``flow_update`` reroutes a flow's units by slot.  Node
-labels appear only at the edges: the network dump, the infeasible-flow
+than a second one.  ``flow_update`` reroutes a flow's units by slot.  The
+climb calls neither it, nor ``check_feasible``, nor ``max_flow`` with a
+start flow: they stay as the reference that checks the paper's
+flow-update claim and the direct-path seed.  Node labels appear only at
+the edges: the network dump, the infeasible-flow
 messages and a cut's labels.  All come from one label table per node
 numbering, built once per (buyers, objects, width) and shared by every
 network of a climb, which also holds the node ids sorted by label, so a
@@ -58,7 +61,7 @@ it, with its predecessor, is the same in both searches.  So every
 augmenting path, and with it every flow, cut and allocation, is the same.
 
 ``max_flow`` starts from ``direct_flow``, one greedy pass along the direct
-source -> tier -> object -> sink paths, unless it is given a warm start.
+source -> tier -> object -> sink paths, unless it is given a start flow.
 That seed is where Edmonds-Karp gets to from zero before its first longer
 path: a search pops every tier node before any object, so while a direct
 path is left it takes the first tier node in source-arc order that has
@@ -342,7 +345,7 @@ class CutResult:
 
 @dataclass(frozen=True)
 class FlowUpdateResult:
-    """Warm-start flow for the new network plus the units that were dropped
+    """The flow carried to the new network plus the units that were dropped
     because their object left the buyer's positive-payoff tiers."""
 
     flow: IntegralFlow
@@ -493,9 +496,10 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
     ``warm_start`` seeds the computation with an existing feasible flow;
     it is validated and raises :class:`FlowError` if it does not fit this
     network, and it is copied, so the caller's flow is left as it was.
-    Without one the computation starts from ``direct_flow``,
-    feasible by construction, and returns the flow it would reach from
-    zero (see the module docstring).
+    The climb never passes one; tests do, to augment a flow carried by
+    ``flow_update`` or the zero flow.  Without one the computation starts
+    from ``direct_flow``, feasible by construction, and returns the flow it
+    would reach from zero (see the module docstring).
     """
     cap, sink, tails, heads = network.cap, network.sink, network.tails, network.heads
     if warm_start is None:
@@ -554,9 +558,12 @@ def flow_update(
     arc too.  The two networks share their arc slots, so a unit's new tier
     arc is the slot of that tier and object, if it is present there.  The
     result is feasible in the new network whenever the raise happened on
-    the left-most min cut's objects.  It is checked once, by ``max_flow``
-    when warm started from it (or by ``check_feasible``), whose
-    :class:`FlowError` signals a bug.
+    the left-most min cut's objects, and the source capacity it leaves
+    unmet is at most what the old flow left unmet: the paper's flow-update
+    claim.  ``check_feasible``, or ``max_flow`` started from it, checks it,
+    and a :class:`FlowError` there signals a bug.  The climb does not call
+    it: a max flow has the same value and left-most cut whatever flow it
+    starts from, and a fresh one was measured faster.
     """
     nodes = (old_network.width, old_network.buyers, old_network.objects)
     if nodes != (new_network.width, new_network.buyers, new_network.objects):

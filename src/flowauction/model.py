@@ -331,9 +331,7 @@ class Allocation:
 
 class IterationRecord(NamedTuple):
     """One raise of the left-most cut's objects: the state inspected before
-    it.  ``handoff_gap``, set only on warm starts, is the next network's
-    source capacity less the value of the flow carried over to it, before
-    it is re-augmented."""
+    it."""
 
     index: int
     prices: dict[str, int]
@@ -342,7 +340,6 @@ class IterationRecord(NamedTuple):
     flow_value: int
     cap_s: int
     step: int
-    handoff_gap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -350,8 +347,7 @@ class AuctionTrace:
     """A climb kept as one record per walk, a raise up to the next network
     change.  ``iterations`` is the mode's view, built when first read: unit
     mode reads a walk of step s as s records of step 1, the k-th at prices
-    raised by k and each but the last with the gap of a flow carried over
-    whole; adapted mode merges consecutive walks on one raised set.
+    raised by k; adapted mode merges consecutive walks on one raised set.
     ``record_count`` is the view's length, counted without building it;
     reading ``iterations`` is not bounded, only the CLI's trace file is.
     ``reports`` holds each buyer's tier report at the final prices as the
@@ -375,17 +371,14 @@ class AuctionTrace:
         records: list[IterationRecord] = []
         for walk in self.walks:
             if self.mode == "unit":
-                base, raised, last = walk.prices, walk.raised, walk.step - 1
-                carried = None if walk.handoff_gap is None else walk.cap_s - walk.flow_value
+                base, raised = walk.prices, walk.raised
                 # The fields go in by position: keywords cost more per record.
                 head = (raised, walk.cut_nodes, walk.flow_value, walk.cap_s)
                 for k in range(walk.step):
                     prices = base | {i: base[i] + k for i in raised}
-                    gap = carried if k < last else walk.handoff_gap
-                    records.append(IterationRecord(len(records), prices, *head, 1, gap))
+                    records.append(IterationRecord(len(records), prices, *head, 1))
             elif records and records[-1].raised == walk.raised:
-                merged = records[-1].step + walk.step
-                records[-1] = records[-1]._replace(step=merged, handoff_gap=walk.handoff_gap)
+                records[-1] = records[-1]._replace(step=records[-1].step + walk.step)
             else:
                 records.append(walk._replace(index=len(records)))
         return tuple(records)

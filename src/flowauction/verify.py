@@ -21,9 +21,11 @@ the buyers k with P_k a subset of P_j sum to more than the supply of P_j.
 grid feeds them incrementally: it walks its box as prefixes over every
 object but the last times the price of the last, takes each buyer's P_j
 and its supply once per prefix and adds a precomputed column for each
-price of the last object.  Only a vector that passes both bounds becomes
-a ``PriceVector`` with a network, whose max flow decides it; a box corner
-equal to an ``upper`` that passed the criterion takes its verdict.
+price of the last object.  A vector at which every c_j is 0 has source
+capacity 0 and is competitive.  Only a vector that passes both bounds
+with some c_j above 0 becomes a ``PriceVector`` with a network, whose max
+flow decides it; a box corner equal to an ``upper`` that passed the
+criterion takes its verdict.
 Bundle enumeration and the descent potential do not read the
 network, so they check those rules.  The flow criterion shares
 ``tier_reports``, ``build_demand_network`` and ``max_flow`` with the
@@ -31,8 +33,8 @@ solver, and with it the max flow's start along the direct paths,
 ``direct_flow``.  That start does not weaken it: a feasible flow that is
 not maximum is augmented until no augmenting path is left, so the value
 decided on is the max-flow value whatever the start.  No check shares the
-solver's search path: ``next_breakpoint``, the breakpoints
-``_step_length`` carries from walk to walk, and ``flow_update``.
+solver's search path: ``next_breakpoint`` and the breakpoints
+``_step_length`` carries from walk to walk.
 The checkers are desk-scale by design and each raises
 :class:`BudgetExceededError` beyond its enumeration budget.
 """
@@ -209,15 +211,20 @@ def _valued_above(
     return masks, reach
 
 
-def _exceeds_supply(total: int, demands: list[int], masks: list[int], reach: list[int]) -> bool:
-    """Whether the two supply bounds of ``is_competitive_flowcheck`` reject
-    a price vector, given per buyer its demand d_j, the mask of P_j (the
-    objects in supply it values above their price) and the supply of P_j:
-    the c_j = min(d_j, supply of P_j) exceed total supply, or the c_k of
-    the buyers k with P_k a subset of P_j exceed the supply of P_j."""
+def _supply_verdict(total: int, demands: list[int], masks: list[int], reach: list[int]) -> bool | None:
+    """What the instance rows decide of a price vector, given per buyer its
+    demand d_j, the mask of P_j (the objects in supply it values above
+    their price) and the supply of P_j.  ``False`` when one of the two
+    supply bounds of ``is_competitive_flowcheck`` rejects it: the c_j =
+    min(d_j, supply of P_j) exceed total supply, or the c_k of the buyers
+    k with P_k a subset of P_j exceed the supply of P_j.  ``True`` when
+    every c_j is 0: the network's source capacity is 0, so the empty flow
+    saturates it.  ``None`` when only the network can decide."""
     caps = list(map(min, demands, reach))
     capacity = sum(caps)
     if capacity > total:
+        return False
+    if capacity == 0:
         return True
     # A buyer without capacity adds to no sum, and its P_j is empty; a P_j
     # with as much supply as all the capacity holds any sum of it.
@@ -226,8 +233,8 @@ def _exceeds_supply(total: int, demands: list[int], masks: list[int], reach: lis
         if reach[j] < capacity:
             mask = masks[j]
             if sum(caps[k] for k in live if not masks[k] & ~mask) > reach[j]:
-                return True
-    return False
+                return False
+    return None
 
 
 def _saturates(instance: Instance, prices: PriceVector) -> bool:
@@ -250,15 +257,16 @@ def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
     competitive when the c_j sum to more than total supply, or when, for
     some j, the c_k of the buyers k with P_k a subset of P_j sum to more
     than the supply of P_j; either rejects them exactly, without a tier
-    report or a network.  Otherwise the network is built and its max flow
-    decides.  The price grid feeds the same bounds incrementally.
+    report or a network.  When every c_j is 0 the source capacity is 0 and
+    the prices are competitive, again without a network.  Otherwise the
+    network is built and its max flow decides.  The price grid feeds the
+    same bounds incrementally.
     """
     demands, rows, supplies, bits = _bound_rows(instance)
     price_row = tuple(map(prices.prices.__getitem__, instance.objects))
     masks, reach = _valued_above(rows, price_row, supplies, bits)
-    if _exceeds_supply(instance.total_supply, demands, masks, reach):
-        return False
-    return _saturates(instance, prices)
+    verdict = _supply_verdict(instance.total_supply, demands, masks, reach)
+    return _saturates(instance, prices) if verdict is None else verdict
 
 
 def is_competitive_bruteforce(instance: Instance, prices: PriceVector) -> bool:
@@ -316,11 +324,13 @@ def min_competitive_bruteforce(
     (the source capacities c_j = min(d_j, supply of P_j), where P_j holds
     the objects in supply that buyer j values above their price, must fit
     within total supply, and those of the buyers whose P_k lies in P_j
-    within the supply of P_j), then by the max flow of its network.  The
+    within the supply of P_j; a vector at which every c_j is 0 is
+    competitive), then by the max flow of its network.  The
     box is walked as prefixes over every object but the last times the
     price of the last: each buyer's P_j and supply are taken once per
     prefix, and each price of the last object adds a precomputed column.
-    Only a vector that passes both bounds is built as a ``PriceVector``.
+    Only a vector that passes both bounds with some c_j above 0 is built
+    as a ``PriceVector``.
     When no ``upper_i`` exceeds v_max + 1, the box corner is ``upper``
     itself and takes its verdict, in the enumeration and, if it is the
     minimum, in the final check.  That check asks that the component-wise
@@ -367,13 +377,14 @@ def _grid_minimum(
         masks, reach = _valued_above(head_rows, head, head_supplies, head_bits)
         for tail, tail_masks, tail_reach in columns:
             combo = head + tail
-            if combo != passed and (
-                _exceeds_supply(
+            if combo != passed:
+                verdict = _supply_verdict(
                     total, demands, list(map(or_, masks, tail_masks)), list(map(add, reach, tail_reach))
                 )
-                or not _saturates(instance, PriceVector(dict(zip(objects, combo))))
-            ):
-                continue
+                if verdict is None:
+                    verdict = _saturates(instance, PriceVector(dict(zip(objects, combo))))
+                if not verdict:
+                    continue
             minimum = combo if minimum is None else tuple(map(min, minimum, combo))
     if minimum is None:
         raise GuaranteeViolation("no competitive vector found in the price grid")

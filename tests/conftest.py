@@ -3,7 +3,8 @@ import random
 import pytest
 
 from flowauction import auction, tiers
-from flowauction.model import validate_instance
+from flowauction.flow import build_demand_network, check_feasible, flow_update, max_flow
+from flowauction.model import PriceVector, validate_instance
 from flowauction.verify import perturb_instance, random_instance
 
 
@@ -94,8 +95,32 @@ def pinned_markets():
         yield base, twin
 
 
+def carried_gaps(instance, records):
+    """Replay a climb's records with the flow carried over each raise, as
+    the paper's flow update does: the max flow at a record's prices, which
+    must have the record's value and source capacity, is carried by
+    ``flow_update`` to the network at those prices raised by the record's
+    step, where ``check_feasible`` checks it.  Returns each record with its
+    carried flow's gap, the new network's source capacity less the carried
+    value.  The claim is that it is at most ``cap_s - flow_value`` on a
+    raise that ends at or before the next network change: a walk, or a
+    unit raise.  An adapted record that merges walks raises past network
+    changes, and is not such a raise."""
+    gaps = []
+    for record in records:
+        prices = PriceVector(dict(record.prices))
+        network = build_demand_network(instance, prices)
+        best = max_flow(network)
+        assert (best.value, network.cap_s) == (record.flow_value, record.cap_s)
+        raised = build_demand_network(instance, prices.raised(record.raised, record.step))
+        update = flow_update(network, best, raised)
+        check_feasible(raised, update.flow)
+        gaps.append((record, raised.cap_s - update.flow.value))
+    return gaps
+
+
 def check_carried_breakpoints(monkeypatch, markets):
-    """Solve each (instance, start prices) pair in every configuration twice:
+    """Solve each (instance, start prices) pair in each mode twice:
     as the solver does, with every breakpoint a walk carries over, as a
     level of the total raise, checked against a fresh ``next_breakpoint``
     on a fresh report at the walk's prices, and once more with nothing
@@ -124,15 +149,14 @@ def check_carried_breakpoints(monkeypatch, markets):
 
     monkeypatch.setattr(auction, "_step_length", checked_walk)
     for instance, start in markets:
-        for mode in ("unit", "adapted"):
-            for warm in (True, False):
-                outputs = []
-                for carry in (True, False):
-                    held = None
-                    options = auction.SolveOptions(mode=mode, warm_start=warm, start_prices=start)
-                    equilibrium = auction.solve(instance, options)
-                    allocation = list(equilibrium.allocation.quantities.items())
-                    trace = equilibrium.trace
-                    outputs.append((equilibrium.prices, allocation, trace.walks, trace.oracle_calls))
-                assert outputs[0] == outputs[1]
+        for mode in auction.MODES:
+            outputs = []
+            for carry in (True, False):
+                held = None
+                options = auction.SolveOptions(mode=mode, start_prices=start)
+                equilibrium = auction.solve(instance, options)
+                allocation = list(equilibrium.allocation.quantities.items())
+                trace = equilibrium.trace
+                outputs.append((equilibrium.prices, allocation, trace.walks, trace.oracle_calls))
+            assert outputs[0] == outputs[1]
     return checked, across

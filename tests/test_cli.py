@@ -102,12 +102,8 @@ class TestSolve:
                 "handoff_gap",
             }
             assert rec["cut_nodes"] == list(record.cut_nodes)
-            assert rec["handoff_gap"] == record.handoff_gap
-            assert rec["handoff_gap"] is not None
-        cold_path = tmp_path / "cold.json"
-        run_json(capsys, ["solve", fig1_file, "--no-warm-start", "--trace", str(cold_path)])
-        cold = json.loads(cold_path.read_text())["iterations"]
-        assert cold and all(rec["handoff_gap"] is None for rec in cold)
+            # No flow is carried between networks; the field keeps the layout.
+            assert rec["handoff_gap"] is None
         # replaying from any intermediate prices reaches the same final prices
         for rec in trace["iterations"]:
             start_path = tmp_path / f"start{rec['iter']}.json"
@@ -395,10 +391,8 @@ class TestVerify:
             "competitive-flow-criterion",
             "hall-condition",
             "bruteforce-minimum-agreement",
-            "unit-adapted-agreement",
-            "warm-cold-agreement",
             "iteration-bound",
-        } <= names
+        } == names
         assert all(check["passed"] for check in payload["checks"])
 
     def test_fig1_passes_both_modes(self, fig1_file, capsys):
@@ -424,10 +418,11 @@ class TestVerify:
             assert bound["detail"] == "0 raises, largest increase 1"
             assert code == (EXIT_OK if passed else EXIT_VERIFY)
 
-    def test_one_climb_besides_the_solve_backs_both_agreement_checks(self, fig1_file, capsys, monkeypatch):
-        """The mode enters only the view of a climb, so verify runs one
-        climb besides the solve's, in the other mode and warm setting.  The
-        CLI's solve is warm; a cold one is reached through the library."""
+    def test_verify_climbs_once(self, fig1_file, capsys, monkeypatch):
+        """The mode picks only a view of the climb's walks, so verify runs
+        no climb besides the solve's, through the CLI or the library.  The
+        CLI does not bind ``price_raising``, so every climb it runs passes
+        through ``auction``'s."""
         import flowauction.auction as auction
         import flowauction.cli as cli
 
@@ -435,22 +430,20 @@ class TestVerify:
         calls = []
 
         def counted(instance, options):
-            calls.append((options.mode, options.warm_start))
+            calls.append(options.mode)
             return climb(instance, options)
 
         monkeypatch.setattr(auction, "price_raising", counted)
-        monkeypatch.setattr(cli, "price_raising", counted)
+        assert not hasattr(cli, "price_raising")
         instance = instance_from_dict(FIG1)
-        for mode, other in (("unit", "adapted"), ("adapted", "unit")):
+        for mode in ("unit", "adapted"):
             calls.clear()
             code, payload = run_json(capsys, ["verify", fig1_file, "--mode", mode])
             assert code == EXIT_OK and payload["passed"]
-            assert calls == [(mode, True), (other, False)]
-            for warm in (True, False):
-                calls.clear()
-                report = run_verification(instance, SolveOptions(mode=mode, warm_start=warm), DEFAULT_BUDGET)
-                assert report["passed"]
-                assert calls == [(mode, warm), (other, not warm)]
+            assert calls == [mode]
+            calls.clear()
+            report = run_verification(instance, SolveOptions(mode=mode), DEFAULT_BUDGET)
+            assert report["passed"] and calls == [mode]
 
     def test_iteration_bound_counts_an_unsupplied_object_from_zero(self, tmp_path, capsys):
         """An object without supply starts at 0 whatever the start prices say."""
@@ -544,8 +537,11 @@ class TestVerify:
             code, payload = run_json(capsys, ["verify", huge_value_file, "--mode", mode])
             assert code == EXIT_OK and payload["passed"] is True
             checks = {c["name"]: c for c in payload["checks"]}
-            agreement = checks["unit-adapted-agreement"]
-            assert agreement["passed"] is True and "skipped" not in agreement
+            # Only the grid, far beyond the budget, is not enumerated.
+            assert [name for name, c in checks.items() if c["passed"] is not True] == [
+                "bruteforce-minimum-agreement"
+            ]
+            assert checks["bruteforce-minimum-agreement"]["skipped"] is True
             bounds[mode] = checks["iteration-bound"]["detail"]
         assert bounds == {
             "unit": "1000000000 raises, largest increase 1000000000",
@@ -650,11 +646,11 @@ class TestDuplicateDemo:
 def test_each_verb_takes_only_the_arguments_it_reads():
     """A verb takes a solver flag only where its output shows the effect:
     the mode sets `solve`'s iterations and records and `verify`'s
-    iteration bound, the warm setting sets `solve`'s handoff gaps."""
+    iteration bound."""
     verbs = next(action for action in build_parser()._actions if action.dest == "verb").choices
     seeded = {"instance", "start_prices"}
     expected = {
-        "solve": seeded | {"mode", "warm_start", "trace", "dump_network"},
+        "solve": seeded | {"mode", "trace", "dump_network"},
         "verify": seeded | {"mode", "budget"},
         "brute": {"instance", "budget"},
         "monotone": seeded | {"seed", "pairs"},
@@ -665,7 +661,7 @@ def test_each_verb_takes_only_the_arguments_it_reads():
         for verb, sub in verbs.items()
     }
     assert taken == expected
-    assert sum(len(dests) for dests in taken.values()) == 18
+    assert sum(len(dests) for dests in taken.values()) == 17
 
 
 @pytest.mark.parametrize(
@@ -679,6 +675,8 @@ def test_each_verb_takes_only_the_arguments_it_reads():
         "duplicate-demo --no-warm-start",
         "verify --warm-start",
         "verify --no-warm-start",
+        "solve --warm-start",
+        "solve --no-warm-start",
     ],
 )
 def test_a_solver_flag_whose_effect_a_verb_does_not_show_is_a_parse_error(example1_file, capsys, argv):
@@ -709,7 +707,7 @@ class TestExitCodes:
         assert payload["passed"] is False
 
 
-PINNED_REPORT_DIGEST = "b68985ae8c3c7151"
+PINNED_REPORT_DIGEST = "d4bdba9371b13fc6"
 
 
 def test_verify_reports_are_pinned():
@@ -717,17 +715,14 @@ def test_verify_reports_are_pinned():
     and adapted mode with a grid budget of 3000, over the first 75 pairs of
     the pinned sweep: each market from zero prices, then its twin restarted
     from the market's prices.  A change that moves it changes what a check
-    reports; re-recording it needs a line in CHANGES.md saying why.  The
-    warm setting changes no report, so a warm and a cold solve give the
-    one digest."""
-    for warm_start in (True, False):
-        digest = hashlib.sha256()
-        for base, twin in list(pinned_markets())[:75]:
-            for mode in ("unit", "adapted"):
-                start = None
-                for inst in (base, twin):
-                    options = SolveOptions(mode=mode, warm_start=warm_start, start_prices=start)
-                    report = run_verification(inst, options, 3000)
-                    digest.update(json.dumps(report, indent=2, sort_keys=True).encode())
-                    start = PriceVector(report["prices"])
-        assert digest.hexdigest()[:16] == PINNED_REPORT_DIGEST, warm_start
+    reports; re-recording it needs a line in CHANGES.md saying why."""
+    digest = hashlib.sha256()
+    for base, twin in list(pinned_markets())[:75]:
+        for mode in ("unit", "adapted"):
+            start = None
+            for inst in (base, twin):
+                options = SolveOptions(mode=mode, start_prices=start)
+                report = run_verification(inst, options, 3000)
+                digest.update(json.dumps(report, indent=2, sort_keys=True).encode())
+                start = PriceVector(report["prices"])
+    assert digest.hexdigest()[:16] == PINNED_REPORT_DIGEST

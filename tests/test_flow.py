@@ -198,7 +198,7 @@ class TestBuildDemandNetwork:
 
     def test_patch_sweep_equals_a_fresh_build(self, monkeypatch):
         """On 1500 seeded markets, with values up to 4, 30 and 300 in turn,
-        climbed in every mode and warm setting, half of them from zero
+        climbed in both modes, half of them from zero
         prices and half from random prices below the minimum: every network
         a walk patches from the network before equals a fresh one at its
         prices, from the walk's reports, in every slot's capacity, every
@@ -241,8 +241,7 @@ class TestBuildDemandNetwork:
                 start = PriceVector({i: rng.randint(0, p) for i, p in minimum.prices.items()})
                 seen["start below the minimum"] += start != minimum
             for mode in ("unit", "adapted"):
-                for warm in (True, False):
-                    price_raising(inst, SolveOptions(mode=mode, warm_start=warm, start_prices=start))
+                price_raising(inst, SolveOptions(mode=mode, start_prices=start))
             seen["object without supply"] += 0 in inst.supplies.values()
             seen["buyer without demand"] += 0 in inst.demands.values()
             buyers = inst.buyers
@@ -333,12 +332,11 @@ class TestBuildDemandNetwork:
 
         monkeypatch.setattr(flow, "build_demand_network", tracked)
         rng = random.Random(7)
-        for _ in range(30):
+        for _ in range(80):
             inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=30)
-            for warm in (True, False):
-                price_raising(inst, SolveOptions(mode="adapted", warm_start=warm))
-                assert all(ref() is None for ref in built)
-                built.clear()
+            price_raising(inst, SolveOptions(mode="adapted"))
+            assert all(ref() is None for ref in built)
+            built.clear()
         assert patched >= 50
 
 
@@ -354,7 +352,7 @@ def reference_allocation_network(instance, prices):
 class TestBuildAllocationNetwork:
     def test_allocation_sweep_matches_the_balanced_market_reports(self):
         """On 1500 seeded markets, the allocation network built from the
-        final reports of a warm and of a cold climb, and from reports it
+        final reports of a climb, and from reports it
         computes itself at random prices, equals the reference built from
         tier reports over the balanced market: its nodes, every arc, every
         node's arc lists, the prices and the dump, bare and with a max
@@ -367,14 +365,10 @@ class TestBuildAllocationNetwork:
             inst = random_instance(
                 rng, max_objects=4, max_buyers=4, max_supply=4, max_demand=4, max_value=6
             )
-            cases = []
-            for warm in (True, False):
-                prices, trace = price_raising(inst, SolveOptions(warm_start=warm))
-                fresh = {j: tier_report(inst, j, prices) for j in inst.buyers}
-                seen["stale zero tier"] += trace.reports != fresh
-                cases.append((prices, trace.reports))
-            cases.append((random_prices(rng, inst), None))
-            for prices, reports in cases:
+            prices, trace = price_raising(inst)
+            fresh = {j: tier_report(inst, j, prices) for j in inst.buyers}
+            seen["stale zero tier"] += trace.reports != fresh
+            for prices, reports in ((prices, trace.reports), (random_prices(rng, inst), None)):
                 network = build_allocation_network(inst, prices, reports)
                 expected = reference_allocation_network(inst, prices)
                 assert (network.buyers, network.objects) == (expected.buyers, expected.objects)
@@ -390,7 +384,7 @@ class TestBuildAllocationNetwork:
             seen["dummy object" if gap > 0 else "dummy buyer" if gap < 0 else "balanced"] += 1
             seen["buyer without demand"] += 0 in inst.demands.values()
             seen["object without supply"] += 0 in inst.supplies.values()
-        assert seen["networks"] == 4500
+        assert seen["networks"] == 3000
         assert min(seen.values()) >= 100, seen
 
     def test_three_buyers_at_final_prices(self, three_buyers):
@@ -822,24 +816,30 @@ class TestFlowUpdate:
         assert new_gap <= old_gap
 
     def test_carry_sweep_equals_a_carry_between_fresh_builds(self, monkeypatch):
-        """On 1500 seeded markets climbed warm, half of them from random
-        prices below the minimum: each walk's carried flow, from a network
-        to the one built on it, equals the flow carried between two fresh
-        builds at the same prices, slot for slot, and the reference's,
-        arc by arc, with the same value and the same dropped units.  The
-        sweep holds walks with units on tier nodes whose arcs the new
-        network shares with the old, walks that reroute units to another
-        tier, and walks that drop units."""
-        update = flow.flow_update
+        """On 1500 seeded markets, half of them climbed from random prices
+        below the minimum: the max flow of each network of the climb,
+        carried by ``flow_update`` to the network the climb builds on it,
+        is feasible there and equals the flow carried between two fresh
+        builds at the same prices, slot for slot, and the reference's, arc
+        by arc, with the same value and the same dropped units.  The climb
+        carries no flow itself; its consecutive networks are captured as it
+        builds them.  The sweep holds walks with units on tier nodes whose
+        arcs the new network shares with the old, walks that reroute units
+        to another tier, and walks that drop units."""
+        build = flow.build_demand_network
         seen = Counter()
-        market = None
 
-        def checked(old, old_flow, new):
-            result = update(old, old_flow, new)
-            fresh_old = build_demand_network(market, old.prices)
-            fresh_new = build_demand_network(market, new.prices)
+        def checked(instance, prices, reports=None, base=None, due=()):
+            new = build(instance, prices, reports, base=base, due=due)
+            if base is None:
+                return new
+            old, old_flow = base, max_flow(base)
+            result = flow_update(old, old_flow, new)
+            check_feasible(new, result.flow)
+            fresh_old = build_demand_network(instance, old.prices)
+            fresh_new = build_demand_network(instance, new.prices)
             assert fresh_old.arcs == old.arcs and fresh_new.arcs == new.arcs
-            apart = update(fresh_old, old_flow, fresh_new)
+            apart = flow_update(fresh_old, old_flow, fresh_new)
             assert (result.flow.flows, result.flow.value) == (apart.flow.flows, apart.flow.value)
             assert result.dropped == apart.dropped
             carried, dropped = reference_flow_update(new, amounts(old, old_flow))
@@ -851,9 +851,9 @@ class TestFlowUpdate:
             seen["units rerouted"] += any(f and u != "s" and v != "t" for (u, v), f in moved)
             seen["units dropped"] += bool(result.dropped)
             seen["walks"] += 1
-            return result
+            return new
 
-        monkeypatch.setattr(flow, "flow_update", checked)
+        monkeypatch.setattr(flow, "build_demand_network", checked)
         rng = random.Random(61)
         for k in range(1500):
             market = random_instance(
@@ -863,7 +863,7 @@ class TestFlowUpdate:
             if k % 2:
                 minimum, _ = price_raising(market)
                 start = PriceVector({i: rng.randint(0, p) for i, p in minimum.prices.items()})
-            price_raising(market, SolveOptions(mode="adapted", warm_start=True, start_prices=start))
+            price_raising(market, SolveOptions(mode="adapted", start_prices=start))
         assert seen["walks"] >= 1500 and min(seen.values()) >= 200, seen
 
     def test_rejects_non_uniform_raise(self, fig1):

@@ -28,7 +28,6 @@ from flowauction.verify import min_competitive_bruteforce
 from conftest import check_carried_breakpoints
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-CONFIGS = [(mode, warm) for mode in ("unit", "adapted") for warm in (True, False)]
 
 
 def load(name):
@@ -51,12 +50,12 @@ markets, checks, layers = load("markets"), load("checks"), load("layers")
 def test_every_configuration_passes_the_benchmark_checks(workload):
     for market in markets.WORKLOADS[workload](flowauction, random.Random(1)):
         reference = checks.reference_prices(flowauction, market)
-        for mode, warm in CONFIGS:
-            options = SolveOptions(mode=mode, warm_start=warm, start_prices=market.start)
+        for mode in auction.MODES:
+            options = SolveOptions(mode=mode, start_prices=market.start)
             equilibrium = solve(market.instance, options)
             prices, quantities = equilibrium.prices.as_dict(), dict(equilibrium.allocation.quantities)
             errors = checks.answer_errors(market, reference, prices, quantities)
-            assert errors == [], (market.name, mode, warm)
+            assert errors == [], (market.name, mode)
 
 
 def test_supply_bound_keeps_the_certify_grid_minima():
@@ -86,14 +85,14 @@ def test_carried_breakpoints_on_the_dense_market(monkeypatch):
 
 
 def test_a_dense_walk_redoes_work_only_for_the_buyers_who_changed(monkeypatch):
-    """An adapted-warm solve of the ``dense`` market (68 buyers, 10 walks,
+    """An adapted solve of the ``dense`` market (68 buyers, 10 walks,
     then the allocation).  A walk asks only the buyers that the walk
     before recomputed for their breakpoint, and on a new cut also those
     for whom an object that entered or left the cut is in supply and has
     payoff at least 0: 132 questions, where asking every buyer on a new
     cut takes 173, and every buyer on every walk 680.  Each cut reads the
-    search that ended its max flow: 123 residual searches, where searching
-    again takes 133.  The tier-oracle calls stay 154."""
+    search that ended its max flow: 16 residual searches, 11 in the climb
+    and 5 in the allocation.  The tier-oracle calls stay 154."""
     counts = {"breakpoints": 0, "searches": 0}
     breakpoint, search = auction.next_breakpoint, flow._residual_search
 
@@ -107,15 +106,15 @@ def test_a_dense_walk_redoes_work_only_for_the_buyers_who_changed(monkeypatch):
     monkeypatch.setattr(auction, "next_breakpoint", counted("breakpoints", breakpoint))
     monkeypatch.setattr(flow, "_residual_search", counted("searches", search))
     (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
-    options = SolveOptions(mode="adapted", warm_start=True, start_prices=market.start)
+    options = SolveOptions(mode="adapted", start_prices=market.start)
     trace = solve(market.instance, options).trace
     assert len(trace.walks) == 10 and trace.oracle_calls == 154
     assert counts["breakpoints"] == 132
-    assert counts["searches"] <= 123
+    assert counts["searches"] <= 16
 
 
 def test_a_dense_solve_asks_the_tier_oracle_only_in_the_climb(monkeypatch):
-    """An adapted-cold solve of the ``dense`` market makes 154 tier-oracle
+    """An adapted solve of the ``dense`` market makes 154 tier-oracle
     calls, the climb's ``oracle_calls``: ``allocate`` reads the climb's
     final reports and asks for none, where one per buyer of the balanced
     market takes 68 more.  Counted by the buyers of every batch, through
@@ -132,13 +131,13 @@ def test_a_dense_solve_asks_the_tier_oracle_only_in_the_climb(monkeypatch):
     monkeypatch.setattr(auction, "tier_reports", counted)
     monkeypatch.setattr(flow, "tier_reports", counted)
     (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
-    options = SolveOptions(mode="adapted", warm_start=False, start_prices=market.start)
+    options = SolveOptions(mode="adapted", start_prices=market.start)
     trace = solve(market.instance, options).trace
     assert calls == trace.oracle_calls == 154
 
 
 def test_a_dense_walk_lays_again_only_the_blocks_of_the_due_buyers(monkeypatch):
-    """An adapted-cold solve of the ``dense`` market: 10 walks over 68
+    """An adapted solve of the ``dense`` market: 10 walks over 68
     buyers, each with 2 tier nodes, and 86 tier reports after the first 68.
     Of the 1360 tier-node ``out`` lists of the 10 walks' networks, 1188 are
     the very lists of the network before, and the 2 * 86 of the due buyers
@@ -160,7 +159,7 @@ def test_a_dense_walk_lays_again_only_the_blocks_of_the_due_buyers(monkeypatch):
     monkeypatch.setattr(flow, "build_demand_network", counted)
     (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
     inst = market.instance
-    options = SolveOptions(mode="adapted", warm_start=False, start_prices=market.start)
+    options = SolveOptions(mode="adapted", start_prices=market.start)
     trace = solve(inst, options).trace
     assert (len(trace.walks), len(inst.buyers), trace.oracle_calls) == (10, 68, 154)
     assert (shared, new) == (1188, 2 * 86)
@@ -170,11 +169,9 @@ def test_every_max_flow_starts_from_the_direct_paths(monkeypatch):
     """The climbs of the ``dense`` market, 10 walks over 11 networks.
     ``max_flow`` starts each flow it is not handed from the network's
     direct paths, which are maximum on every one of these networks, so a
-    cold climb runs one residual search per network, to confirm the flow
-    and read its cut: 11, where starting from zero takes 240.  A warm
-    climb starts its first flow so and augments each carried one: 24
-    searches, where 47 with a first flow from zero.  ``allocate`` runs 5,
-    where 76 from zero."""
+    climb runs one residual search per network, to confirm the flow and
+    read its cut: 11, where starting from zero takes 240.  ``allocate``
+    runs 5, where 76 from zero."""
     searches = 0
     search = flow._residual_search
 
@@ -185,12 +182,12 @@ def test_every_max_flow_starts_from_the_direct_paths(monkeypatch):
 
     monkeypatch.setattr(flow, "_residual_search", counted)
     (market,) = markets.WORKLOADS["dense"](flowauction, random.Random(1))
-    for mode, warm in CONFIGS:
+    for mode in auction.MODES:
         searches = 0
-        options = SolveOptions(mode=mode, warm_start=warm, start_prices=market.start)
+        options = SolveOptions(mode=mode, start_prices=market.start)
         prices, trace = auction.price_raising(market.instance, options)
         assert len(trace.walks) == 10
-        assert searches == (24 if warm else 11), (mode, warm, searches)
+        assert searches == 11, (mode, searches)
     searches = 0
     auction.allocate(market.instance, prices)
     assert searches == 5
@@ -198,8 +195,11 @@ def test_every_max_flow_starts_from_the_direct_paths(monkeypatch):
 
 def test_the_tracer_still_fits_the_solver():
     """Install the tracer on a fresh import of the package, as ``run.py``
-    does, and solve one ``dense`` market in every configuration: the
-    wrapped flow functions and the adapted step length are counted."""
+    does, and solve one ``dense`` market under every solve operation's
+    name: every function the tracer wraps still exists by name, and the
+    flow functions the climb calls and the adapted step length are
+    counted.  ``flow_update`` and ``check_feasible`` stay wrapped but
+    uncalled: no climb carries a flow."""
     def ours(name):
         return name == "flowauction" or name.startswith("flowauction.")
 
@@ -213,9 +213,16 @@ def test_the_tracer_still_fits_the_solver():
         (market,) = markets.WORKLOADS["dense"](fa, random.Random(1))
         tracer = layers.Tracer()
         tracer.install(fa)
-        for op, (mode, warm) in zip(layers.SOLVE_OPS, CONFIGS):
+        missing = [
+            f"{module}.{function}"
+            for module, function, *_ in layers.TRACED
+            if not callable(getattr(getattr(fa, module), function, None))
+        ]
+        assert missing == []
+        for op in layers.SOLVE_OPS:
             tracer.begin(op)
-            options = fa.auction.SolveOptions(mode=mode, warm_start=warm, start_prices=market.start)
+            mode, _ = op.split("-")
+            options = fa.auction.SolveOptions(mode=mode, start_prices=market.start)
             fa.auction.solve(market.instance, options)
         tracer.end_pass(dict.fromkeys(layers.SOLVE_OPS, 1.0))
         metrics = tracer.metrics()
@@ -227,9 +234,6 @@ def test_the_tracer_still_fits_the_solver():
         *(f"flow.max_flow.calls.{op}" for op in layers.SOLVE_OPS),
         *(f"flow.leftmost_min_cut.calls.{op}" for op in layers.SOLVE_OPS),
         *(f"flow.build_demand_network.calls.{op}" for op in layers.SOLVE_OPS),
-        "flow.flow_update.calls.unit-warm",
-        "flow.flow_update.carried.adapted-warm",
-        "flow.check_feasible.calls.adapted-warm",
         "auction.step_length.calls.adapted-warm",
         "auction.step_length.calls.adapted-cold",
         "auction.price_raising.oracle_calls.unit-cold",

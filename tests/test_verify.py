@@ -49,20 +49,21 @@ def subset_bound_rejects(inst, prices):
 
 def count_grid_work(monkeypatch):
     """Record, through verify's bindings, the verdict of each call of the
-    supply bounds (one per vector decided; True rejects) and the prices,
-    in object order, of each demand network built."""
-    exceeds, build = verify._exceeds_supply, verify.build_demand_network
+    supply bounds (one per vector decided; False rejects, True accepts a
+    vector of source capacity 0, None leaves it to the network) and the
+    prices, in object order, of each demand network built."""
+    supply_verdict, build = verify._supply_verdict, verify.build_demand_network
     verdicts, built = [], []
 
     def counted_bounds(*args):
-        verdicts.append(exceeds(*args))
+        verdicts.append(supply_verdict(*args))
         return verdicts[-1]
 
     def counted_build(instance, prices, reports=None):
         built.append(tuple(prices[i] for i in instance.objects))
         return build(instance, prices, reports)
 
-    monkeypatch.setattr(verify, "_exceeds_supply", counted_bounds)
+    monkeypatch.setattr(verify, "_supply_verdict", counted_bounds)
     monkeypatch.setattr(verify, "build_demand_network", counted_build)
     return verdicts, built
 
@@ -201,10 +202,10 @@ class TestCompetitiveChecks:
     def test_supply_bound_sweep_agrees_with_the_flow_and_the_bundles(self, monkeypatch):
         """The flow criterion rejects prices whose source capacity exceeds
         total supply, or whose buyers' source capacities exceed the supply
-        of some buyer's P_j, without a tier report or a network, and agrees
-        with the max flow on the demand network and with bundle
-        enumeration.  It reaches the tier oracle only through the network
-        builder."""
+        of some buyer's P_j, and accepts prices whose source capacity is 0,
+        without a tier report or a network, and agrees with the max flow on
+        the demand network and with bundle enumeration.  It reaches the
+        tier oracle only through the network builder."""
         built, reported = [], []
 
         def counted(instance, prices, reports=None):
@@ -218,7 +219,7 @@ class TestCompetitiveChecks:
         monkeypatch.setattr(verify, "build_demand_network", counted)
         monkeypatch.setattr(flow, "tier_reports", counted_reports)
         rng = random.Random(73)
-        decided = {"bound": 0, "subset bound": 0, "flow accepts": 0, "flow rejects": 0}
+        decided = {"bound": 0, "no capacity": 0, "subset bound": 0, "flow accepts": 0, "flow rejects": 0}
         enumerated = 0
         for k in range(1800):
             inst = random_instance(rng, max_value=(4, 30, 300)[k % 3])
@@ -231,6 +232,9 @@ class TestCompetitiveChecks:
             if network.cap_s > inst.total_supply:
                 assert not saturated and built == [] and reported == []
                 decided["bound"] += 1
+            elif network.cap_s == 0:
+                assert saturated and built == [] and reported == []
+                decided["no capacity"] += 1
             elif subset_bound_rejects(inst, prices):
                 assert not saturated and built == [] and reported == []
                 decided["subset bound"] += 1
@@ -287,10 +291,10 @@ class TestMinCompetitiveBruteforce:
         """A competitive bound limits the search to the box under it; one
         that is not competitive leaves the whole grid to search.  The
         supply bounds decide each vector once, in grid order, and exactly
-        the vectors they pass get a network."""
+        the vectors they leave undecided get a network."""
         verdicts, built = count_grid_work(monkeypatch)
         rng = random.Random(41)
-        boxed = rejected = 0
+        boxed = rejected = unfilled = 0
         for _ in range(150):
             inst = random_instance(rng, max_objects=3, max_buyers=3)
             full = min_competitive_bruteforce(inst)
@@ -313,9 +317,10 @@ class TestMinCompetitiveBruteforce:
                 final = [minimum]
             decided = [corner, *vectors, *final]
             assert len(verdicts) == len(decided)
-            assert built == [p for p, out in zip(decided, verdicts) if not out]
-            rejected += sum(verdicts)
-        assert boxed >= 40 and rejected > 0
+            assert built == [p for p, verdict in zip(decided, verdicts) if verdict is None]
+            rejected += verdicts.count(False)
+            unfilled += verdicts.count(True)
+        assert boxed >= 40 and rejected > 0 and unfilled > 0
 
     def test_a_bound_above_the_grid_still_checks_the_clamped_corner(self, fig1, monkeypatch):
         """Beyond v_max + 1 = 4 the box corner is a vector other than the
@@ -331,7 +336,7 @@ class TestMinCompetitiveBruteforce:
         # corner, and the minimum found.  gamma's supply of 4 covers j1's
         # demand, so the supply bounds pass every one to its network.
         decided = [(9, 1, 0), *itertools.product(range(5), range(2), range(1)), (0, 1, 0)]
-        assert verdicts == [False] * 12 and built == decided
+        assert verdicts == [None] * 12 and built == decided
         assert decided[-2] == (4, 1, 0)
 
     def test_a_minimum_other_than_the_corner_is_checked_again(self, monkeypatch):
@@ -346,24 +351,23 @@ class TestMinCompetitiveBruteforce:
 
     def test_a_market_without_objects_has_the_empty_minimum(self, monkeypatch):
         """The grid is one vector, the empty one, and nothing is demanded
-        at it: it is decided once, by its network."""
+        at it: its source capacity is 0, so it is decided without a
+        network."""
         inst = validate_instance({}, {"b": 2}, {"b": {}})
         verdicts, built = count_grid_work(monkeypatch)
         assert min_competitive_bruteforce(inst) == PriceVector({})
-        assert verdicts == [False, False] and built == [(), ()]
+        assert verdicts == [True, True] and built == []
         verdicts.clear()
-        built.clear()
-        # The bound passes, and its verdict stands for the one vector.
+        # The bound is competitive, and its verdict stands for the one vector.
         assert min_competitive_bruteforce(inst, upper=PriceVector({})) == PriceVector({})
-        assert verdicts == [False] and built == [()]
+        assert verdicts == [True] and built == []
 
     def test_a_market_without_buyers_is_competitive_at_zero(self, monkeypatch):
         inst = validate_instance({"a": 1, "b": 0}, {}, {})
         verdicts, built = count_grid_work(monkeypatch)
         assert min_competitive_bruteforce(inst).as_dict() == {"a": 0, "b": 0}
-        # The 2 * 2 grid, then the minimum found.
-        assert verdicts == [False] * 5
-        assert built == [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
+        # The 2 * 2 grid, then the minimum found, all of source capacity 0.
+        assert verdicts == [True] * 5 and built == []
 
     def test_a_market_without_demand_is_competitive_at_zero(self, monkeypatch):
         inst = validate_instance(
@@ -371,26 +375,54 @@ class TestMinCompetitiveBruteforce:
         )
         verdicts, built = count_grid_work(monkeypatch)
         assert min_competitive_bruteforce(inst).as_dict() == {"a": 0, "b": 0}
-        assert len(verdicts) == 5 * 5 + 1 and not any(verdicts) and len(built) == 26
+        assert verdicts == [True] * (5 * 5 + 1) and built == []
         verdicts.clear()
-        built.clear()
         upper = PriceVector({"a": 1, "b": 2})
         assert min_competitive_bruteforce(inst, upper=upper).as_dict() == {"a": 0, "b": 0}
         # The bound, the 2 * 3 box less its corner, and the minimum found.
-        assert verdicts == [False] * 7
-        assert built == [(1, 2), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (0, 0)]
+        assert verdicts == [True] * 7 and built == []
+
+    def test_no_network_of_source_capacity_zero_is_built(self, monkeypatch):
+        """On 300 random markets with values up to 4 and up to 4 buyers,
+        the walk over the whole grid builds no demand network of source
+        capacity 0: a vector at which no buyer values a supplied object
+        above its price is competitive without one.  Every minimum equals
+        a reference that decides every vector of the grid by its network's
+        max flow alone, and the sweep holds thousands of such vectors."""
+        built = []
+
+        def counted(instance, prices, reports=None):
+            network = build_demand_network(instance, prices, reports)
+            built.append(network.cap_s)
+            return network
+
+        monkeypatch.setattr(verify, "build_demand_network", counted)
+        rng = random.Random(59)
+        unfilled = 0
+        for _ in range(300):
+            inst = random_instance(rng, max_buyers=4)
+            competitive = []
+            for combo in itertools.product(range(inst.max_valuation + 2), repeat=len(inst.objects)):
+                network = build_demand_network(inst, PriceVector(dict(zip(inst.objects, combo))))
+                unfilled += network.cap_s == 0
+                if max_flow(network).value == network.cap_s:
+                    competitive.append(combo)
+            reference = PriceVector(dict(zip(inst.objects, (min(c) for c in zip(*competitive)))))
+            assert min_competitive_bruteforce(inst) == reference, inst
+        assert 0 not in built and len(built) > 1000 and unfilled > 1000, (len(built), unfilled)
 
     def test_subset_supply_bound_sweep_against_a_reference_grid(self):
         """On 1500 random markets, with values up to 4, 30 and 300,
         unsupplied objects and buyers without demand: the supply bounds
         never reject a vector whose demand network saturates, the subset
-        bound rejects vectors that the total-supply bound passes, and the
+        bound rejects vectors that the total-supply bound passes, the
+        bounds accept exactly the vectors of source capacity 0, and the
         grid minimum, with and without ``upper``, equals a reference that
         decides every vector of the grid by its network's max flow alone.
         The reference runs where the whole grid holds at most 216 vectors;
         elsewhere the bounds are checked on 10 random vectors."""
         rng = random.Random(83)
-        seen = dict.fromkeys(("unsupplied", "no demand", "subset only", "compared"), 0)
+        seen = dict.fromkeys(("unsupplied", "no demand", "subset only", "no capacity", "compared"), 0)
         for k in range(1500):
             inst = random_instance(rng, max_buyers=4, max_value=(4, 30, 300)[k % 3])
             demands, rows, supplies, bits = verify._bound_rows(inst)
@@ -406,9 +438,12 @@ class TestMinCompetitiveBruteforce:
                 network = build_demand_network(inst, prices)
                 saturated = max_flow(network).value == network.cap_s
                 masks, reach = verify._valued_above(rows, combo, supplies, bits)
-                if verify._exceeds_supply(inst.total_supply, demands, masks, reach):
+                verdict = verify._supply_verdict(inst.total_supply, demands, masks, reach)
+                if verdict is False:
                     assert not saturated, (inst, prices)
                     seen["subset only"] += network.cap_s <= inst.total_supply
+                seen["no capacity"] += verdict is True
+                assert (verdict is True) == (network.cap_s == 0), (inst, prices)
                 if saturated:
                     competitive.append(combo)
             if grid <= 216:
