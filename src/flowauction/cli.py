@@ -19,7 +19,6 @@ from .model import AuctionTrace, Instance, InstanceError, PriceVector, duplicate
 from .verify import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    _grid_minimum,
     check_equilibrium,
     check_monotonicity_pair,
     hall_check,
@@ -261,7 +260,7 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
     try:
         # Below competitive auction prices only their box is searched, on
         # the verdict just recorded.
-        brute = _grid_minimum(instance, grid_budget, prices, competitive)
+        brute = min_competitive_bruteforce(instance, grid_budget, prices, competitive)
     except BudgetExceededError as exc:
         record("bruteforce-minimum-agreement", claim, None, str(exc))
     else:

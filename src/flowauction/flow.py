@@ -15,50 +15,62 @@ canonical order, and the sink comes last.  Every arc that could exist has
 its slot, fixed by the numbering as the nodes are: with ``n`` buyers,
 width ``w`` and ``m`` objects, buyer k's tier-t source arc takes slot
 ``(k * w + t) * (m + 1)``, that tier's arc to the x-th object the slot
-after it plus x, and object x's arc into the sink slot
-``n * w * (m + 1) + x``.  So the slots run in one block per buyer, each
-tier's source arc followed by that tier's arcs to objects in object
-order, and the sink arcs close them.
-A network holds a capacity per slot; an absent arc has capacity 0 and is
-in no adjacency list.  Each node has one list of outgoing and one of
-incoming (slot, neighbour) pairs, each in slot order, and a flow is a list
-of amounts by slot.  A buyer's arcs depend only on its report and the
-numbering, so a climb's network copies the capacities of the network
-before in one slice, shares every adjacency list that the buyers whose
-reports the walk recomputed do not touch, and copies and patches only
-those (copy on write); no list of a built network changes.  Capacities are
-integers, and the solver (shortest augmenting paths, Edmonds-Karp) scans a
-node's outgoing arcs and then its incoming arcs, each in slot order, so
-the integral flow it returns is a deterministic function of the network.
-It returns that flow with the residual search that found no more
-augmenting path, and the left-most min cut is read off that search rather
-than a second one.  ``flow_update`` reroutes a flow's units by slot.  The
-climb calls neither it, nor ``check_feasible``, nor ``max_flow`` with a
-start flow: they stay as the reference that checks the paper's
-flow-update claim and the direct-path seed.  Node labels appear only at
-the edges: the network dump, the infeasible-flow
-messages and a cut's labels.  All come from one label table per node
-numbering, built once per (buyers, objects, width) and shared by every
-network of a climb, which also holds the node ids sorted by label, so a
-cut filters that order instead of sorting, and each slot's tail and head.
-The tier flows an allocation is read from name buyers and objects by id.
-Every failure of this layer, a bug in its caller, raises
-:class:`FlowError`.
+after it plus x, and object x's arc into the sink slot ``end + x``, where
+``end = n * w * (m + 1)`` closes the buyers' blocks.  So the slots run in
+one block per buyer, each tier's source arc followed by that tier's arcs
+to objects in object order, and the sink arcs close them.
+The slot layout is the network: a capacity per slot, 0 for an absent
+arc, and one ``out`` list per tier node of its present arcs to objects,
+as (slot, object node) pairs in slot order.  Source arcs are read by
+stride, and sink arcs at ``end + x``.  A flow is a list of amounts by
+slot.  A buyer's arcs depend only on its report and the numbering, so one
+loop lays them, whatever the network starts from: a fresh network starts
+from zero capacities with its sink slots set and lays every buyer, and a
+climb's network copies the capacities and the ``out`` lists of the
+network before and lays again only the buyers whose reports the walk
+recomputed, sharing every other ``out`` list; no list of a built network
+changes.  Capacities are integers, and the solver (shortest augmenting
+paths, Edmonds-Karp) scans each node's residual arcs in slot order, so the
+integral flow it returns is a deterministic function of the network.  It
+returns that flow with the residual search that found no more augmenting
+path, and the left-most min cut is read off that search rather than a
+second one.  ``flow_update`` reroutes a flow's units by slot.  The climb
+calls neither it, nor ``check_feasible``, nor ``max_flow`` with a start
+flow: they stay as the reference that checks the paper's flow-update
+claim and the direct-path seed.  Node labels appear only at the edges:
+the network dump, the infeasible-flow messages and a cut's labels.  All
+come from one label table per node numbering, built once per (buyers,
+objects, width) and shared by every network of a climb, which also holds
+the node ids sorted by label, so a cut filters that order instead of
+sorting, and each slot's tail and head.  The tier flows an allocation is
+read from name buyers and objects by id.  Every failure of this layer, a
+bug in its caller, raises :class:`FlowError`.
 
 ``build_allocation_network`` takes the tier reports at its prices, as the
 climb leaves them, and ``tiers.balanced_reports`` fills in their zero
 tiers, so no tier report runs on the balanced market.
 
-An augmenting search stops as soon as it reaches an object whose arc into
-the sink has residual capacity, and takes that arc.  A search run until the
-sink is reached finds the same path: only objects have an arc into the
-sink, one each, and nothing leaves the sink, so it reaches the sink from
-the first object it pops with a residual sink arc.  An object is reached
-only forward, since its one outgoing arc goes to the sink.  A breadth-first
-search pops nodes in the order it reaches them, so that object is the
-first one reached with a residual sink arc, and every node reached before
-it, with its predecessor, is the same in both searches.  So every
-augmenting path, and with it every flow, cut and allocation, is the same.
+The residual search needs no list of incoming arcs.  A residual arc runs
+forward along an arc with room or backward along an arc with flow.  The
+source is reached first, so a tier node's one incoming arc, its source
+arc, never adds a node.  An object's one outgoing arc goes to the sink,
+and an augmenting search stops as soon as it reaches an object whose sink
+arc has residual capacity, and takes that arc; so every object it pops
+has a full sink arc.  What is left to scan is the source arcs, each tier
+node's ``out`` list, and each object's backward arcs: the tier arcs that
+carry flow into it, in slot order.  ``max_flow`` keeps those per-object
+lists with its flow, laid by the direct pass and updated by each
+augmentation; only a flow from elsewhere, a start flow or a hand-built
+flow handed to ``leftmost_min_cut``, has them found by a scan.  Stopping
+at the first such object finds the path a search run until the sink is
+reached would: only objects have an arc into the sink, one each, and
+nothing leaves the sink, so it reaches the sink from the first object it
+pops with a residual sink arc.  An object is reached only forward, since
+its one outgoing arc goes to the sink.  A breadth-first search pops nodes
+in the order it reaches them, so that object is the first one reached
+with a residual sink arc, and every node reached before it, with its
+predecessor, is the same in both searches.  So every augmenting path, and
+with it every flow, cut and allocation, is the same.
 
 ``max_flow`` starts from ``direct_flow``, one greedy pass along the direct
 source -> tier -> object -> sink paths, unless it is given a start flow.
@@ -76,7 +88,7 @@ has them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -152,32 +164,38 @@ class FlowNetwork:
     without demand gets no arcs, and a report's tiers name only objects in
     supply, so an object lacks an arc only when it has no supply: its sink
     arc.  ``cap`` holds the capacity of every arc slot (see the module
-    docstring), ``tails`` and ``heads`` its end nodes; an absent arc has
-    capacity 0 and is in no adjacency list.  ``arcs``, built on first read,
-    lists the present arcs as (tail, head, capacity) triples of node ids, in
-    slot order.  Every tier node has its id, so the numbering depends only
-    on the buyers, the width and the objects, and so do ``labels``, each
-    node's label by node id, ``label_order``, the node ids sorted by label,
-    and the slots' ends: one shared table.  Each node's ``out`` and ``into``
-    lists hold its present arcs as (slot, neighbour) pairs in slot order,
-    which is tier, then object order: the solver's path order depends on
-    that order.  ``sink_arc`` holds, per node id, the slot of the node's arc
-    into the sink, or -1 if it has none (only objects do).  No network
-    changes a list after it is built, so networks share them.
+    docstring), 0 for an absent arc, and ``tails`` and ``heads`` its end
+    nodes; tier node u's source arc is slot ``(u - 1) * (m + 1)`` and
+    object x's sink arc slot ``end + x``.  ``out`` holds, for each tier
+    node u, its present arcs to objects as (slot, object node) pairs in
+    slot order, which is object order: the solver's path order depends on
+    it.  ``out[0]`` is empty: the source's arcs are read by stride.  No
+    other node needs a list: the residual search never takes a tier node's
+    one incoming arc, its source arc, since the source is reached first,
+    nor an object's one outgoing arc, its sink arc, which is full on every
+    object it pops; an object's backward arcs come from the flow (see the
+    module docstring).  ``arcs``, built on first read, lists the present
+    arcs as (tail, head, capacity) triples of node ids, in slot order.
+    Every tier node has its id, so the numbering depends only on the
+    buyers, the width and the objects, and so do ``labels``, each node's
+    label by node id, ``label_order``, the node ids sorted by label, and
+    the slots' ends: one shared table.  No network changes a list after it
+    is built, so networks share them.
 
+    One loop lays a buyer's arcs: it clears the capacities of the arcs in
+    the buyer's ``out`` lists, sets its source arcs and lays new tier
+    arcs and ``out`` lists.  A fresh network starts from zero capacities
+    with its sink slots set, and empty lists, and lays every buyer.
     ``base``, a network with the same width, buyers and objects (else
-    :class:`FlowError`), lends its lists: ``cap`` is one copy of the
-    base's, and every adjacency list is the base's very list except those
-    the buyers in ``due``, which are read from ``reports``, touch.  Their
-    tier nodes get new ``out`` lists, and a list that gains or loses one
-    of their arcs (``out[0]``, a tier node's ``into``, an object's
-    ``into``) is copied and patched.  ``cap_s`` is the base's, less the
-    due buyers' source capacities there, plus theirs here.  The caller
-    promises that ``base`` was built on the same supplies, and that a
-    buyer not in ``due`` has the report, in the tiers this width reads,
-    that ``base`` was built from; a ``due`` id that names no buyer raises
-    :class:`FlowError`.  The network keeps no reference to ``base`` and
-    never changes it.
+    :class:`FlowError`), lends its layout instead: ``cap`` is one copy of
+    the base's, ``out`` shares the base's lists, and only the buyers in
+    ``due``, whose reports are read from ``reports``, are laid again.
+    ``cap_s`` is the base's, less the due buyers' source capacities there,
+    plus theirs here.  The caller promises that ``base`` was built on the
+    same supplies, and that a buyer not in ``due`` has the report, in the
+    tiers this width reads, that ``base`` was built from; a ``due`` id that
+    names no buyer raises :class:`FlowError`, with or without a base.  The
+    network keeps no reference to ``base`` and never changes it.
     """
 
     def __init__(
@@ -194,115 +212,47 @@ class FlowNetwork:
         self.objects = objects = instance.objects
         self.prices = prices
         self.first_object = first = 1 + len(buyers) * width
-        self.sink = sink = first + len(objects)
+        self.sink = first + len(objects)
         self.labels, self.label_order, index, rank, self.tails, self.heads = _label_table(
             buyers, objects, width
         )
         supply = instance.supply_row
         row = len(objects) + 1
+        self.end = (first - 1) * row
         top = max(supply, default=0)
-        laid: list[int] = []
-        if due:
-            try:
-                laid = sorted({rank[j] for j in due})
-            except KeyError as missing:
-                message = f"due buyer {missing.args[0]!r} is not a buyer of this network"
-                raise FlowError(message) from None
+        try:
+            laid = sorted({rank[j] for j in due})
+        except KeyError as missing:
+            message = f"due buyer {missing.args[0]!r} is not a buyer of this network"
+            raise FlowError(message) from None
         if base is None:
-            # A fresh network lays every buyer in slot order, by appends.  A
-            # patch of an all-absent network lays the same arcs, but its
-            # sorted inserts and copy checks made fresh builds 40 to 55 %
-            # slower.
-            self.cap = cap = [0] * len(self.tails)
-            out0: list[tuple[int, int]] = []
-            self.out = out = [out0]
-            self.into = into = [[]]
-            into_objects: list[list[tuple[int, int]]] = [[] for _ in objects]
-            cap_s = src = 0
-            for j in buyers:
-                for tier_objects, demand, bound in _tiers(reports[j], width, top):
-                    node = len(out)
-                    arcs = []
-                    if demand > 0:
-                        cap[src] = demand
-                        cap_s += demand
-                        out0.append((src, node))
-                        into.append([(src, 0)])
-                        for i in tier_objects:
-                            x = index[i]
-                            a = src + 1 + x
-                            c = supply[x]
-                            cap[a] = c if c < bound else bound
-                            arcs.append((a, first + x))
-                            into_objects[x].append((a, node))
-                    else:
-                        into.append([])
-                    out.append(arcs)
-                    src += row
-            into += into_objects
-            into_sink: list[tuple[int, int]] = []
-            self.sink_arc = sink_arc = [-1] * (sink + 1)
-            for x, b in enumerate(supply):
-                if b > 0:
-                    a = src + x
-                    cap[a] = b
-                    out.append([(a, sink)])
-                    into_sink.append((a, first + x))
-                    sink_arc[first + x] = a
-                else:
-                    out.append([])
-            out.append([])
-            into.append(into_sink)
-            self.cap_s = cap_s
-            return
-        if (base.width, base.buyers, base.objects) != (width, buyers, objects):
-            raise FlowError("the base network does not share this network's nodes")
-        self.cap = cap = base.cap[:]
-        self.out = out = base.out[:]
-        self.into = into = base.into[:]
-        self.sink_arc = base.sink_arc
-        cap_s = base.cap_s
-        shared, out0 = base.into, out[0]
+            self.cap = cap = [0] * self.end
+            cap += supply
+            self.out = out = [[]] * first
+            cap_s = 0
+            laid = range(len(buyers))
+        else:
+            if (base.width, base.buyers, base.objects) != (width, buyers, objects):
+                raise FlowError("the base network does not share this network's nodes")
+            self.cap = cap = base.cap[:]
+            self.out = out = base.out[:]
+            cap_s = base.cap_s
         for k in laid:
             node = k * width
             for tier_objects, demand, bound in _tiers(reports[buyers[k]], width, top):
                 node += 1
                 src = (node - 1) * row
-                if (cap[src] > 0) != (demand > 0):
-                    if out0 is base.out[0]:
-                        out0 = out[0] = out0[:]
-                    if demand > 0:
-                        insort(out0, (src, node))
-                        into[node] = [(src, 0)]
-                    else:
-                        del out0[bisect_left(out0, (src,))]
-                        into[node] = []
+                for a, _ in out[node]:
+                    cap[a] = 0
                 cap_s += demand - cap[src]
                 cap[src] = demand
-                old = out[node]
-                for a, _ in old:
-                    cap[a] = -1  # present before; 0 again below unless laid again
                 arcs = []
                 if demand > 0:
                     for i in tier_objects:
                         x = index[i]
-                        a = src + 1 + x
-                        if cap[a] == 0:
-                            # A new arc: its object's into list gains it.
-                            listed = into[first + x]
-                            if listed is shared[first + x]:
-                                listed = into[first + x] = listed[:]
-                            insort(listed, (a, node))
                         c = supply[x]
-                        cap[a] = c if c < bound else bound
-                        arcs.append((a, first + x))
-                for a, v in old:
-                    if cap[a] < 0:
-                        cap[a] = 0
-                        listed = into[v]
-                        if listed is shared[v]:
-                            listed = into[v] = listed[:]
-                        del listed[bisect_left(listed, (a,))]
+                        cap[src + 1 + x] = c if c < bound else bound
+                        arcs.append((src + 1 + x, first + x))
                 out[node] = arcs
         self.cap_s = cap_s
 
@@ -312,11 +262,6 @@ class FlowNetwork:
         on first read: the solver reads the slot lists."""
         tails, heads = self.tails, self.heads
         return tuple((tails[a], heads[a], c) for a, c in enumerate(self.cap) if c)
-
-    def label(self, k: int) -> str:
-        """Node ``k``'s label: ``s``, ``t``, the object id, or the buyer id
-        with one prime per tier."""
-        return self.labels[k]
 
 
 @dataclass(frozen=True)
@@ -394,68 +339,119 @@ def build_allocation_network(
 def check_feasible(network: FlowNetwork, flow: IntegralFlow) -> None:
     """Raise :class:`FlowError` unless the flow has one amount per arc
     slot, obeys capacities and conservation, and its value matches.  It
-    walks the present arcs, and counts the amounts that are not 0 to see
-    that no absent arc, whose capacity is 0, carries flow."""
+    walks the slots, so an absent arc, whose capacity is 0, that carries
+    flow fails the capacity test."""
     flows = flow.flows
     if len(flows) != len(network.cap):
         raise FlowError(
             f"flow has {len(flows)} amounts for a network of {len(network.cap)} arc slots"
         )
-    cap, labels = network.cap, network.labels
+    cap, labels, tails, heads = network.cap, network.labels, network.tails, network.heads
     balance = [0] * (network.sink + 1)
-    carrying = 0
-    for u, arcs in enumerate(network.out):
-        for a, v in arcs:
-            amount = flows[a]
-            if amount == 0:
-                continue
-            if amount < 0 or amount > cap[a]:
-                raise FlowError(
-                    f"flow {amount} outside [0, {cap[a]}] on {labels[u]} -> {labels[v]}"
-                )
-            balance[u] -= amount
-            balance[v] += amount
-            carrying += 1
-    if carrying != len(flows) - flows.count(0):
-        a = next(a for a, amount in enumerate(flows) if amount and not cap[a])
-        tail, head = labels[network.tails[a]], labels[network.heads[a]]
-        raise FlowError(f"flow {flows[a]} outside [0, 0] on {tail} -> {head}")
+    for a, amount in enumerate(flows):
+        if amount == 0:
+            continue
+        if amount < 0 or amount > cap[a]:
+            raise FlowError(
+                f"flow {amount} outside [0, {cap[a]}] on {labels[tails[a]]} -> {labels[heads[a]]}"
+            )
+        balance[tails[a]] -= amount
+        balance[heads[a]] += amount
     for k in range(1, network.sink):
         if balance[k] != 0:
-            raise FlowError(f"conservation violated at {network.label(k)}")
+            raise FlowError(f"conservation violated at {labels[k]}")
     if flow.value != -balance[0]:
         raise FlowError(f"declared value {flow.value} != source outflow {-balance[0]}")
 
 
-def _residual_search(network: FlowNetwork, flows: list[int]) -> list[int | None]:
+def _carrying(network: FlowNetwork, flows: list[int]) -> list[list[int]]:
+    """Per object index, the tier nodes whose arc into the object carries
+    flow, in node order, which is slot order: the object's backward arcs
+    in the residual graph.  ``max_flow`` keeps these lists as it augments;
+    this scan is for a flow from elsewhere."""
+    first = network.first_object
+    carrying: list[list[int]] = [[] for _ in network.objects]
+    for u, arcs in enumerate(network.out[1:], 1):
+        for a, v in arcs:
+            if flows[a] > 0:
+                carrying[v - first].append(u)
+    return carrying
+
+
+def _residual_search(
+    network: FlowNetwork, flows: list[int], carrying: list[list[int]]
+) -> list[int | None]:
     """Breadth-first search of the residual graph from the source, until
     it reaches an object with a residual arc into the sink, and the sink
-    over that arc, or nothing more.
+    over that arc, or nothing more.  ``carrying`` holds each object's
+    backward arcs, as ``_carrying`` lists them.
 
     Returns, per node id, the slot of the arc the node was reached by
     (``~a`` when arc ``a`` was crossed backwards) or ``None`` if it was not
     reached.
     """
-    cap, out, into, sink = network.cap, network.out, network.into, network.sink
-    sink_arc = network.sink_arc
+    cap, out, end, sink = network.cap, network.out, network.end, network.sink
+    first, row = network.first_object, len(network.objects) + 1
+    shift = end - first  # an object node's sink arc slot, less the node id
     pred: list[int | None] = [None] * (sink + 1)
     pred[0] = 0  # marks the source reached; no path is traced past it
-    queue = deque([0])
+    queue = deque()
+    for u, a in enumerate(range(0, end, row), 1):
+        if flows[a] < cap[a]:
+            pred[u] = a
+            queue.append(u)
     while queue:
         u = queue.popleft()
-        for a, v in out[u]:
-            if pred[v] is None and flows[a] < cap[a]:
-                pred[v] = a
-                t = sink_arc[v]
-                if t >= 0 and flows[t] < cap[t]:
-                    pred[sink] = t
-                    return pred
-                queue.append(v)
-        for a, v in into[u]:
-            if pred[v] is None and flows[a] > 0:
-                pred[v] = ~a
-                queue.append(v)
+        if u < first:
+            for a, v in out[u]:
+                if pred[v] is None and flows[a] < cap[a]:
+                    pred[v] = a
+                    t = v + shift
+                    if flows[t] < cap[t]:
+                        pred[sink] = t
+                        return pred
+                    queue.append(v)
+        else:
+            back = u - first + 1 - row  # tier node v's arc into u is slot v * row + back
+            for v in carrying[u - first]:
+                if pred[v] is None:
+                    pred[v] = ~(v * row + back)
+                    queue.append(v)
     return pred
+
+
+def _direct_paths(network: FlowNetwork) -> tuple[list[int], int, list[list[int]]]:
+    """``direct_flow``'s amounts and value, and per object the tier nodes
+    whose arc into it carries that flow, as ``_carrying`` lists them, laid
+    as the pass goes."""
+    cap, out, end, first = network.cap, network.out, network.end, network.first_object
+    row = len(network.objects) + 1
+    shift = end - first
+    flows = [0] * len(cap)
+    carrying: list[list[int]] = [[] for _ in network.objects]
+    value = 0
+    for tier, src in enumerate(range(0, end, row), 1):
+        demand = cap[src]
+        if demand == 0:
+            continue
+        left = demand
+        for a, obj in out[tier]:
+            t = obj + shift
+            amount = cap[t] - flows[t]
+            if amount > left:
+                amount = left
+            if amount > cap[a]:
+                amount = cap[a]
+            if amount > 0:
+                flows[a] = amount
+                flows[t] += amount
+                carrying[obj - first].append(tier)
+                left -= amount
+                if left == 0:
+                    break
+        flows[src] = demand - left
+        value += demand - left
+    return flows, value, carrying
 
 
 def direct_flow(network: FlowNetwork) -> IntegralFlow:
@@ -467,26 +463,7 @@ def direct_flow(network: FlowNetwork) -> IntegralFlow:
     the object's sink arc.  No unit is rerouted, so the flow need not be
     maximum; ``max_flow`` starts from it and augments it.
     """
-    cap, out, sink_arc = network.cap, network.out, network.sink_arc
-    flows = [0] * len(cap)
-    value = 0
-    for source_arc, tier in out[0]:
-        left = cap[source_arc]
-        for a, obj in out[tier]:
-            if left == 0:
-                break
-            t = sink_arc[obj]
-            amount = cap[t] - flows[t]
-            if amount > left:
-                amount = left
-            if amount > cap[a]:
-                amount = cap[a]
-            if amount > 0:
-                flows[a] = amount
-                flows[t] += amount
-                left -= amount
-        flows[source_arc] = cap[source_arc] - left
-        value += flows[source_arc]
+    flows, value, _ = _direct_paths(network)
     return IntegralFlow(flows, value)
 
 
@@ -499,17 +476,20 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
     The climb never passes one; tests do, to augment a flow carried by
     ``flow_update`` or the zero flow.  Without one the computation starts
     from ``direct_flow``, feasible by construction, and returns the flow it
-    would reach from zero (see the module docstring).
+    would reach from zero (see the module docstring).  Each object's
+    backward arcs are kept with the flow: an augmentation adds a tier arc
+    that starts to carry flow, in slot order, and takes out one that stops.
     """
     cap, sink, tails, heads = network.cap, network.sink, network.tails, network.heads
+    first = network.first_object
     if warm_start is None:
-        seed = direct_flow(network)
-        flows, value = seed.flows, seed.value
+        flows, value, carrying = _direct_paths(network)
     else:
         check_feasible(network, warm_start)
         flows, value = list(warm_start.flows), warm_start.value
+        carrying = _carrying(network, flows)
     while True:
-        pred = _residual_search(network, flows)
+        pred = _residual_search(network, flows, carrying)
         if pred[sink] is None:
             return IntegralFlow(flows, value, pred)
         path = []
@@ -519,11 +499,21 @@ def max_flow(network: FlowNetwork, warm_start: IntegralFlow | None = None) -> In
             path.append(a)
             v = tails[a] if a >= 0 else heads[~a]
         bottleneck = min(cap[a] - flows[a] if a >= 0 else flows[~a] for a in path)
-        for a in path:
+        # Traced back from the sink, the path holds the sink arc first and
+        # the source arc last; between them it crosses tier arcs, forward
+        # and backward, and only those change the backward-arc lists.
+        flows[path[0]] += bottleneck
+        flows[path[-1]] += bottleneck
+        for a in path[1:-1]:
             if a >= 0:
+                if flows[a] == 0:
+                    insort(carrying[heads[a] - first], tails[a])
                 flows[a] += bottleneck
             else:
-                flows[~a] -= bottleneck
+                a = ~a
+                flows[a] -= bottleneck
+                if flows[a] == 0:
+                    carrying[heads[a] - first].remove(tails[a])
         value += bottleneck
 
 
@@ -536,7 +526,9 @@ def leftmost_min_cut(network: FlowNetwork, flow: IntegralFlow) -> CutResult:
     the cut reads that search.  Any other flow, such as a hand-built one or
     one from ``flow_update``, is searched here.
     """
-    pred = flow.search if flow.search is not None else _residual_search(network, flow.flows)
+    pred = flow.search
+    if pred is None:
+        pred = _residual_search(network, flow.flows, _carrying(network, flow.flows))
     if pred[network.sink] is not None:
         raise FlowError("sink reachable in residual graph; flow is not maximum")
     first, labels = network.first_object, network.labels
@@ -584,7 +576,7 @@ def flow_update(
     # Take every unit off its tier node, as (above-margin tier node, object
     # index, amount), before any is laid again.
     moved = []
-    for u, arcs in enumerate(old_network.out[1:first], 1):
+    for u, arcs in enumerate(old_network.out[1:], 1):
         src = (u - 1) * row
         for a, v in arcs:
             amount = flows[a]
@@ -603,7 +595,7 @@ def flow_update(
         else:
             key = (new_network.buyers[(above - 1) // width], new_network.objects[x])
             dropped[key] = dropped.get(key, 0) + amount
-            flows[(first - 1) * row + x] -= amount
+            flows[new_network.end + x] -= amount
             value -= amount
     return FlowUpdateResult(IntegralFlow(flows, value), dropped)
 
@@ -630,14 +622,14 @@ def dump_network(network: FlowNetwork, flow: IntegralFlow | None = None) -> str:
     """
     cap, labels, tails, heads = network.cap, network.labels, network.tails, network.heads
     amounts = flow.flows if flow is not None else [0] * len(cap)
-    first, row = network.first_object, len(network.objects) + 1
+    end = network.end
 
     def line(a: int) -> str:
         return f"{labels[tails[a]]} -> {labels[heads[a]]} [{cap[a]}, {amounts[a]}]"
 
-    lines = [line((u - 1) * row) for u in range(1, first)]
+    lines = [line(a) for a in range(0, end, len(network.objects) + 1)]
     # Without its source arc, each buyer's block lists its tier arcs tier
     # by tier, in object order.
-    lines.extend(line(a) for u in range(1, first) for a, _ in network.out[u])
-    lines.extend(line(a) for a in range((first - 1) * row, len(cap)))
+    lines.extend(line(a) for arcs in network.out for a, _ in arcs)
+    lines.extend(line(a) for a in range(end, len(cap)))
     return "\n".join(lines) + "\n"

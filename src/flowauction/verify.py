@@ -118,11 +118,11 @@ def _tier_arc_table(
     instance: Instance, prices: PriceVector
 ) -> list[tuple[int, dict[str, int]]]:
     """Per tier node of the demand network: its demand, which is its source
-    arc's capacity (0 without one), and its arc capacities to objects."""
+    slot's capacity (0 without an arc), and its arc capacities to objects."""
     network = build_demand_network(instance, prices)
-    cap, labels = network.cap, network.labels
+    cap, labels, row = network.cap, network.labels, len(network.objects) + 1
     return [
-        (sum(cap[a] for a, _ in network.into[k]), {labels[v]: cap[a] for a, v in network.out[k]})
+        (cap[(k - 1) * row], {labels[v]: cap[a] for a, v in network.out[k]})
         for k in range(1, network.first_object)
     ]
 
@@ -306,7 +306,10 @@ def is_competitive_bruteforce(instance: Instance, prices: PriceVector) -> bool:
 
 
 def min_competitive_bruteforce(
-    instance: Instance, budget: int = DEFAULT_BUDGET, upper: PriceVector | None = None
+    instance: Instance,
+    budget: int = DEFAULT_BUDGET,
+    upper: PriceVector | None = None,
+    upper_passes: bool | None = None,
 ) -> PriceVector:
     """Component-wise minimum competitive prices by grid enumeration.
 
@@ -317,7 +320,9 @@ def min_competitive_bruteforce(
     criterion, only the box {0, ..., upper_i} of the grid is enumerated;
     otherwise the whole grid is.  The whole grid is never smaller than the
     box, so a box beyond the budget raises with the box's count before
-    ``upper`` is checked.
+    ``upper`` is checked.  A caller that knows ``upper``'s flow-criterion
+    verdict already passes it as ``upper_passes``; ``None`` has it checked
+    here.
 
     Each vector is decided once, as ``is_competitive_flowcheck`` decides
     it: first by the two supply bounds, which read only the instance rows
@@ -337,15 +342,6 @@ def min_competitive_bruteforce(
     minimum of the competitive vectors be competitive itself; if it is
     not, a :class:`GuaranteeViolation` is raised.
     """
-    return _grid_minimum(instance, budget, upper, None)
-
-
-def _grid_minimum(
-    instance: Instance, budget: int, upper: PriceVector | None, upper_passes: bool | None
-) -> PriceVector:
-    """``min_competitive_bruteforce`` with ``upper``'s flow-criterion
-    verdict, if the caller knows it already; ``None`` has it checked here
-    when the box is within the budget."""
     objects = instance.objects
     top = instance.max_valuation + 1
     bounds = [top] * len(objects)

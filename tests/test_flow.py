@@ -7,7 +7,7 @@ from collections import Counter, deque
 import pytest
 
 from flowauction import flow
-from flowauction.auction import SolveOptions, first_prices, price_raising
+from flowauction.auction import SolveOptions, first_prices, price_raising, solve
 from flowauction.flow import (
     FlowError,
     FlowNetwork,
@@ -44,7 +44,7 @@ gamma -> t [4, 0]
 
 def node_labels(network):
     """The node labels, indexed by node id."""
-    return [network.label(k) for k in range(network.sink + 1)]
+    return list(network.labels)
 
 
 def labelled_arcs(network):
@@ -122,28 +122,33 @@ def two_pass_arcs(instance, reports, width):
     return arcs + [(i, "t", supplies[i]) for i in instance.objects if supplies[i] > 0]
 
 
-NETWORK_FIELDS = ("cap", "out", "into", "sink_arc", "cap_s", "arcs", "labels", "label_order")
+NETWORK_FIELDS = ("cap", "out", "end", "cap_s", "arcs", "labels", "label_order")
+
+
+def source_slots(network):
+    """The source arc slots, one per tier node, in slot order."""
+    return range(0, network.end, len(network.objects) + 1)
 
 
 def check_slots(network):
-    """Every absent slot has capacity 0 and is in no adjacency list: the
-    slots the ``out`` lists hold, and those the ``into`` lists hold, are
-    each exactly the slots with a positive capacity."""
-    present = [a for a, c in enumerate(network.cap) if c]
-    assert min(network.cap, default=0) >= 0
-    assert sorted(a for arcs in network.out for a, _ in arcs) == present
-    assert sorted(a for arcs in network.into for a, _ in arcs) == present
+    """No slot has a negative capacity, and the present slots, those with
+    a positive capacity, are exactly the present source and sink slots and
+    the slots the tier nodes' ``out`` lists hold.  Each tier node's list
+    holds its own arcs in slot order, and the source has none."""
+    cap, out = network.cap, network.out
+    assert min(cap, default=0) >= 0
+    assert len(out) == network.first_object and out[0] == []
+    strided = [a for a in [*source_slots(network), *range(network.end, len(cap))] if cap[a]]
+    listed = [a for arcs in out for a, _ in arcs]
+    assert sorted(strided + listed) == [a for a, c in enumerate(cap) if c]
+    for u, arcs in enumerate(out):
+        assert [a for a, _ in arcs] == sorted(a for a, _ in arcs)
+        assert all((network.tails[a], network.heads[a]) == (u, v) for a, v in arcs)
 
 
 def snapshot(network):
     """Copies of the lists a network built on this one must leave alone."""
-    return (
-        list(network.cap),
-        [list(arcs) for arcs in network.out],
-        [list(arcs) for arcs in network.into],
-        list(network.sink_arc),
-        network.cap_s,
-    )
+    return list(network.cap), [list(arcs) for arcs in network.out], network.cap_s
 
 
 class TestBuildDemandNetwork:
@@ -202,11 +207,12 @@ class TestBuildDemandNetwork:
         prices and half from random prices below the minimum: every network
         a walk patches from the network before equals a fresh one at its
         prices, from the walk's reports, in every slot's capacity, every
-        node's arc lists in order, the sink arcs, the source capacity, the
-        present arcs and the labels, and has the arcs of one from fresh
-        reports.  Every absent slot has capacity 0 and is in no adjacency
-        list, and the base is left as it was before the patched network
-        was built on it.  The sweep holds walks that copy blocks, walks on
+        tier node's ``out`` list in order, the end of the buyers' blocks,
+        the source capacity, the present arcs and the labels, and has the
+        arcs of one from fresh reports.  The present slots are exactly
+        those with a positive capacity, and an absent slot is in no ``out``
+        list; the base is left as it was before the patched network was
+        built on it.  The sweep holds walks that copy blocks, walks on
         which every buyer is due, objects without supply and buyers
         without demand.  On each market, in both widths, a network patched
         from one at random prices with the reports at other random prices
@@ -298,7 +304,8 @@ class TestBuildDemandNetwork:
         # A base that fits, with no buyer due, lends every list.
         patched = FlowNetwork(fig1, zero, {}, 2, base=base, due=())
         assert patched.arcs == base.arcs and patched.cap is not base.cap
-        assert all(a is b for a, b in zip(patched.out + patched.into, base.out + base.into))
+        assert len(patched.out) == len(base.out) == base.first_object
+        assert all(a is b for a, b in zip(patched.out, base.out))
 
     def test_a_due_id_that_names_no_buyer_is_refused(self, fig1):
         """A due buyer that is not one of the network's buyers raises
@@ -373,7 +380,7 @@ class TestBuildAllocationNetwork:
                 expected = reference_allocation_network(inst, prices)
                 assert (network.buyers, network.objects) == (expected.buyers, expected.objects)
                 assert network.arcs == expected.arcs
-                assert (network.out, network.into) == (expected.out, expected.into)
+                assert (network.cap, network.out) == (expected.cap, expected.out)
                 assert list(network.prices.prices.items()) == list(expected.prices.prices.items())
                 assert dump_network(network) == dump_network(expected)
                 assert dump_network(network, max_flow(network)) == dump_network(
@@ -458,14 +465,16 @@ class TestBuildAllocationNetwork:
             "gamma -> t [4]",
         ]
         labels = node_labels(network)
-        assert [labels[v] for _, v in network.out[0]] == ["j1'", "j1''", "j2''", "j2'''"]
+        sources = [labels[network.heads[a]] for a in source_slots(network) if network.cap[a]]
+        assert sources == ["j1'", "j1''", "j2''", "j2'''"]
 
     def test_every_node_keeps_the_two_pass_arc_order(self):
         """Each node's outgoing and incoming arcs, by label and capacity,
-        come in the order of a two-pass emission that lays every source
-        arc, then every tier arc, then every sink arc: the order the
-        solver's paths, flows and cuts were pinned on.  An absent arc has
-        capacity 0 and is in no adjacency list."""
+        in slot order, come in the order of a two-pass emission that lays
+        every source arc, then every tier arc, then every sink arc: the
+        order the solver's paths, flows and cuts were pinned on.  A tier
+        node's ``out`` list is its outgoing arcs in that order.  An absent
+        arc has capacity 0 and is in no ``out`` list."""
         rng = random.Random(41)
         checked = 0
         for k in range(400):
@@ -480,11 +489,14 @@ class TestBuildAllocationNetwork:
                 reports = {j: tier_report(market, j, network.prices) for j in market.buyers}
                 arcs = two_pass_arcs(market, reports, network.width)
                 labels = node_labels(network)
+                slots = present_slots(network)
                 for node, label in enumerate(labels):
-                    out = [(labels[v], network.cap[a]) for a, v in network.out[node]]
-                    into = [(labels[u], network.cap[a]) for a, u in network.into[node]]
+                    out = [(labels[v], network.cap[a]) for a, u, v in slots if u == node]
+                    into = [(labels[u], network.cap[a]) for a, u, v in slots if v == node]
                     assert out == [(v, c) for u, v, c in arcs if u == label]
                     assert into == [(u, c) for u, v, c in arcs if v == label]
+                    if 0 < node < network.first_object:
+                        assert network.out[node] == [(a, v) for a, u, v in slots if u == node]
                 checked += 1
         assert checked == 800
 
@@ -533,20 +545,22 @@ class TestMaxFlow:
 
     def test_a_warm_start_is_left_unchanged(self, fig1, monkeypatch):
         """A caller's warm start is copied before it is augmented; the seed
-        ``max_flow`` builds itself is not."""
+        ``max_flow`` builds itself, the direct paths, is not."""
         network = build_demand_network(fig1, PriceVector.zero(fig1))
         partial = flow_of(network, {("s", "j1'"): 1, ("j1'", "alpha"): 1, ("alpha", "t"): 1}, 1)
         amounts_before = list(partial.flows)
         best = max_flow(network, warm_start=partial)
         assert best.value == 4 and partial.flows == amounts_before and partial.value == 1
         seeds = []
+        direct_paths = flow._direct_paths
 
         def kept(network):
-            seeds.append(direct_flow(network))
+            seeds.append(direct_paths(network))
             return seeds[-1]
 
-        monkeypatch.setattr(flow, "direct_flow", kept)
-        assert max_flow(network).flows is seeds[0].flows
+        monkeypatch.setattr(flow, "_direct_paths", kept)
+        seeded = max_flow(network)
+        assert seeded.flows is seeds[0][0] and seeded.flows == direct_flow(network).flows
 
     def test_warm_start_must_be_feasible(self, fig1):
         network = build_demand_network(fig1, PriceVector.zero(fig1))
@@ -594,9 +608,9 @@ class TestMaxFlow:
         # then alpha from j1'; alpha's arc into the sink has residual
         # capacity, so beta and gamma, which come later, are never reached.
         network = build_demand_network(fig1, PriceVector.zero(fig1))
-        pred = _residual_search(network, [0] * len(network.cap))
-        assert network.label(network.tails[pred[network.sink]]) == "alpha"
-        assert {network.label(k) for k, a in enumerate(pred) if a is not None} == {
+        pred = _residual_search(network, [0] * len(network.cap), [[] for _ in network.objects])
+        assert network.labels[network.tails[pred[network.sink]]] == "alpha"
+        assert {network.labels[k] for k, a in enumerate(pred) if a is not None} == {
             "s",
             "j1'",
             "j1''",
@@ -604,6 +618,67 @@ class TestMaxFlow:
             "alpha",
             "t",
         }
+
+    def test_backward_list_sweep_follows_every_augmentation(self, monkeypatch):
+        """On 1500 seeded markets, solved in adapted mode, half of them
+        from random prices below the minimum, and on one market whose
+        direct paths are not maximum: before every residual search of every
+        max flow, so after the direct pass and after every augmentation,
+        each object's backward arcs are the tier nodes whose arc into it
+        carries flow, in slot order, read here off every slot's ends.  The sweep holds fresh demand networks, demand networks
+        a walk patched from its base, allocation networks, augmentations
+        that start a tier arc carrying and backward steps that empty one."""
+        search = flow._residual_search
+        build = flow.build_demand_network
+        patched = weakref.WeakSet()
+        seen = Counter()
+        last = {"flows": None, "amounts": None}
+
+        def built(instance, prices, reports=None, base=None, due=()):
+            network = build(instance, prices, reports, base=base, due=due)
+            if base is not None:
+                patched.add(network)
+            return network
+
+        def checked(network, flows, carrying):
+            first, tails, heads = network.first_object, network.tails, network.heads
+            expected = [[] for _ in network.objects]
+            for a, amount in enumerate(flows):
+                if amount > 0 and 0 < tails[a] < first:
+                    expected[heads[a] - first].append(tails[a])
+            assert carrying == expected
+            if flows is last["flows"]:
+                tier = [a for a in range(len(flows)) if 0 < tails[a] < first]
+                before = last["amounts"]
+                seen["augmentations"] += 1
+                seen["a tier arc starts"] += any(flows[a] and not before[a] for a in tier)
+                seen["a backward step empties a tier arc"] += any(before[a] and not flows[a] for a in tier)
+            else:
+                kind = "allocation" if network.width == 3 else "patched" if network in patched else "fresh"
+                seen[f"{kind} networks"] += 1
+            last["flows"], last["amounts"] = flows, list(flows)
+            return search(network, flows, carrying)
+
+        monkeypatch.setattr(flow, "_residual_search", checked)
+        monkeypatch.setattr(flow, "build_demand_network", built)
+        # a takes x first along the direct paths, so b's path to x goes
+        # back over a's arc, which it empties, and on to y.
+        fixed = validate_instance(
+            {"x": 1, "y": 1}, {"a": 1, "b": 1}, {"a": {"x": 5, "y": 5}, "b": {"x": 5, "y": 0}}
+        )
+        assert max_flow(build_demand_network(fixed, PriceVector.zero(fixed))).value == 2
+        assert seen["a backward step empties a tier arc"] == 1
+        rng = random.Random(71)
+        for k in range(1500):
+            inst = random_instance(
+                rng, max_objects=4, max_buyers=5, max_supply=4, max_demand=4, max_value=(4, 30, 300)[k % 3]
+            )
+            start = None
+            if k % 2:
+                minimum, _ = price_raising(inst)
+                start = PriceVector({i: rng.randint(0, p) for i, p in minimum.prices.items()})
+            solve(inst, SolveOptions(mode="adapted", start_prices=start))
+        assert min(seen.values()) >= 100 and len(seen) == 6, seen
 
 
 def from_zero(network):
@@ -704,7 +779,8 @@ class TestLeftmostMinCut:
             while True:
                 bare = IntegralFlow(list(best.flows), best.value)
                 assert bare.search is None and bare == best
-                assert best.search == _residual_search(network, best.flows)
+                carrying = flow._carrying(network, best.flows)
+                assert best.search == _residual_search(network, best.flows, carrying)
                 cut = leftmost_min_cut(network, best)
                 assert cut == leftmost_min_cut(network, bare)
                 if not cut.objects:
@@ -742,7 +818,7 @@ class TestLeftmostMinCut:
                 rule = ["s", *(j + "'" * t for j in network.buyers for t in tiers), *network.objects, "t"]
                 assert node_labels(network) == rule
                 best = max_flow(network)
-                reached = [network.label(k) for k, a in enumerate(best.search) if a is not None]
+                reached = [network.labels[k] for k, a in enumerate(best.search) if a is not None]
                 expected = tuple(sorted(reached))
                 assert leftmost_min_cut(network, best).labels == expected
                 bare = IntegralFlow(list(best.flows), best.value)
