@@ -243,7 +243,9 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
         "every object with a positive price is completely sold",
         report.positive_price_sellout,
     )
-    competitive = is_competitive_flowcheck(instance, prices)
+    # The flow criterion and the counting condition read one network.
+    network = flownet.build_demand_network(instance, prices)
+    competitive = is_competitive_flowcheck(network)
     record(
         "competitive-flow-criterion",
         "the demand network at the final prices admits a saturating flow",
@@ -251,16 +253,15 @@ def run_verification(instance: Instance, options: SolveOptions, grid_budget: int
     )
     claim = "no object subset is overdemanded at the final prices"
     try:
-        ok, violating = hall_check(instance, prices)
+        ok, violating = hall_check(network)
     except BudgetExceededError as exc:
         record("hall-condition", claim, None, str(exc))
     else:
         record("hall-condition", claim, ok, "" if ok else f"violating set: {list(violating)}")
     claim = "the auction prices equal the grid-enumerated minimum competitive prices"
     try:
-        # Below competitive auction prices only their box is searched, on
-        # the verdict just recorded.
-        brute = min_competitive_bruteforce(instance, grid_budget, prices, competitive)
+        # Below competitive auction prices only their box is searched.
+        brute = min_competitive_bruteforce(instance, grid_budget, prices if competitive else None)
     except BudgetExceededError as exc:
         record("bruteforce-minimum-agreement", claim, None, str(exc))
     else:

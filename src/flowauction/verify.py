@@ -3,38 +3,37 @@
 Competitiveness is decided by exhaustive bundle enumeration, by the
 Hall-style counting condition or by the flow criterion, minimum prices by
 enumerating the price grid, and descent sets by evaluating the potential on
-every object subset.  The Hall condition and the flow criterion both read
-``build_demand_network``, whose arcs ``FlowNetwork`` alone lays: the first
-counts each subset's overdemand off its tier arcs, the second runs
-``max_flow`` on it.  Before any tier report or network, the flow criterion
-applies two exact supply bounds that read only the instance rows, nothing
-of the solver.  Let P_j be the objects in supply that buyer j values above
-their price, and c_j = min(d_j, supply of P_j).  The greedy behind a tier
-report takes the objects of positive payoff in order of falling payoff
-until the demand is met, and takes every object above the margin in full,
-so c_j is the buyer's source capacity and each of its tier arcs leads into
-P_j.  A saturating flow carries all of c_j into P_j and out through sink
-arcs that hold the objects' supplies, so prices are not competitive when
-(1) the c_j sum to more than total supply, or (2) for some j, the c_k of
-the buyers k with P_k a subset of P_j sum to more than the supply of P_j.
-``is_competitive_flowcheck`` feeds one vector to the bounds, and the price
-grid feeds them incrementally: it walks its box as prefixes over every
-object but the last times the price of the last, takes each buyer's P_j
-and its supply once per prefix and adds a precomputed column for each
-price of the last object.  A vector at which every c_j is 0 has source
-capacity 0 and is competitive.  Only a vector that passes both bounds
-with some c_j above 0 becomes a ``PriceVector`` with a network, whose max
-flow decides it; a box corner equal to an ``upper`` that passed the
-criterion takes its verdict.
-Bundle enumeration and the descent potential do not read the
-network, so they check those rules.  The flow criterion shares
-``tier_reports``, ``build_demand_network`` and ``max_flow`` with the
-solver, and with it the max flow's start along the direct paths,
-``direct_flow``.  That start does not weaken it: a feasible flow that is
-not maximum is augmented until no augmenting path is left, so the value
-decided on is the max-flow value whatever the start.  No check shares the
-solver's search path: ``next_breakpoint`` and the breakpoints
-``_step_length`` carries from walk to walk.
+every object subset.
+
+The flow criterion and the Hall condition are functions of a demand
+network, the one ``build_demand_network`` lays at the prices in question,
+so a caller builds one network per price vector and hands it to both.  The
+flow criterion runs ``max_flow`` on it; the Hall condition counts each
+object subset's overdemand off its arcs, read as (tail, head, capacity)
+triples.  Both share with the solver ``tier_reports`` and ``FlowNetwork``,
+which lays every arc, and the flow criterion also ``max_flow``, with its
+start along the direct paths.  That start does not weaken it: a feasible
+flow that is not maximum is augmented until no augmenting path is left, so
+the value decided on is the max-flow value whatever the start.  Bundle
+enumeration and the descent potential read no network, so they check those
+rules.  No check shares the solver's search path: ``next_breakpoint`` and
+the breakpoints ``_step_length`` carries from walk to walk.
+
+The price grid decides most of its vectors before any network, by two
+exact supply bounds that read only the instance rows, nothing of the
+solver.  Let P_j be the objects in supply that buyer j values above their
+price, and c_j = min(d_j, supply of P_j).  The greedy behind a tier report
+takes the objects of positive payoff in order of falling payoff until the
+demand is met, and takes every object above the margin in full, so c_j is
+the buyer's source capacity and each of its tier arcs leads into P_j.  A
+saturating flow carries all of c_j into P_j and out through sink arcs that
+hold the objects' supplies, so prices are not competitive when (1) the c_j
+sum to more than total supply, or (2) for some j, the c_k of the buyers k
+with P_k a subset of P_j sum to more than the supply of P_j.  When every
+c_j is 0 the source capacity is 0, and the empty flow saturates the
+network.  Only a vector that the bounds leave undecided gets a network,
+and the flow criterion decides it.
+
 The checkers are desk-scale by design and each raises
 :class:`BudgetExceededError` beyond its enumeration budget.
 """
@@ -46,9 +45,9 @@ import math
 import random
 from dataclasses import dataclass
 from operator import add, gt, or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
-from .flow import build_demand_network, max_flow
+from .flow import FlowNetwork, build_demand_network, max_flow
 from .model import Allocation, Instance, InstanceError, PriceVector, validate_instance
 from .tiers import indirect_utility
 
@@ -115,16 +114,24 @@ def best_bundle_payoff(instance: Instance, buyer: str, prices: PriceVector) -> i
 # Overdemand and the Hall-style competitiveness condition.
 
 def _tier_arc_table(
-    instance: Instance, prices: PriceVector
-) -> list[tuple[int, dict[str, int]]]:
-    """Per tier node of the demand network: its demand, which is its source
-    slot's capacity (0 without an arc), and its arc capacities to objects."""
-    network = build_demand_network(instance, prices)
-    cap, labels, row = network.cap, network.labels, len(network.objects) + 1
-    return [
-        (cap[(k - 1) * row], {labels[v]: cap[a] for a, v in network.out[k]})
-        for k in range(1, network.first_object)
-    ]
+    network: FlowNetwork,
+) -> tuple[list[tuple[int, dict[str, int]]], dict[str, int]]:
+    """The network's arcs, read as (tail, head, capacity): per tier node
+    with demand, that demand, its source arc's capacity, and its arc
+    capacities to objects; and each object's supply, its sink arc's
+    capacity (0 without one)."""
+    labels, sink = network.labels, network.sink
+    demands: dict[int, int] = {}
+    caps: dict[int, dict[str, int]] = {}
+    supplies = dict.fromkeys(network.objects, 0)
+    for tail, head, c in network.arcs:
+        if tail == 0:
+            demands[head], caps[head] = c, {}
+        elif head == sink:
+            supplies[labels[tail]] = c
+        else:
+            caps[tail][labels[head]] = c
+    return [(demand, caps[u]) for u, demand in demands.items()], supplies
 
 
 def _overdemand_from_table(
@@ -139,37 +146,39 @@ def _overdemand_from_table(
     return total
 
 
-def overdemand(instance: Instance, prices: PriceVector, objects: Iterable[str]) -> int:
-    """Demand on the object set that cannot be served from outside it.
+def overdemand(network: FlowNetwork, objects: Iterable[str]) -> int:
+    """Demand on the object set that cannot be served from outside it, in
+    the demand network ``network``.
 
     Sums, over tier nodes adjacent to the set, the part of the tier demand
     exceeding the arc capacity towards objects outside the set.
     """
     subset = frozenset(objects)
-    unknown = subset - set(instance.objects)
+    unknown = subset - set(network.objects)
     if unknown:
         raise InstanceError(f"unknown object ids: {sorted(unknown)}")
-    return _overdemand_from_table(_tier_arc_table(instance, prices), subset)
+    return _overdemand_from_table(_tier_arc_table(network)[0], subset)
 
 
-def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str, ...] | None]:
-    """Competitiveness by subset enumeration: supply must cover the
-    overdemand of every object subset.
+def hall_check(network: FlowNetwork) -> tuple[bool, tuple[str, ...] | None]:
+    """Competitiveness by subset enumeration on the demand network
+    ``network``: supply must cover the overdemand of every object subset.
 
     On failure, returns the inclusion-minimal set of largest overdemand
     minus supply.  It is unique, since that excess is supermodular in the
     object set; a second such set raises :class:`GuaranteeViolation`.
     """
-    if len(instance.objects) > HALL_MAX_OBJECTS:
+    objects = network.objects
+    if len(objects) > HALL_MAX_OBJECTS:
         raise BudgetExceededError(
-            f"{len(instance.objects)} objects exceed the enumeration budget of {HALL_MAX_OBJECTS}"
+            f"{len(objects)} objects exceed the enumeration budget of {HALL_MAX_OBJECTS}"
         )
-    table = _tier_arc_table(instance, prices)
+    table, supplies = _tier_arc_table(network)
     violations: list[tuple[int, frozenset[str]]] = []
-    for size in range(1, len(instance.objects) + 1):
-        for combo in itertools.combinations(instance.objects, size):
+    for size in range(1, len(objects) + 1):
+        for combo in itertools.combinations(objects, size):
             subset = frozenset(combo)
-            supply = sum(instance.supplies[i] for i in combo)
+            supply = sum(supplies[i] for i in combo)
             excess = _overdemand_from_table(table, subset) - supply
             if excess > 0:
                 violations.append((excess, subset))
@@ -178,7 +187,7 @@ def hall_check(instance: Instance, prices: PriceVector) -> tuple[bool, tuple[str
     worst = max(excess for excess, _ in violations)
     candidates = [subset for excess, subset in violations if excess == worst]
     minimal = _unique_minimal(candidates, "minimal most overdemanded set")
-    return False, tuple(i for i in instance.objects if i in minimal)
+    return False, tuple(i for i in objects if i in minimal)
 
 
 def _bound_rows(
@@ -212,14 +221,10 @@ def _valued_above(
 
 
 def _supply_verdict(total: int, demands: list[int], masks: list[int], reach: list[int]) -> bool | None:
-    """What the instance rows decide of a price vector, given per buyer its
-    demand d_j, the mask of P_j (the objects in supply it values above
-    their price) and the supply of P_j.  ``False`` when one of the two
-    supply bounds of ``is_competitive_flowcheck`` rejects it: the c_j =
-    min(d_j, supply of P_j) exceed total supply, or the c_k of the buyers
-    k with P_k a subset of P_j exceed the supply of P_j.  ``True`` when
-    every c_j is 0: the network's source capacity is 0, so the empty flow
-    saturates it.  ``None`` when only the network can decide."""
+    """What the supply bounds (see the module docstring) decide of a price
+    vector, given per buyer its demand d_j, the mask of P_j and the supply
+    of P_j: ``False`` when a bound rejects it, ``True`` when every c_j is
+    0, and ``None`` when only the network can decide."""
     caps = list(map(min, demands, reach))
     capacity = sum(caps)
     if capacity > total:
@@ -237,36 +242,10 @@ def _supply_verdict(total: int, demands: list[int], masks: list[int], reach: lis
     return None
 
 
-def _saturates(instance: Instance, prices: PriceVector) -> bool:
-    """The flow criterion's network verdict: max flow saturates the source."""
-    network = build_demand_network(instance, prices)
+def is_competitive_flowcheck(network: FlowNetwork) -> bool:
+    """Competitiveness via the demand network at the prices in question:
+    its max flow saturates the source."""
     return max_flow(network).value == network.cap_s
-
-
-def is_competitive_flowcheck(instance: Instance, prices: PriceVector) -> bool:
-    """Competitiveness via the demand network: max flow saturates the source.
-
-    Two exact supply bounds come first, read off the instance rows alone.
-    Let P_j be the objects in supply that buyer j values above their price
-    and c_j = min(d_j, supply of P_j).  The greedy takes every object of
-    positive payoff, in order of falling payoff, until the demand is met,
-    so it takes each object above the margin in full: c_j is the buyer's
-    source capacity, and each of its tier arcs leads into P_j.  A
-    saturating flow therefore carries all of c_j into P_j and out through
-    the sink arcs, which hold the objects' supplies.  So prices are not
-    competitive when the c_j sum to more than total supply, or when, for
-    some j, the c_k of the buyers k with P_k a subset of P_j sum to more
-    than the supply of P_j; either rejects them exactly, without a tier
-    report or a network.  When every c_j is 0 the source capacity is 0 and
-    the prices are competitive, again without a network.  Otherwise the
-    network is built and its max flow decides.  The price grid feeds the
-    same bounds incrementally.
-    """
-    demands, rows, supplies, bits = _bound_rows(instance)
-    price_row = tuple(map(prices.prices.__getitem__, instance.objects))
-    masks, reach = _valued_above(rows, price_row, supplies, bits)
-    verdict = _supply_verdict(instance.total_supply, demands, masks, reach)
-    return _saturates(instance, prices) if verdict is None else verdict
 
 
 def is_competitive_bruteforce(instance: Instance, prices: PriceVector) -> bool:
@@ -306,54 +285,36 @@ def is_competitive_bruteforce(instance: Instance, prices: PriceVector) -> bool:
 
 
 def min_competitive_bruteforce(
-    instance: Instance,
-    budget: int = DEFAULT_BUDGET,
-    upper: PriceVector | None = None,
-    upper_passes: bool | None = None,
+    instance: Instance, budget: int = DEFAULT_BUDGET, upper: PriceVector | None = None
 ) -> PriceVector:
     """Component-wise minimum competitive prices by grid enumeration.
 
-    Every price vector in {0, ..., v_max + 1}^objects is decided by the
-    flow criterion; at v_max + 1 nothing is demanded, so the grid always
-    contains a competitive vector.  The minimum lies below every
-    competitive vector, so if ``upper`` is given and passes the flow
-    criterion, only the box {0, ..., upper_i} of the grid is enumerated;
-    otherwise the whole grid is.  The whole grid is never smaller than the
-    box, so a box beyond the budget raises with the box's count before
-    ``upper`` is checked.  A caller that knows ``upper``'s flow-criterion
-    verdict already passes it as ``upper_passes``; ``None`` has it checked
-    here.
+    Every price vector in {0, ..., v_max + 1}^objects is decided, by the
+    supply bounds or else by the flow criterion on its demand network (see
+    the module docstring); at v_max + 1 nothing is demanded, so the grid
+    always holds a competitive vector.  ``upper``, if given, is a price
+    vector the caller knows to be competitive.  The minimum lies below it,
+    so only the box {0, ..., min(upper_i, v_max + 1)} is enumerated, and
+    its corner, when it is ``upper`` itself, is not decided again.  A grid
+    or box beyond the budget raises before any vector is decided.
 
-    Each vector is decided once, as ``is_competitive_flowcheck`` decides
-    it: first by the two supply bounds, which read only the instance rows
-    (the source capacities c_j = min(d_j, supply of P_j), where P_j holds
-    the objects in supply that buyer j values above their price, must fit
-    within total supply, and those of the buyers whose P_k lies in P_j
-    within the supply of P_j; a vector at which every c_j is 0 is
-    competitive), then by the max flow of its network.  The
-    box is walked as prefixes over every object but the last times the
-    price of the last: each buyer's P_j and supply are taken once per
-    prefix, and each price of the last object adds a precomputed column.
-    Only a vector that passes both bounds with some c_j above 0 is built
-    as a ``PriceVector``.
-    When no ``upper_i`` exceeds v_max + 1, the box corner is ``upper``
-    itself and takes its verdict, in the enumeration and, if it is the
-    minimum, in the final check.  That check asks that the component-wise
-    minimum of the competitive vectors be competitive itself; if it is
-    not, a :class:`GuaranteeViolation` is raised.
+    The box is walked in lexicographic order, as prefixes over every
+    object but the last times the price of the last: each buyer's P_j and
+    its supply are taken once per prefix, and each price of the last
+    object adds a precomputed column.  Every competitive vector lies above
+    the minimum component-wise, so also lexicographically: when the
+    minimum is competitive, it is the first competitive vector the walk
+    meets.  A minimum other than that vector was met before it and decided
+    not competitive, and :class:`GuaranteeViolation` is raised.
     """
     objects = instance.objects
     top = instance.max_valuation + 1
     bounds = [top] * len(objects)
-    passed: tuple[int, ...] | None = None  # a corner known to be competitive
+    corner: tuple[int, ...] | None = None  # ``upper``, if it is a grid vector
     if upper is not None:
-        box = [min(upper[i], top) for i in objects]
-        if math.prod(b + 1 for b in box) > budget:
-            bounds = box
-        elif upper_passes if upper_passes is not None else is_competitive_flowcheck(instance, upper):
-            bounds = box
-            if all(upper[i] <= top for i in objects):
-                passed = tuple(box)
+        bounds = [min(upper[i], top) for i in objects]
+        if all(upper[i] <= top for i in objects):
+            corner = tuple(bounds)
     count = math.prod(b + 1 for b in bounds)
     if count > budget:
         raise BudgetExceededError(f"price grid of {count} vectors exceeds budget {budget}")
@@ -368,28 +329,32 @@ def min_competitive_bruteforce(
         (tail, *_valued_above(tail_rows, tail, supplies[cut:], bits[cut:]))
         for tail in itertools.product(*(range(b + 1) for b in bounds[cut:]))
     ]
+    first: tuple[int, ...] | None = None
     minimum: tuple[int, ...] | None = None
     for head in itertools.product(*(range(b + 1) for b in bounds[:cut])):
         masks, reach = _valued_above(head_rows, head, head_supplies, head_bits)
         for tail, tail_masks, tail_reach in columns:
             combo = head + tail
-            if combo != passed:
+            if combo != corner:
                 verdict = _supply_verdict(
                     total, demands, list(map(or_, masks, tail_masks)), list(map(add, reach, tail_reach))
                 )
                 if verdict is None:
-                    verdict = _saturates(instance, PriceVector(dict(zip(objects, combo))))
+                    prices = PriceVector(dict(zip(objects, combo)))
+                    verdict = is_competitive_flowcheck(build_demand_network(instance, prices))
                 if not verdict:
                     continue
-            minimum = combo if minimum is None else tuple(map(min, minimum, combo))
+            if minimum is None:
+                first = minimum = combo
+            else:
+                minimum = tuple(map(min, minimum, combo))
     if minimum is None:
         raise GuaranteeViolation("no competitive vector found in the price grid")
-    result = PriceVector(dict(zip(objects, minimum)))
-    if minimum != passed and not is_competitive_flowcheck(instance, result):
+    if minimum != first:
         raise GuaranteeViolation(
             "component-wise minimum of competitive prices is not competitive"
         )
-    return result
+    return PriceVector(dict(zip(objects, minimum)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +401,6 @@ class EquilibriumReport:
     quantity_sold: int
     expected_quantity: int
     positive_price_sellout: bool
-
-    @property
-    def overall(self) -> bool:
-        return (
-            self.feasible
-            and all(self.stable.values())
-            and self.quantity_sold == self.expected_quantity
-            and self.positive_price_sellout
-        )
 
 
 def check_equilibrium(

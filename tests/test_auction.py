@@ -346,7 +346,9 @@ class TestSolve:
     def test_output_is_equilibrium(self, example1, fig1, three_buyers, contested_single):
         for inst in (example1, fig1, three_buyers, contested_single):
             eq = solve(inst)
-            assert check_equilibrium(inst, eq.prices, eq.allocation).overall
+            report = check_equilibrium(inst, eq.prices, eq.allocation)
+            assert report.feasible and all(report.stable.values())
+            assert report.quantity_sold == report.expected_quantity and report.positive_price_sellout
 
 
 class TestModeAndWarmEquivalence:

@@ -465,8 +465,8 @@ class TestVerify:
         """Both objects are unsupplied, so the prices are 0; the whole grid,
         (840 + 2) ** 2 = 709k vectors, is within the default budget, but
         only the one vector below the competitive auction prices is tried,
-        and only once: the verdict of the flow-criterion check is the
-        grid's."""
+        and only once: the flow-criterion check decides it, and the grid
+        takes it as the competitive corner of its box."""
         import flowauction.cli as cli
         import flowauction.verify as verify
 
@@ -480,9 +480,9 @@ class TestVerify:
         }))
         flowcheck, checked = verify.is_competitive_flowcheck, []
 
-        def counted(instance, prices):
-            checked.append(prices.as_dict())
-            return flowcheck(instance, prices)
+        def counted(network):
+            checked.append(network.prices.as_dict())
+            return flowcheck(network)
 
         monkeypatch.setattr(verify, "is_competitive_flowcheck", counted)
         monkeypatch.setattr(cli, "is_competitive_flowcheck", counted)

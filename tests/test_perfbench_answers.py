@@ -76,6 +76,48 @@ def test_supply_bound_keeps_the_certify_grid_minima():
         assert min_competitive_bruteforce(inst, upper=upper) == minimum, market.name
 
 
+def test_verify_builds_one_network_at_the_answer_prices(monkeypatch):
+    """After the solve, ``run_verification`` builds the demand network at
+    the answer's prices once: the flow criterion and the counting
+    condition read that one network, and the grid takes those prices as
+    its box's competitive corner.  On the seed-1 ``certify`` and
+    ``high-value`` markets and on 300 random markets."""
+    from flowauction import cli, verify
+
+    solve, build = cli.solve, flow.build_demand_network
+    solved, built = [], []
+
+    def counted_solve(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    def counted_build(instance, prices, *args, **kwargs):
+        if solved:
+            built.append(prices)
+        return build(instance, prices, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counted_solve)
+    monkeypatch.setattr(flow, "build_demand_network", counted_build)
+    monkeypatch.setattr(verify, "build_demand_network", counted_build)
+    cases = [
+        (market.instance, market.start)
+        for workload in ("certify", "high-value")
+        for market in markets.WORKLOADS[workload](flowauction, random.Random(1))
+    ]
+    rng = random.Random(89)
+    cases += [(verify.random_instance(rng, max_buyers=4, max_value=(4, 30)[k % 2]), None) for k in range(300)]
+    gridded = 0
+    for instance, start in cases:
+        solved.clear()
+        built.clear()
+        report = cli.run_verification(instance, SolveOptions(start_prices=start), cli.DEFAULT_BUDGET)
+        (equilibrium,) = solved
+        assert built.count(equilibrium.prices) == 1, instance
+        (grid,) = [c for c in report["checks"] if c["name"] == "bruteforce-minimum-agreement"]
+        gridded += grid["passed"] is True
+    assert gridded > 300
+
+
 def test_carried_breakpoints_on_the_dense_market(monkeypatch):
     """The check of ``check_carried_breakpoints`` on the ``dense`` market,
     where most walks raise the cut of the walk before."""

@@ -47,6 +47,15 @@ def subset_bound_rejects(inst, prices):
     )
 
 
+def supply_verdict(inst, prices):
+    """The supply bounds' verdict on one price vector, from the instance
+    rows: False rejects it, True accepts it, None leaves it to the
+    network."""
+    demands, rows, supplies, bits = verify._bound_rows(inst)
+    masks, reach = verify._valued_above(rows, tuple(prices[i] for i in inst.objects), supplies, bits)
+    return verify._supply_verdict(inst.total_supply, demands, masks, reach)
+
+
 def count_grid_work(monkeypatch):
     """Record, through verify's bindings, the verdict of each call of the
     supply bounds (one per vector decided; False rejects, True accepts a
@@ -70,10 +79,10 @@ def count_grid_work(monkeypatch):
 
 class TestOverdemand:
     def test_fig1_beta(self, fig1):
-        assert overdemand(fig1, PriceVector.zero(fig1), {"beta"}) == 2
+        assert overdemand(build_demand_network(fig1, PriceVector.zero(fig1)), {"beta"}) == 2
 
     def test_empty_set(self, fig1):
-        assert overdemand(fig1, PriceVector.zero(fig1), set()) == 0
+        assert overdemand(build_demand_network(fig1, PriceVector.zero(fig1)), set()) == 0
 
     def test_whole_market_with_positive_payoffs(self):
         inst = validate_instance(
@@ -84,33 +93,33 @@ class TestOverdemand:
         prices = PriceVector.zero(inst)
         reports = [tier_report(inst, j, prices) for j in inst.buyers]
         total = sum(r.demand_above + r.demand_at_margin for r in reports)
-        assert overdemand(inst, prices, {"x", "y"}) == total
+        assert overdemand(build_demand_network(inst, prices), {"x", "y"}) == total
 
     def test_unknown_object(self, fig1):
         with pytest.raises(InstanceError, match="unknown"):
-            overdemand(fig1, PriceVector.zero(fig1), {"delta"})
+            overdemand(build_demand_network(fig1, PriceVector.zero(fig1)), {"delta"})
 
 
 class TestHallCheck:
     def test_example1_competitive(self, example1):
-        ok, violating = hall_check(example1, PriceVector.zero(example1))
+        ok, violating = hall_check(build_demand_network(example1, PriceVector.zero(example1)))
         assert ok and violating is None
 
     def test_fig1_violating_set(self, fig1):
-        ok, violating = hall_check(fig1, PriceVector.zero(fig1))
+        ok, violating = hall_check(build_demand_network(fig1, PriceVector.zero(fig1)))
         assert not ok
         assert violating == ("beta",)
 
     def test_no_buyers(self):
         inst = validate_instance({"a": 1}, {}, {})
-        ok, violating = hall_check(inst, PriceVector.zero(inst))
+        ok, violating = hall_check(build_demand_network(inst, PriceVector.zero(inst)))
         assert ok and violating is None
 
     def test_budget(self):
         supplies = {f"o{k}": 1 for k in range(17)}
         inst = validate_instance(supplies, {}, {})
         with pytest.raises(BudgetExceededError):
-            hall_check(inst, PriceVector.zero(inst))
+            hall_check(build_demand_network(inst, PriceVector.zero(inst)))
 
     def test_overdemand_minus_supply_is_supermodular(self):
         """So the sets of largest overdemand minus supply are closed under
@@ -119,17 +128,17 @@ class TestHallCheck:
         pairs = 0
         for _ in range(1000):
             inst = random_instance(rng, max_objects=4, max_buyers=4, max_value=6)
-            prices = random_prices(rng, inst)
+            network = build_demand_network(inst, random_prices(rng, inst))
             subsets = [
                 frozenset(combo)
                 for size in range(len(inst.objects) + 1)
                 for combo in itertools.combinations(inst.objects, size)
             ]
             excess = {
-                s: overdemand(inst, prices, s) - sum(inst.supplies[i] for i in s) for s in subsets
+                s: overdemand(network, s) - sum(inst.supplies[i] for i in s) for s in subsets
             }
             for a, b in itertools.combinations(subsets, 2):
-                assert excess[a | b] + excess[a & b] >= excess[a] + excess[b], (inst, prices, a, b)
+                assert excess[a | b] + excess[a & b] >= excess[a] + excess[b], (inst, network.prices, a, b)
                 pairs += 1
         assert pairs > 30_000
 
@@ -138,21 +147,21 @@ class TestHallCheck:
         inst = validate_instance({"a": 1, "b": 1}, {}, {})
         monkeypatch.setattr(verify, "_overdemand_from_table", lambda table, subset: 5)
         with pytest.raises(GuaranteeViolation, match="not unique"):
-            hall_check(inst, PriceVector.zero(inst))
+            hall_check(build_demand_network(inst, PriceVector.zero(inst)))
 
 
 class TestCompetitiveChecks:
     def test_example1(self, example1):
-        assert is_competitive_flowcheck(example1, PriceVector.zero(example1))
+        assert is_competitive_flowcheck(build_demand_network(example1, PriceVector.zero(example1)))
         assert is_competitive_bruteforce(example1, PriceVector.zero(example1))
 
     def test_fig1_not_competitive_at_zero(self, fig1):
-        assert not is_competitive_flowcheck(fig1, PriceVector.zero(fig1))
+        assert not is_competitive_flowcheck(build_demand_network(fig1, PriceVector.zero(fig1)))
         assert not is_competitive_bruteforce(fig1, PriceVector.zero(fig1))
 
     def test_priced_out_market_is_competitive(self, fig1):
         top = PriceVector({i: fig1.max_valuation + 1 for i in fig1.objects})
-        assert is_competitive_flowcheck(fig1, top)
+        assert is_competitive_flowcheck(build_demand_network(fig1, top))
         assert is_competitive_bruteforce(fig1, top)
 
     def test_flowcheck_matches_bruteforce(self):
@@ -160,9 +169,8 @@ class TestCompetitiveChecks:
         for _ in range(80):
             inst = random_instance(rng, max_objects=2, max_buyers=2)
             prices = random_prices(rng, inst)
-            assert is_competitive_flowcheck(inst, prices) == is_competitive_bruteforce(
-                inst, prices
-            )
+            network = build_demand_network(inst, prices)
+            assert is_competitive_flowcheck(network) == is_competitive_bruteforce(inst, prices)
 
     def test_supply_bound_is_the_source_capacity_in_closed_form(self):
         """The bound rows give, per buyer with demand, the mask and the
@@ -200,23 +208,18 @@ class TestCompetitiveChecks:
         assert all(count > 0 for count in seen.values()), seen
 
     def test_supply_bound_sweep_agrees_with_the_flow_and_the_bundles(self, monkeypatch):
-        """The flow criterion rejects prices whose source capacity exceeds
+        """The supply bounds reject prices whose source capacity exceeds
         total supply, or whose buyers' source capacities exceed the supply
-        of some buyer's P_j, and accepts prices whose source capacity is 0,
-        without a tier report or a network, and agrees with the max flow on
-        the demand network and with bundle enumeration.  It reaches the
-        tier oracle only through the network builder."""
-        built, reported = [], []
-
-        def counted(instance, prices, reports=None):
-            built.append(prices)
-            return build_demand_network(instance, prices, reports)
+        of some buyer's P_j, accept exactly the prices whose source capacity
+        is 0, and leave the rest to the network, without a tier report.
+        Where they decide, they agree with the flow criterion on the demand
+        network, and the flow criterion agrees with bundle enumeration."""
+        reported = []
 
         def counted_reports(instance, buyers, prices):
             reported.extend(buyers)
             return tier_reports(instance, buyers, prices)
 
-        monkeypatch.setattr(verify, "build_demand_network", counted)
         monkeypatch.setattr(flow, "tier_reports", counted_reports)
         rng = random.Random(73)
         decided = {"bound": 0, "no capacity": 0, "subset bound": 0, "flow accepts": 0, "flow rejects": 0}
@@ -225,21 +228,21 @@ class TestCompetitiveChecks:
             inst = random_instance(rng, max_value=(4, 30, 300)[k % 3])
             prices = random_prices(rng, inst)
             network = build_demand_network(inst, prices)
-            saturated = max_flow(network).value == network.cap_s
-            built.clear()
+            saturated = is_competitive_flowcheck(network)
             reported.clear()
-            assert is_competitive_flowcheck(inst, prices) == saturated, (inst, prices)
+            verdict = supply_verdict(inst, prices)
+            assert reported == []
             if network.cap_s > inst.total_supply:
-                assert not saturated and built == [] and reported == []
+                assert verdict is False and not saturated, (inst, prices)
                 decided["bound"] += 1
             elif network.cap_s == 0:
-                assert saturated and built == [] and reported == []
+                assert verdict is True and saturated, (inst, prices)
                 decided["no capacity"] += 1
             elif subset_bound_rejects(inst, prices):
-                assert not saturated and built == [] and reported == []
+                assert verdict is False and not saturated, (inst, prices)
                 decided["subset bound"] += 1
             else:
-                assert built == [prices] and reported == list(inst.buyers)
+                assert verdict is None, (inst, prices)
                 decided["flow accepts" if saturated else "flow rejects"] += 1
             try:
                 brute = is_competitive_bruteforce(inst, prices)
@@ -254,9 +257,9 @@ class TestCompetitiveChecks:
         rng = random.Random(23)
         for _ in range(150):
             inst = random_instance(rng)
-            prices = random_prices(rng, inst)
-            ok, _ = hall_check(inst, prices)
-            assert ok == is_competitive_flowcheck(inst, prices)
+            network = build_demand_network(inst, random_prices(rng, inst))
+            ok, _ = hall_check(network)
+            assert ok == is_competitive_flowcheck(network)
 
 
 class TestMinCompetitiveBruteforce:
@@ -278,9 +281,8 @@ class TestMinCompetitiveBruteforce:
             min_competitive_bruteforce(fig1, budget=10)
 
     def test_a_box_beyond_the_budget_raises_before_the_flow_check(self, fig1, monkeypatch):
-        """The whole grid is never smaller than the box, so a box beyond
-        the budget ends the search before the bound is checked: no vector
-        is decided and no network built."""
+        """A box beyond the budget ends the search before any work: no
+        vector is decided and no network built."""
         verdicts, built = count_grid_work(monkeypatch)
         bound = PriceVector({"alpha": 3, "beta": 3, "gamma": 3})
         with pytest.raises(BudgetExceededError, match="^price grid of 64 vectors exceeds budget 10$"):
@@ -288,36 +290,34 @@ class TestMinCompetitiveBruteforce:
         assert verdicts == [] and built == []
 
     def test_box_below_a_competitive_bound_finds_the_grid_minimum(self, monkeypatch):
-        """A competitive bound limits the search to the box under it; one
-        that is not competitive leaves the whole grid to search.  The
-        supply bounds decide each vector once, in grid order, and exactly
-        the vectors they leave undecided get a network."""
+        """Without a bound the whole grid is searched; a competitive bound
+        limits the search to the box under it, and its verdict stands for
+        the box corner, the last box vector.  The supply bounds decide each
+        other vector once, in grid order, and exactly the vectors they
+        leave undecided get a network."""
         verdicts, built = count_grid_work(monkeypatch)
         rng = random.Random(41)
         boxed = rejected = unfilled = 0
         for _ in range(150):
             inst = random_instance(rng, max_objects=3, max_buyers=3)
+            verdicts.clear()
+            built.clear()
             full = min_competitive_bruteforce(inst)
+            top = inst.max_valuation + 1
+            vectors = list(itertools.product(range(top + 1), repeat=len(inst.objects)))
+            assert len(verdicts) == len(vectors)
+            assert built == [p for p, verdict in zip(vectors, verdicts) if verdict is None]
             bound = random_prices(rng, inst)
-            competitive = is_competitive_flowcheck(inst, bound)
+            if not is_competitive_flowcheck(build_demand_network(inst, bound)):
+                continue
             verdicts.clear()
             built.clear()
             assert min_competitive_bruteforce(inst, upper=bound) == full
             corner = tuple(bound[i] for i in inst.objects)
-            minimum = tuple(full[i] for i in inst.objects)
-            if competitive:
-                # The bound's verdict stands for the box corner, the last
-                # box vector, and for the minimum when it is that corner.
-                boxed += 1
-                vectors = list(itertools.product(*(range(p + 1) for p in corner)))[:-1]
-                final = [minimum] if minimum != corner else []
-            else:
-                top = inst.max_valuation + 1
-                vectors = list(itertools.product(range(top + 1), repeat=len(inst.objects)))
-                final = [minimum]
-            decided = [corner, *vectors, *final]
-            assert len(verdicts) == len(decided)
-            assert built == [p for p, verdict in zip(decided, verdicts) if verdict is None]
+            vectors = list(itertools.product(*(range(p + 1) for p in corner)))[:-1]
+            assert len(verdicts) == len(vectors)
+            assert built == [p for p, verdict in zip(vectors, verdicts) if verdict is None]
+            boxed += 1
             rejected += verdicts.count(False)
             unfilled += verdicts.count(True)
         assert boxed >= 40 and rejected > 0 and unfilled > 0
@@ -332,22 +332,29 @@ class TestMinCompetitiveBruteforce:
             "beta": 1,
             "gamma": 0,
         }
-        # The bound, the 5 * 2 * 1 box vectors, the last of them the clamped
-        # corner, and the minimum found.  gamma's supply of 4 covers j1's
-        # demand, so the supply bounds pass every one to its network.
-        decided = [(9, 1, 0), *itertools.product(range(5), range(2), range(1)), (0, 1, 0)]
-        assert verdicts == [None] * 12 and built == decided
-        assert decided[-2] == (4, 1, 0)
+        # The 5 * 2 * 1 box vectors, the last of them the clamped corner.
+        # gamma's supply of 4 covers j1's demand, so the supply bounds pass
+        # every one to its network.
+        decided = list(itertools.product(range(5), range(2), range(1)))
+        assert verdicts == [None] * 10 and built == decided
+        assert decided[-1] == (4, 1, 0)
 
     def test_a_minimum_other_than_the_corner_is_checked_again(self, monkeypatch):
-        """A criterion under which the box's minimum is not competitive
-        still trips the final check, though the corner's verdict is
-        reused."""
-        inst = validate_instance({"a": 1, "b": 1}, {}, {})
-        monkeypatch.setattr(verify, "is_competitive_flowcheck", lambda instance, p: p["a"] + p["b"] > 0)
+        """A criterion under which the component-wise minimum of the
+        competitive vectors, (0, 0), is not competitive trips the check:
+        the first competitive vector the walk meets, (0, 1), is not that
+        minimum.  The bound's verdict stands for the corner, (1, 1)."""
+        inst = validate_instance({"a": 1, "b": 1}, {"x": 1}, {"x": {"a": 5, "b": 5}})
+        checked = []
+
+        def criterion(network):
+            checked.append(tuple(network.prices[i] for i in inst.objects))
+            return sum(checked[-1]) > 0
+
+        monkeypatch.setattr(verify, "is_competitive_flowcheck", criterion)
         with pytest.raises(GuaranteeViolation, match="minimum of competitive prices is not competitive"):
             min_competitive_bruteforce(inst, upper=PriceVector({"a": 1, "b": 1}))
-
+        assert checked == [(0, 0), (0, 1), (1, 0)]
 
     def test_a_market_without_objects_has_the_empty_minimum(self, monkeypatch):
         """The grid is one vector, the empty one, and nothing is demanded
@@ -356,18 +363,18 @@ class TestMinCompetitiveBruteforce:
         inst = validate_instance({}, {"b": 2}, {"b": {}})
         verdicts, built = count_grid_work(monkeypatch)
         assert min_competitive_bruteforce(inst) == PriceVector({})
-        assert verdicts == [True, True] and built == []
+        assert verdicts == [True] and built == []
         verdicts.clear()
         # The bound is competitive, and its verdict stands for the one vector.
         assert min_competitive_bruteforce(inst, upper=PriceVector({})) == PriceVector({})
-        assert verdicts == [True] and built == []
+        assert verdicts == [] and built == []
 
     def test_a_market_without_buyers_is_competitive_at_zero(self, monkeypatch):
         inst = validate_instance({"a": 1, "b": 0}, {}, {})
         verdicts, built = count_grid_work(monkeypatch)
         assert min_competitive_bruteforce(inst).as_dict() == {"a": 0, "b": 0}
-        # The 2 * 2 grid, then the minimum found, all of source capacity 0.
-        assert verdicts == [True] * 5 and built == []
+        # The 2 * 2 grid, all of source capacity 0.
+        assert verdicts == [True] * 4 and built == []
 
     def test_a_market_without_demand_is_competitive_at_zero(self, monkeypatch):
         inst = validate_instance(
@@ -375,12 +382,12 @@ class TestMinCompetitiveBruteforce:
         )
         verdicts, built = count_grid_work(monkeypatch)
         assert min_competitive_bruteforce(inst).as_dict() == {"a": 0, "b": 0}
-        assert verdicts == [True] * (5 * 5 + 1) and built == []
+        assert verdicts == [True] * (5 * 5) and built == []
         verdicts.clear()
         upper = PriceVector({"a": 1, "b": 2})
         assert min_competitive_bruteforce(inst, upper=upper).as_dict() == {"a": 0, "b": 0}
-        # The bound, the 2 * 3 box less its corner, and the minimum found.
-        assert verdicts == [True] * 7 and built == []
+        # The 2 * 3 box less its corner.
+        assert verdicts == [True] * 5 and built == []
 
     def test_no_network_of_source_capacity_zero_is_built(self, monkeypatch):
         """On 300 random markets with values up to 4 and up to 4 buyers,
@@ -472,12 +479,13 @@ class TestLyapunov:
         for _ in range(40):
             inst = random_instance(rng, max_objects=3, max_buyers=2)
             prices = random_prices(rng, inst)
+            network = build_demand_network(inst, prices)
             base = lyapunov(inst, prices)
             for size in range(len(inst.objects) + 1):
                 for combo in itertools.combinations(inst.objects, size):
                     raised = lyapunov(inst, prices.raised(combo))
                     supply = sum(inst.supplies[i] for i in combo)
-                    assert base - raised == overdemand(inst, prices, combo) - supply
+                    assert base - raised == overdemand(network, combo) - supply
 
 
 class TestSteepestDescent:
@@ -572,22 +580,20 @@ class TestCheckEquilibrium:
     def test_example1_passes(self, example1):
         eq = solve(example1)
         report = check_equilibrium(example1, eq.prices, eq.allocation)
-        assert report.overall
+        assert report.feasible and all(report.stable.values()) and report.positive_price_sellout
         assert report.quantity_sold == report.expected_quantity == 2
 
     def test_suboptimal_bundle_flagged(self, example1):
         report = check_equilibrium(
             example1, PriceVector.zero(example1), Allocation({("beta", "b1"): 1})
         )
-        assert report.stable == {"b1": False}
-        assert not report.overall
+        assert report.feasible and report.stable == {"b1": False}
 
     def test_infeasible_allocation_reported_not_raised(self, example1):
         report = check_equilibrium(
             example1, PriceVector.zero(example1), Allocation({("alpha", "b1"): 5})
         )
         assert not report.feasible
-        assert not report.overall
 
     def test_one_pass_equals_the_pair_by_pair_definition(self):
         """On random allocations, at the minimum prices or at random ones,
@@ -596,7 +602,7 @@ class TestCheckEquilibrium:
         start from the solver's and are varied, so the sweep meets
         equilibria and every kind of infeasibility."""
         rng = random.Random(71)
-        seen = dict.fromkeys(("overall", "unknown", "negative", "oversold", "overbought"), 0)
+        seen = dict.fromkeys(("equilibrium", "unknown", "negative", "oversold", "overbought"), 0)
         for k in range(1600):
             inst = random_instance(rng, max_objects=4, max_buyers=4)
             eq = solve(inst)
@@ -607,7 +613,12 @@ class TestCheckEquilibrium:
             assert report == expected and list(report.stable) == list(expected.stable)
             assert allocation.is_feasible(inst) == expected.feasible
             items = allocation.quantities.items()
-            seen["overall"] += report.overall
+            seen["equilibrium"] += (
+                report.feasible
+                and all(report.stable.values())
+                and report.quantity_sold == report.expected_quantity
+                and report.positive_price_sellout
+            )
             seen["unknown"] += any(i not in inst.supplies or j not in inst.demands for (i, j), _ in items)
             seen["negative"] += any(q < 0 for q in allocation.quantities.values())
             seen["oversold"] += any(allocation.sold_of(i) > inst.supplies[i] for i in inst.objects)
@@ -617,8 +628,8 @@ class TestCheckEquilibrium:
     def test_three_buyers_clauses(self, three_buyers):
         eq = solve(three_buyers)
         report = check_equilibrium(three_buyers, eq.prices, eq.allocation)
-        assert report.overall
-        assert report.quantity_sold == 5
+        assert report.feasible and all(report.stable.values())
+        assert report.quantity_sold == report.expected_quantity == 5
         assert report.positive_price_sellout
 
 
